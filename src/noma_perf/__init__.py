@@ -6,7 +6,6 @@ with confidence intervals, and a CSV sweep CLI.
 """
 
 from .analytic import (
-    CompositionLimitError,
     outage_noma_imperfect,
     outage_noma_perfect,
     outage_noma_sos,
@@ -17,7 +16,6 @@ from .analytic import (
     secrecy_noma_sos_k2,
     secrecy_oma_imperfect,
     secrecy_oma_sos_k2,
-    weak_compositions,
 )
 from .channel import (
     CSI_IMPERFECT,
@@ -61,7 +59,6 @@ __all__ = [
     "CSI_PERFECT",
     "CSI_SOS",
     "ChannelRealization",
-    "CompositionLimitError",
     "METRIC_OUTAGE",
     "METRIC_SECRECY",
     "METRIC_SECRECY_SURROGATE",
@@ -94,5 +91,4 @@ __all__ = [
     "secrecy_throughput_noma",
     "simulate",
     "unicast_rate",
-    "weak_compositions",
 ]

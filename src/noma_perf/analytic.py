@@ -4,27 +4,33 @@ Each function consumes a SystemConfig and returns a float. Multicast outage
 is 1 - (single-user survival)^K, since the decision gains are iid: under
 perfect and statistical CSI the survival probability is closed form through
 the lower incomplete gamma function, and under imperfect CSI it is one
-Gauss-Legendre integral over the user distance. The estimate-ranked secrecy
-forms approximate the mean unicast rate gap between the two strongest
-scheduled users via nested Gauss-Chebyshev quadrature. The two-user
-distance-ranked NOMA form integrates the closed-form fading expectation of
-the rate gap over the ordered distances by Gauss-Legendre quadrature. OMA
-benchmarks reuse the same machinery with the half-slot threshold
-2^(2 R_M) - 1 and without the power-split coupling.
+Gauss-Legendre integral over the user distance.
 
-Outage values are clamped to [0, 1]. Secrecy values are left unclamped:
-the estimate-ranked expansion is a truncated sum, and clamping it would
-mask the approximation quality.
+Secrecy throughput is the mean rate gap h(X_(1)) - h(X_(2)) between the two
+strongest scheduled users, counted when the weakest decision gain clears
+z = eps/rho (the outage indicator sits inside the mean). With the
+estimated gains iid with single-user survival S, the order-statistic
+identity (David & Nagaraja, Order Statistics)
+
+    E[1{X_(K) >= z} (h(X_(1)) - h(X_(2)))]
+        = K integral_z^inf h'(t) S(t) (S(z) - S(t))^(K-1) dt
+
+turns it into two nested Gauss-Legendre integrals whose cost does not
+depend on K. The two-user distance-ranked forms integrate the closed-form
+fading expectation of the rate gap over the ordered distances. OMA
+benchmarks use the half-slot rate gap with z = 0 and, for outage, the
+threshold 2^(2 R_M) - 1.
+
+Outage values are clamped to [0, 1]. Secrecy values are not clamped: each
+is a quadrature of a nonnegative integrand.
 """
 
-import itertools
-from math import comb, lgamma, log
+from math import log
 
 import numpy as np
 
 from .channel import SystemConfig
 from .specfun import (
-    chebyshev_rule,
     expint_e1_scaled,
     gauss_legendre_rule,
     lower_incomplete_gamma,
@@ -32,49 +38,9 @@ from .specfun import (
 
 LN2 = log(2.0)
 
-_CHUNK = 16384
-
-DEFAULT_COMPOSITION_CAP = 10_000_000
-
-
-class CompositionLimitError(Exception):
-    """Raised when a secrecy evaluation would enumerate too many index tuples."""
-
-    def __init__(self, count, cap):
-        self.count = count
-        self.cap = cap
-        super().__init__(
-            f"evaluation needs {count} weak compositions, above the cap of {cap}"
-        )
-
-
-def weak_compositions(total: int, parts: int, cap=None):
-    """Yield all tuples of `parts` nonnegative ints summing to `total`.
-
-    Lexicographically increasing. If `cap` is given and the count
-    C(total+parts-1, parts-1) exceeds it, raises CompositionLimitError
-    before yielding anything.
-    """
-    if not isinstance(total, (int, np.integer)) or total < 0:
-        raise ValueError("total must be a nonnegative integer")
-    if not isinstance(parts, (int, np.integer)) or parts < 1:
-        raise ValueError("parts must be a positive integer")
-    count = comb(total + parts - 1, parts - 1)
-    if cap is not None and count > cap:
-        raise CompositionLimitError(count, cap)
-
-    def gen():
-        slots = total + parts - 1
-        for bars in itertools.combinations(range(slots), parts - 1):
-            prev = -1
-            out = []
-            for b in bars:
-                out.append(b - prev - 1)
-                prev = b
-            out.append(slots - 1 - prev)
-            yield tuple(out)
-
-    return gen()
+# the survival integral drops distances whose exponent t/m(u) exceeds this;
+# e^-45 < 3e-20 of the integrand's peak
+_EXPONENT_CUTOFF = 45.0
 
 
 def _clamp01(p: float) -> float:
@@ -144,112 +110,105 @@ def outage_oma_sos(config: SystemConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# secrecy throughput, estimate-ranked ordering
+# secrecy throughput
 # ---------------------------------------------------------------------------
 
-def _comp_chunks(total, parts, cap):
-    it = weak_compositions(total, parts, cap=cap)
-    while True:
-        block = list(itertools.islice(it, _CHUNK))
-        if not block:
-            return
-        yield np.asarray(block, dtype=np.int64)
+def _gap_params(config: SystemConfig, oma: bool):
+    """(z, s, scale) of the rate gap: h'(t) = scale / ((s - z + t) ln 2).
 
-
-def _secrecy_est_ranked_mean(config: SystemConfig, oma: bool, cap) -> float:
-    """Mean rate gap between the two largest order statistics of the estimates.
-
-    The joint density of the ordered estimates is expanded through a
-    multinomial over quadrature nodes (one weak composition per term), which
-    turns the K-fold order-statistics integral into a finite sum.
+    NOMA: h(t) = log2(nu + rho t) with nu = 1 + eps, counted above
+    z = eps/rho, so s = (1 + 2 eps)/rho. OMA: h(t) = log2(1 + rho t) / 2
+    with no multicast coupling, so z = 0 and s = 1/rho.
     """
-    K, D, eta = config.K, config.D, config.eta
-    rho, s2 = config.rho, config.sigma2_zeta
+    if oma:
+        return 0.0, 1.0 / config.rho, 0.5
+    eps = config.eps_multicast
+    return eps / config.rho, (1.0 + 2.0 * eps) / config.rho, 1.0
+
+
+def _survival_est(config: SystemConfig, t: np.ndarray, n: int) -> np.ndarray:
+    """P(X > t) at each t >= 0 for one user's estimated gain X.
+
+    X is exponential with mean m(u) = u^(-eta/2) - sigma2 given the squared
+    distance u, which is uniform on [0, D^2]. With R = min(1/m(D^2), 45/t),
+    the map u = R^(2/eta) w^2 (1 + sigma2 R w^eta)^(-2/eta) sends w in
+    [0, 1] onto the distances whose exponent t/m(u) = R t w^eta is at most
+    45, and leaves the smooth integrand
+    R^(2/eta)/D^2 * 2w e^(-R t w^eta) (1 + sigma2 R w^eta)^(-1-2/eta).
+    """
+    D, eta, s2 = config.D, config.eta, config.sigma2_zeta
+    m_edge = D ** (-eta) - s2
+    R = 1.0 / np.maximum(m_edge, t / _EXPONENT_CUTOFF)
+    rule = gauss_legendre_rule(n, 1.0)
+    w = rule.nodes
+    we = w ** eta
+    integrand = (2.0 * w) * np.exp(-np.outer(R * t, we)) * (
+        1.0 + s2 * np.outer(R, we)
+    ) ** (-1.0 - 2.0 / eta)
+    return R ** (2.0 / eta) / D ** 2 * (integrand @ rule.weights)
+
+
+def _secrecy_est_ranked_mean(config: SystemConfig, z: float, s: float, scale: float) -> float:
+    """K integral_z^inf h'(t) S(t) (S(z) - S(t))^(K-1) dt for estimate ranking,
+    with h'(t) = scale / ((s - z + t) ln 2) as in _gap_params.
+
+    The t axis is mapped from v in [0, 1) by t = z + c v / (1 - v)^q with
+    q = max(1, eta/2), which makes the t^(-1-2/eta) tail smooth in v; the
+    scale c is the geometric mean of the rate knee s, the cell-edge mean
+    estimate m_D and m_D K^(eta/2), where S falls to about 1/K. Orders:
+    quad_orders[1] on v, quad_orders[2] on the mapped distance.
+    """
+    K, eta = config.K, config.eta
     if K < 2:
         raise ValueError("secrecy throughput needs K >= 2")
     m, n = config.quad_orders[1], config.quad_orders[2]
-    nu = 1.0 if oma else 1.0 + config.eps_multicast
+    m_edge = config.D ** (-eta) - config.sigma2_zeta
 
-    outer = chebyshev_rule(m, 1.0)
-    tau = outer.nodes
-    inner = chebyshev_rule(n, D)
-    x = inner.nodes
-    inv = 1.0 / (x ** (-eta) - s2)  # mean estimate power at each node
+    q = max(1.0, eta / 2.0)
+    c = (s * m_edge * m_edge * K ** (eta / 2.0)) ** (1.0 / 3.0)
+    rule = gauss_legendre_rule(m, 1.0)
+    v = rule.nodes
+    t = z + c * v / (1.0 - v) ** q
+    dt_dv = c * (1.0 - v + q * v) / (1.0 - v) ** (q + 1.0)
 
-    # log(|sin_t| x_t) with the sine recovered from the weight
-    sin_n = inner.weights * (2 * n) / (np.pi * D)
-    log_sx = np.log(sin_n * x)
-    log_node_factor = log(np.pi / (n * D))
-    # log r! for r = 0 .. K-1
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, K, dtype=float)))))
-
-    inner_sum = np.zeros(m)
-    for R in _comp_chunks(K - 1, n + 1, cap):
-        Rn = R[:, 1:].astype(float)
-        S = Rn.sum(axis=1)
-        log_a = log_fact[K - 1] - log_fact[R].sum(axis=1) + S * log_node_factor + Rn @ log_sx
-        a = np.where(S % 2 == 0, 1.0, -1.0) * np.exp(log_a)
-        b_base = Rn @ inv
-        all_zero = S == 0
-        for u in range(m):
-            rt = rho * tau[u]
-            b = tau[u] * b_base
-            mu = (b[:, None] + inv[None, :]) / rt
-            # e^(nu mu) Ei(-nu mu) = -expint_e1_scaled(nu mu)
-            g = 1.0 - b[:, None] / (rt * mu) - nu * expint_e1_scaled(nu * mu) * (
-                mu - b[:, None] / rt
-            )
-            h = -(np.pi / (n * D * rt)) * (g @ (sin_n * x))
-            h += np.where(all_zero, 1.0 / rt, 0.0)
-            inner_sum[u] += a @ h
-
-    sin_m = outer.weights * (2 * m) / np.pi
-    bracket = 1.0 / (rho * tau) - inner_sum
-    scale = 4.0 if oma else 2.0
-    return float(K * np.pi * rho / (scale * m * LN2) * np.dot(sin_m, bracket))
+    surv = _survival_est(config, np.concatenate(([z], t)), n)
+    s_z, s_t = surv[0], surv[1:]
+    h_prime = scale / ((s - z + t) * LN2)
+    return float(K * np.sum(rule.weights * dt_dv * h_prime * s_t * (s_z - s_t) ** (K - 1)))
 
 
-def secrecy_noma_imperfect(config: SystemConfig, composition_cap=DEFAULT_COMPOSITION_CAP) -> float:
+def secrecy_noma_imperfect(config: SystemConfig) -> float:
     """Average secrecy unicast throughput with estimate-based ranking.
 
-    Product of the non-outage probability and the mean rate gap between the
-    two strongest estimated gains (high-SNR power-split surrogate).
+    Mean of the high-SNR power-split surrogate: the rate gap
+    log2((nu + rho X_(1)) / (nu + rho X_(2))) between the two strongest
+    estimated gains, counted when the weakest one clears eps/rho.
     """
-    p_out = outage_noma_imperfect(config)
-    return (1.0 - p_out) * _secrecy_est_ranked_mean(config, oma=False, cap=composition_cap)
+    return _secrecy_est_ranked_mean(config, *_gap_params(config, oma=False))
 
 
-def secrecy_oma_imperfect(config: SystemConfig, composition_cap=DEFAULT_COMPOSITION_CAP) -> float:
+def secrecy_oma_imperfect(config: SystemConfig) -> float:
     """OMA benchmark secrecy throughput with estimate-based ranking.
 
     Half-slot rate gap between the two strongest estimates; no power split,
     so the result does not depend on R_M.
     """
-    return _secrecy_est_ranked_mean(config, oma=True, cap=composition_cap)
+    return _secrecy_est_ranked_mean(config, *_gap_params(config, oma=True))
 
 
-# ---------------------------------------------------------------------------
-# secrecy throughput, distance-ranked ordering (two users)
-# ---------------------------------------------------------------------------
+def _secrecy_distance_ranked_k2(config: SystemConfig, z: float, s: float, scale: float) -> float:
+    """Mean rate gap of two distance-ranked users, (z, s, scale) as in _gap_params.
 
-def secrecy_noma_sos_k2(config: SystemConfig) -> float:
-    """Average secrecy unicast throughput for two distance-ranked users.
-
-    Expectation of the high-SNR surrogate: SNR-free power split, rate gap
-    log2((nu + rho g1)/(nu + rho g2)) of the nearer user over the farther
-    one, counted when g1 >= g2 >= z = eps/rho. Given the distances r1 < r2,
-    with A = r1^eta, B = r2^eta and s = (1 + 2 eps)/rho, the fading
-    expectation is e^(-z(A+B)) [G(sA) - G(s(A+B))] / ln 2, where
+    Given the distances r1 < r2, with A = r1^eta and B = r2^eta, the gap
+    counted when g1 >= g2 >= z has expectation
+    scale e^(-z(A+B)) [G(sA) - G(s(A+B))] / ln 2, where
     G(x) = e^x E1(x) is expint_e1_scaled. That is integrated against the
     ordered-distance density 8 r1 r2 / D^4 by Gauss-Legendre quadrature,
     order l over the ratio r1/r2 and order q over r2.
     """
     if config.K != 2:
         raise ValueError("distance-ranked secrecy form needs exactly K = 2")
-    D, eta, rho = config.D, config.eta, config.rho
-    eps = config.eps_multicast
-    z = eps / rho
-    s = (1.0 + 2.0 * eps) / rho
+    D, eta = config.D, config.eta
     l, q = config.quad_orders[3], config.quad_orders[4]
 
     ratio = gauss_legendre_rule(l, 1.0)
@@ -260,29 +219,23 @@ def secrecy_noma_sos_k2(config: SystemConfig) -> float:
     gap = np.exp(-z * ab) * (expint_e1_scaled(s * a) - expint_e1_scaled(s * ab))
     # dr1 = r2 dkappa turns 8 r1 r2 / D^4 into 8 kappa r2^3 / D^4
     density = np.outer(kappa, r2 ** 3)
-    return float(8.0 / (D ** 4 * LN2) * (ratio.weights @ (density * gap) @ far.weights))
+    return float(scale * 8.0 / (D ** 4 * LN2) * (ratio.weights @ (density * gap) @ far.weights))
+
+
+def secrecy_noma_sos_k2(config: SystemConfig) -> float:
+    """Average secrecy unicast throughput for two distance-ranked users.
+
+    Expectation of the high-SNR surrogate: SNR-free power split, rate gap
+    log2((nu + rho g1)/(nu + rho g2)) of the nearer user over the farther
+    one, counted when g1 >= g2 >= z = eps/rho.
+    """
+    return _secrecy_distance_ranked_k2(config, *_gap_params(config, oma=False))
 
 
 def secrecy_oma_sos_k2(config: SystemConfig) -> float:
-    """OMA benchmark secrecy throughput for two distance-ranked users."""
-    if config.K != 2:
-        raise ValueError("distance-ranked secrecy form needs exactly K = 2")
-    D, eta, rho = config.D, config.eta, config.rho
-    l, q = config.quad_orders[3], config.quad_orders[4]
+    """OMA benchmark secrecy throughput for two distance-ranked users.
 
-    ratio = chebyshev_rule(l, 1.0)
-    kappa = ratio.nodes
-    sin_l = ratio.weights * (2 * l) / np.pi
-    inner = chebyshev_rule(q, D)
-    x = inner.nodes
-    sin_q = inner.weights * (2 * q) / (np.pi * D)
-    xe = x ** eta
-
-    j_single = expint_e1_scaled(xe / rho) * (D ** 2 - x ** 2)
-    v = D ** eta * kappa[:, None] + xe[None, :]
-    j_pair = -(D ** 2 * xe[None, :] / v) * expint_e1_scaled(v / rho)
-
-    term1 = np.pi / (q * D ** 3 * LN2) * np.dot(sin_q * x, j_single)
-    weight = sin_l * kappa ** (2.0 / eta - 1.0)
-    term2 = np.pi ** 2 / (q * l * eta * D ** 3 * LN2) * np.dot(weight, j_pair @ (sin_q * x))
-    return float(term1 + term2)
+    Half-slot rate gap of the nearer user over the farther one, clamped at
+    zero; it does not depend on R_M.
+    """
+    return _secrecy_distance_ranked_k2(config, *_gap_params(config, oma=True))

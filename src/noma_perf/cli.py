@@ -1,7 +1,7 @@
 """Command line front end: parameter sweeps to CSV and a self-check mode.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input or
-configuration, 3 evaluation cap exceeded.
+configuration.
 """
 
 import argparse
@@ -249,9 +249,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except analytic.CompositionLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ exactly what was configured.
 from dataclasses import dataclass, field
 from typing import List
 
-from .channel import CSI_MODES, SystemConfig
+from .channel import CSI_MODES, DEFAULT_QUAD_ORDERS, SystemConfig
 
 DEFAULT_SEED = 1234567
 
@@ -39,11 +39,11 @@ class Settings:
     trials: int = 100_000
     seed: int = DEFAULT_SEED
     workers: int = 1
-    quad_c: int = 50
-    quad_m: int = 5
-    quad_n: int = 10
-    quad_l: int = 100
-    quad_q: int = 10
+    quad_c: int = DEFAULT_QUAD_ORDERS[0]
+    quad_m: int = DEFAULT_QUAD_ORDERS[1]
+    quad_n: int = DEFAULT_QUAD_ORDERS[2]
+    quad_l: int = DEFAULT_QUAD_ORDERS[3]
+    quad_q: int = DEFAULT_QUAD_ORDERS[4]
     out: str = "sweep.csv"
 
 
@@ -109,3 +109,5 @@ def system_config(settings: Settings, rho_db=None, sigma2=None, k=None) -> Syste
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except OverflowError as exc:
+        raise ConfigError(f"rho_db = {rho_db:g} overflows the linear SNR") from exc

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from noma_perf import analytic
-from noma_perf.analytic import CompositionLimitError, weak_compositions
-from noma_perf.channel import SystemConfig, distance_order_pdf
+from noma_perf import analytic, montecarlo
+from noma_perf.channel import DEFAULT_QUAD_ORDERS, SystemConfig, distance_order_pdf
+from noma_perf.config import Settings, system_config
+from paper_form import paper_gap_mean, weak_compositions
 
 
 def db(x):
@@ -24,7 +25,7 @@ def db(x):
 
 
 def cfg(K=8, rho_db=30.0, R_M=0.5, sigma2=0.01, csi="imperfect", **orders):
-    quad = dict(c=50, m=5, n=10, l=100, q=10)
+    quad = dict(zip("cmnlq", DEFAULT_QUAD_ORDERS))
     quad.update(orders)
     return SystemConfig(
         K=K, D=5.0, eta=2.0, rho=db(rho_db), R_M=R_M, sigma2_zeta=sigma2,
@@ -55,13 +56,6 @@ class TestWeakCompositions:
         assert len(got) == comb(total + parts - 1, parts - 1)
         assert all(len(t) == parts and sum(t) == total for t in got)
         assert all(all(v >= 0 for v in t) for t in got)
-
-    def test_cap(self):
-        with pytest.raises(CompositionLimitError) as err:
-            weak_compositions(7, 11, cap=1000)
-        assert err.value.count == 19448 and err.value.cap == 1000
-        # cap equal to the count is allowed
-        weak_compositions(7, 11, cap=19448)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -187,11 +181,13 @@ class TestOutage:
 
 # -- secrecy, estimate-ranked ----------------------------------------------
 
-def order_gap_oracle_k2(config, nu, half):
-    """E[h(larger est) - h(smaller est)] for two users by nested quadrature.
+def order_gap_oracle_k2(config, nu, half, z=0.0):
+    """E[1{smaller est >= z} (h(larger est) - h(smaller est))] for two users
+    by nested quadrature.
 
     h(x) = log2(nu + rho x); for an iid pair the gap integrand is
-    2 f(x) (2F(x) - 1) h(x) with f, F the single-user estimate law.
+    2 f(x) (2F(x) - 1 - F(z)) h(x) on x >= z, with f, F the single-user
+    estimate law.
     """
     def layer(x):
         # for large x the inner integrand lives in r < x^(-1/eta)
@@ -211,25 +207,28 @@ def order_gap_oracle_k2(config, nu, half):
         return integrate.quad(inner, 0.0, config.D, epsabs=1e-12,
                               points=layer(x), limit=200)[0]
 
+    cdf_z = cdf(z)
+
     def outer(x):
-        return 2.0 * pdf(x) * (2.0 * cdf(x) - 1.0) * log2(nu + config.rho * x)
+        return 2.0 * pdf(x) * (2.0 * cdf(x) - 1.0 - cdf_z) * log2(nu + config.rho * x)
 
     # the estimate law has a 1/x^2 tail, so truncating at 1e5 discards
-    # about (2/D^2) log2(rho x)/x ~ 2e-5, nothing against the 3% bar;
-    # the split keeps the extrapolation away from inner-quadrature noise
-    gap = integrate.quad(outer, 0.0, 1.0, epsabs=1e-7, limit=300)[0]
+    # about (2/D^2) log2(rho x)/x ~ 2e-5; the split keeps the
+    # extrapolation away from inner-quadrature noise
+    gap = integrate.quad(outer, z, 1.0, epsabs=1e-7, limit=300)[0]
     gap += integrate.quad(outer, 1.0, 1e5, epsabs=1e-7, limit=300)[0]
     return 0.5 * gap if half else gap
 
 
 class TestSecrecyEstRanked:
     def test_two_user_case_against_oracle(self):
-        # m = 5 truncation carries ~1.5% by itself, hence the 3% bar
+        # the outage indicator sits inside the mean, as in the surrogate;
+        # the oracle's truncation at 1e5 leaves about 2e-5 relative
         c = cfg(K=2, rho_db=20.0)
         nu = 1.0 + c.eps_multicast
-        ref = (1.0 - analytic.outage_noma_imperfect(c)) * order_gap_oracle_k2(c, nu, half=False)
+        ref = order_gap_oracle_k2(c, nu, half=False, z=c.eps_multicast / c.rho)
         got = analytic.secrecy_noma_imperfect(c)
-        assert abs(got - ref) / ref < 3e-2
+        assert abs(got - ref) / ref < 1e-4
 
     def test_two_user_oma_against_oracle(self):
         c = cfg(K=2, rho_db=20.0)
@@ -238,12 +237,14 @@ class TestSecrecyEstRanked:
         assert abs(got - ref) / ref < 3e-2
 
     def test_regression_values(self):
-        # pinned from this implementation to guard refactors
+        # pinned from this implementation to guard refactors; a 1e6-trial
+        # surrogate Monte Carlo (seed 1234567, stream 900) gives
+        # 1.46444 +- 0.00292 (NOMA) and 0.771360 +- 0.00146 (OMA) here
         assert analytic.secrecy_noma_imperfect(cfg()) == pytest.approx(
-            1.487490605273011, rel=1e-9
+            1.4637754563653012, rel=1e-9
         )
         assert analytic.secrecy_oma_imperfect(cfg()) == pytest.approx(
-            0.7828863831517723, rel=1e-9
+            0.7709117620120677, rel=1e-9
         )
 
     def test_oma_ignores_multicast_target(self):
@@ -263,27 +264,52 @@ class TestSecrecyEstRanked:
             cfg(rho_db=0.0)
         )
 
-    def test_order_doubling_bounded_and_shrinking(self):
-        # the coarse default orders carry ~1.5% truncation; doubling must
-        # stay inside 2.5% and successive doublings must shrink the drift
-        for rho_db in (0.0, 20.0, 40.0):
-            base = cfg(K=4, rho_db=rho_db)
-            v1 = analytic.secrecy_noma_imperfect(base)
-            v2 = analytic.secrecy_noma_imperfect(cfg(K=4, rho_db=rho_db, m=10, n=20))
-            v4 = analytic.secrecy_noma_imperfect(cfg(K=4, rho_db=rho_db, m=20, n=40))
-            scale = max(abs(v1), 1e-12)
-            d2 = abs(v2 - v1) / scale
-            d4 = abs(v4 - v2) / max(abs(v2), 1e-12)
-            assert d2 < 2.5e-2
-            assert d4 < 0.6 * d2
+    def test_order_doubling_converged(self):
+        # the default (m, n) are chosen so that this holds on every point
+        # of the default snr, sigma2 and k sweeps
+        s = Settings()
+        points = [system_config(s, rho_db=float(r)) for r in s.snr_db]
+        points += [system_config(s, sigma2=float(v)) for v in s.sigma2_values]
+        points += [system_config(s, k=int(k)) for k in s.k_values]
+        for c in points:
+            m, n = c.quad_orders[1:3]
+            doubled = replace(c, quad_orders=(c.quad_orders[0], 2 * m, 2 * n) + c.quad_orders[3:])
+            for fn in (analytic.secrecy_noma_imperfect, analytic.secrecy_oma_imperfect):
+                v1, v2 = fn(c), fn(doubled)
+                assert abs(v2 - v1) < 1e-9 * abs(v2)
 
-    def test_composition_cap(self):
-        with pytest.raises(CompositionLimitError):
-            analytic.secrecy_noma_imperfect(cfg(K=40))
-        with pytest.raises(CompositionLimitError):
-            analytic.secrecy_noma_imperfect(cfg(K=8), composition_cap=100)
-        with pytest.raises(CompositionLimitError):
-            analytic.secrecy_oma_imperfect(cfg(K=40))
+    def test_large_k_matches_surrogate_mc(self):
+        c = cfg(K=40)
+        for scheme, fn in (("noma", analytic.secrecy_noma_imperfect),
+                           ("oma", analytic.secrecy_oma_imperfect)):
+            est = montecarlo.simulate(c, scheme, montecarlo.METRIC_SECRECY_SURROGATE,
+                                      200_000, 1234567, stream=40)
+            assert abs(fn(c) - est.value) <= 3.0 * est.half_width_95
+
+    def test_paper_form_converges_to_product_not_to_evaluator(self):
+        # the paper multiplies the mean gap by the non-outage probability,
+        # i.e. it takes the outage event as independent of the gap; its
+        # Chebyshev sums converge like order^-2 to that product, which sits
+        # 11% below the indicator-inside mean at K = 2, 10 dB
+        for K, rho_db, orders in ((2, 10.0, 4), (2, 30.0, 4), (3, 30.0, 3)):
+            c = cfg(K=K, rho_db=rho_db)
+            eps = c.eps_multicast
+            p_ok = 1.0 - analytic.outage_noma_imperfect(c)
+            product = p_ok * analytic._secrecy_est_ranked_mean(c, 0.0, (1.0 + eps) / c.rho, 1.0)
+            oma = analytic.secrecy_oma_imperfect(c)
+            errs, oma_errs = [], []
+            for i in range(orders):
+                paper = cfg(K=K, rho_db=rho_db, m=5 << i, n=10 << i)
+                errs.append(abs(p_ok * paper_gap_mean(paper, oma=False) / product - 1.0))
+                oma_errs.append(abs(paper_gap_mean(paper, oma=True) / oma - 1.0))
+            for e in (errs, oma_errs):
+                assert e[0] < 2.5e-2
+                assert all(b < 0.3 * a for a, b in zip(e, e[1:]))
+            if rho_db == 10.0:
+                # the paper form ends far closer to the product than the
+                # product is to the evaluator
+                assert abs(analytic.secrecy_noma_imperfect(c) / product - 1.0) > 0.1
+                assert errs[-1] < 1e-3
 
     def test_needs_two_users(self):
         with pytest.raises(ValueError):
@@ -294,11 +320,13 @@ class TestSecrecyEstRanked:
 
 class TestSecrecyDistanceRanked:
     def test_regression_values(self):
+        # a 2e6-trial surrogate Monte Carlo (seed 1234567, stream 901) gives
+        # 0.957734 +- 0.00148 for the OMA value
         assert analytic.secrecy_noma_sos_k2(cfg(K=2, csi="sos")) == pytest.approx(
             1.8472315044618357, rel=1e-9
         )
         assert analytic.secrecy_oma_sos_k2(cfg(K=2, csi="sos")) == pytest.approx(
-            0.9435669861474718, rel=1e-9
+            0.9562407024416963, rel=1e-9
         )
 
     def test_requires_two_users(self):

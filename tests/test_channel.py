@@ -27,7 +27,7 @@ class TestSystemConfig:
     def test_defaults_valid(self):
         cfg = SystemConfig()
         assert cfg.K == 8 and cfg.csi_mode == CSI_IMPERFECT
-        assert cfg.quad_orders == (50, 5, 10, 100, 10)
+        assert cfg.quad_orders == (50, 44, 17, 100, 10)
 
     def test_thresholds(self):
         cfg = make_config(R_M=1.0)
@@ -42,6 +42,8 @@ class TestSystemConfig:
         dict(rho=0.0), dict(rho=-1.0), dict(R_M=0.0), dict(R_M=-0.5),
         dict(sigma2_zeta=-0.01), dict(csi_mode="statistical"),
         dict(quad_orders=(50, 5, 10, 100)), dict(quad_orders=(50, 5, 0, 100, 10)),
+        dict(K=True), dict(D=float("inf")), dict(eta=float("inf")),
+        dict(rho=float("inf")), dict(R_M=float("inf")), dict(sigma2_zeta=float("nan")),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):

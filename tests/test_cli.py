@@ -212,12 +212,20 @@ class TestExitCodes:
         path = write_cfg(tmp_path, "k = 2\n")
         assert main(["sweep", "--config", path, "--trials", "1"]) == 2
 
-    def test_composition_cap_is_reported(self, tmp_path, capsys):
-        # 40 users make the closed-form secrecy sum astronomically large;
-        # the tool must refuse rather than hang
-        path = write_cfg(tmp_path, "k = 40\nsnr_db = 30\ntrials = 500\n")
+    def test_large_k_sweeps(self, tmp_path):
+        path = write_cfg(tmp_path, "k = 40\nsnr_db = 30\ntrials = 20000\n")
+        out = str(tmp_path / "x.csv")
+        assert main(["sweep", "--config", path, "--out", out]) == 0
+        rows = [r for r in read_rows(out)[1:] if r[4] == "secrecy_throughput_surrogate"]
+        assert len(rows) == 2
+        for r in rows:
+            assert abs(float(r[5]) - float(r[6])) <= 3.0 * float(r[7])
+
+    @pytest.mark.parametrize("snr", ["inf", "1e4"])
+    def test_unrepresentable_snr_is_a_config_error(self, tmp_path, capsys, snr):
+        path = write_cfg(tmp_path, f"snr_db = 30,{snr}\ntrials = 500\n")
         assert main(["sweep", "--config", path,
-                     "--out", str(tmp_path / "x.csv")]) == 3
+                     "--out", str(tmp_path / "x.csv")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_axis_rejected_by_argparse(self, tmp_path):
