@@ -34,6 +34,7 @@ from .montecarlo import (
     SCHEME_NOMA,
     SCHEME_OMA,
     simulate,
+    simulate_many,
 )
 from .noma_core import (
     PowerSplit,
@@ -90,5 +91,6 @@ __all__ = [
     "secrecy_oma_sos_k2",
     "secrecy_throughput_noma",
     "simulate",
+    "simulate_many",
     "unicast_rate",
 ]

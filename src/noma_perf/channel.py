@@ -98,9 +98,7 @@ def sample_batch(config: SystemConfig, rng: np.random.Generator, size: int):
     sorted by distance and est_gains is None under statistical CSI.
     """
     K = config.K
-    d = config.D * np.sqrt(rng.random((size, K)))
-    order = np.argsort(d, axis=1, kind="stable")
-    d = np.take_along_axis(d, order, axis=1)
+    d = np.sort(config.D * np.sqrt(rng.random((size, K))), axis=1)
     fading = rng.exponential(1.0, (size, K))
     true_gains = fading * d ** (-config.eta)
     if config.csi_mode == CSI_SOS:

@@ -15,7 +15,7 @@ from . import analytic, montecarlo
 from .channel import CSI_SOS, SystemConfig, sample_batch
 from .config import ConfigError, Settings, parse_config, system_config
 from .noma_core import multicast_rate, power_split
-from .specfun import chebyshev_rule
+from .specfun import gauss_legendre_rule
 
 CSV_COLUMNS = (
     "axis_name", "axis_value", "scheme", "csi_mode", "metric",
@@ -62,12 +62,15 @@ def _axis_points(settings: Settings, axis: str):
 
 
 def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
-    """Write one CSV row per (axis point, scheme, metric). Returns row count."""
+    """Write one CSV row per (axis point, scheme, metric). Returns row count.
+
+    Each axis point draws one Monte Carlo stream (its index) and scores
+    all of its rows from that sample.
+    """
     rows = []
-    stream = 0
-    for axis_name, token, cfg in _axis_points(settings, axis):
+    for stream, (axis_name, token, cfg) in enumerate(_axis_points(settings, axis)):
         sos_secrecy_ok = cfg.csi_mode != CSI_SOS or cfg.K == 2
-        secrecy_cache = {}
+        pairs = []
         for metric in (montecarlo.METRIC_OUTAGE,
                        montecarlo.METRIC_SECRECY_SURROGATE,
                        montecarlo.METRIC_SECRECY):
@@ -79,22 +82,25 @@ def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
                         file=sys.stderr,
                     )
                     continue
-                if metric == montecarlo.METRIC_OUTAGE:
-                    value = _OUTAGE_EVALUATORS[(scheme, cfg.csi_mode)](cfg)
-                else:
-                    if scheme not in secrecy_cache:
-                        secrecy_cache[scheme] = _secrecy_analytic(cfg, scheme)
-                    value = secrecy_cache[scheme]
-                est = montecarlo.simulate(
-                    cfg, scheme, metric, settings.trials, settings.seed,
-                    workers=settings.workers, stream=stream,
-                )
-                stream += 1
-                rows.append((
-                    axis_name, token, scheme, cfg.csi_mode, metric,
-                    _fmt(value), _fmt(est.value), _fmt(est.half_width_95),
-                    str(settings.trials), str(settings.seed),
-                ))
+                pairs.append((scheme, metric))
+        estimates = montecarlo.simulate_many(
+            cfg, pairs, settings.trials, settings.seed,
+            workers=settings.workers, stream=stream,
+        )
+        secrecy_cache = {}
+        for scheme, metric in pairs:
+            if metric == montecarlo.METRIC_OUTAGE:
+                value = _OUTAGE_EVALUATORS[(scheme, cfg.csi_mode)](cfg)
+            else:
+                if scheme not in secrecy_cache:
+                    secrecy_cache[scheme] = _secrecy_analytic(cfg, scheme)
+                value = secrecy_cache[scheme]
+            est = estimates[(scheme, metric)]
+            rows.append((
+                axis_name, token, scheme, cfg.csi_mode, metric,
+                _fmt(value), _fmt(est.value), _fmt(est.half_width_95),
+                str(settings.trials), str(settings.seed),
+            ))
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -116,10 +122,11 @@ def verify(settings: Settings):
     lines = []
     ok = True
 
-    # quadrature sanity on a polynomial with known integral
-    rule = chebyshev_rule(cfg.quad_orders[0], cfg.D)
-    approx = rule.integrate(lambda x: x)
-    exact = cfg.D ** 2 / 2.0
+    # quadrature sanity on a smooth integrand with known integral; not a
+    # polynomial, which Gauss-Legendre integrates exactly at low order
+    rule = gauss_legendre_rule(cfg.quad_orders[0], cfg.D)
+    approx = rule.integrate(lambda x: np.exp(-x))
+    exact = -np.expm1(-cfg.D)
     rel = abs(approx - exact) / exact
     ok &= _check(lines, "quadrature-selftest", rel < 1e-3,
                  f"rel err {rel:.3e}, bound 1e-3")
@@ -131,31 +138,32 @@ def verify(settings: Settings):
     ok &= _check(lines, "quadrature-convergence", drift < 1e-3,
                  f"order-doubling drift {drift:.3e}, bound 1e-3")
 
-    # analytic outage against simulation
-    stream = 0
+    # analytic outage and secrecy against one shared simulation sample
+    secrecy_ok = cfg.csi_mode != CSI_SOS or cfg.K == 2
+    metrics = [montecarlo.METRIC_OUTAGE]
+    if secrecy_ok:
+        metrics.append(montecarlo.METRIC_SECRECY_SURROGATE)
+    estimates = montecarlo.simulate_many(
+        cfg, [(scheme, metric) for metric in metrics for scheme in ("noma", "oma")],
+        settings.trials, settings.seed, workers=settings.workers, stream=0,
+    )
+
     for scheme in ("noma", "oma"):
         a = _OUTAGE_EVALUATORS[(scheme, cfg.csi_mode)](cfg)
-        est = montecarlo.simulate(cfg, scheme, montecarlo.METRIC_OUTAGE,
-                                  settings.trials, settings.seed,
-                                  workers=settings.workers, stream=stream)
-        stream += 1
+        est = estimates[(scheme, montecarlo.METRIC_OUTAGE)]
         bound = 3.0 * est.half_width_95 + 1e-3
         err = abs(a - est.value)
         ok &= _check(lines, f"outage-vs-mc-{scheme}", err <= bound,
                      f"|{a:.6g} - {est.value:.6g}| = {err:.3e}, bound {bound:.3e}")
 
     # analytic secrecy against its simulation surrogate
-    if cfg.csi_mode == CSI_SOS and cfg.K != 2:
+    if not secrecy_ok:
         lines.append("secrecy-vs-mc: SKIP (distance-ranked secrecy forms need K = 2)")
     else:
         rel_bound = 0.05 if settings.rho_db >= 20 else 0.10
         for scheme in ("noma", "oma"):
             a = _secrecy_analytic(cfg, scheme)
-            est = montecarlo.simulate(cfg, scheme,
-                                      montecarlo.METRIC_SECRECY_SURROGATE,
-                                      settings.trials, settings.seed,
-                                      workers=settings.workers, stream=stream)
-            stream += 1
+            est = estimates[(scheme, montecarlo.METRIC_SECRECY_SURROGATE)]
             rel = abs(a - est.value) / abs(est.value) if est.value != 0 else float("inf")
             ok &= _check(lines, f"secrecy-vs-mc-{scheme}", rel <= rel_bound,
                          f"analytic {a:.6g}, mc {est.value:.6g}, "

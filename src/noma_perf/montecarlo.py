@@ -1,9 +1,14 @@
 """Monte Carlo oracle for the analytic evaluators.
 
-Trials are generated in fixed-size batches; batch i uses a generator seeded
-by SeedSequence(seed, spawn_key=(i,)), and batch results are reduced in
-batch order. The estimate is therefore bit-identical across runs and across
-worker counts for a fixed seed.
+Trials are generated in fixed-size batches; batch i of a stream uses a
+generator seeded by SeedSequence(seed, spawn_key=(stream, i)), and batch
+results are reduced in batch order. The estimate is therefore bit-identical
+across runs and across worker counts for a fixed seed and stream.
+
+`simulate_many` scores several (scheme, metric) pairs from one shared
+sample: each batch is drawn once and every pair is reduced from it. The
+sample does not depend on which pairs are scored, so each estimate equals
+the one `simulate` gives for that pair on the same stream, bit for bit.
 
 Two secrecy metrics exist side by side:
 
@@ -55,8 +60,12 @@ def _ranked_gains(config, true_gains, est_gains):
 
 
 def _metric_values(config: SystemConfig, scheme: str, metric_kind: str,
-                   true_gains: np.ndarray, est_gains) -> np.ndarray:
-    """Per-trial metric values for a batch of gain rows."""
+                   true_gains: np.ndarray, est_gains, ranked=None) -> np.ndarray:
+    """Per-trial metric values for a batch of gain rows.
+
+    `ranked` is the batch's scheduling order from `_ranked_gains`; it is
+    computed here when not given.
+    """
     rho = config.rho
     sos = config.csi_mode == CSI_SOS
     threshold = config.eps_multicast if scheme == SCHEME_NOMA else config.eps_multicast_oma
@@ -67,11 +76,12 @@ def _metric_values(config: SystemConfig, scheme: str, metric_kind: str,
 
     if config.K < 2:
         raise ValueError("secrecy throughput needs K >= 2")
+    if ranked is None:
+        ranked = _ranked_gains(config, true_gains, est_gains)
 
     if scheme == SCHEME_OMA:
         # target is the top-ranked user, eavesdropper the best of the rest;
         # no power split, so surrogate and exact coincide
-        ranked = _ranked_gains(config, true_gains, est_gains)
         target = ranked[:, 0]
         eave = np.max(ranked[:, 1:], axis=1) if sos else ranked[:, 1]
         gap = 0.5 * (np.log2(1.0 + rho * target) - np.log2(1.0 + rho * eave))
@@ -79,7 +89,6 @@ def _metric_values(config: SystemConfig, scheme: str, metric_kind: str,
 
     eps = config.eps_multicast
     nu = 1.0 + eps
-    ranked = _ranked_gains(config, true_gains, est_gains)
     target = ranked[:, 0]
 
     if metric_kind == METRIC_SECRECY_SURROGATE:
@@ -102,11 +111,18 @@ def _metric_values(config: SystemConfig, scheme: str, metric_kind: str,
     return ok * np.maximum(0.0, gap)
 
 
-def _run_batch(config, scheme, metric_kind, seed, stream, index, size):
+def _run_batch(config, pairs, seed, stream, index, size):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, index)))
     _, _, true_gains, est_gains = sample_batch(config, rng, size)
-    v = _metric_values(config, scheme, metric_kind, true_gains, est_gains)
-    return float(np.sum(v)), float(np.sum(v * v))
+    # outage needs no scheduling order; secrecy pairs share one
+    ranked = None
+    if any(metric_kind != METRIC_OUTAGE for _, metric_kind in pairs):
+        ranked = _ranked_gains(config, true_gains, est_gains)
+    sums = []
+    for scheme, metric_kind in pairs:
+        v = _metric_values(config, scheme, metric_kind, true_gains, est_gains, ranked)
+        sums.append((float(np.sum(v)), float(np.sum(v * v))))
+    return sums
 
 
 def _wilson_half_width(successes: float, n: int) -> float:
@@ -122,13 +138,29 @@ def simulate(config: SystemConfig, scheme: str, metric_kind: str, trials: int,
 
     Outage probabilities get a Wilson interval (stays informative when the
     empirical rate hits 0 or 1); throughputs get the normal approximation.
-    `stream` selects an independent substream under the same seed, so a
-    sweep can give every table row its own randomness.
+    `stream` selects an independent substream under the same seed.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}")
-    if metric_kind not in METRIC_KINDS:
-        raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
+    pair = (scheme, metric_kind)
+    return simulate_many(config, [pair], trials, seed, workers=workers, stream=stream)[pair]
+
+
+def simulate_many(config: SystemConfig, pairs, trials: int, seed: int,
+                  workers: int = 1, stream: int = 0) -> dict:
+    """Estimate every (scheme, metric_kind) pair in `pairs` from one sample.
+
+    Returns {(scheme, metric_kind): MetricEstimate}. Each batch is drawn
+    once and scored for every pair, so a sweep can draw one stream per
+    axis point; each entry is bit-identical to `simulate` for that pair on
+    the same seed and stream.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("pairs must name at least one (scheme, metric_kind)")
+    for scheme, metric_kind in pairs:
+        if scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}")
+        if metric_kind not in METRIC_KINDS:
+            raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
     if not isinstance(trials, (int, np.integer)) or trials < 2:
         raise ValueError("trials must be an integer >= 2")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -143,7 +175,7 @@ def simulate(config: SystemConfig, scheme: str, metric_kind: str, trials: int,
         sizes.append(trials % BATCH_SIZE)
 
     def job(i):
-        return _run_batch(config, scheme, metric_kind, seed, stream, i, sizes[i])
+        return _run_batch(config, pairs, seed, stream, i, sizes[i])
 
     if workers == 1:
         parts = [job(i) for i in range(len(sizes))]
@@ -151,24 +183,26 @@ def simulate(config: SystemConfig, scheme: str, metric_kind: str, trials: int,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(job, range(len(sizes))))
 
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in parts:  # fixed reduction order, independent of workers
-        total += s
-        total_sq += s2
+    totals = [[0.0, 0.0] for _ in pairs]
+    for part in parts:  # fixed reduction order, independent of workers
+        for acc, (s, s2) in zip(totals, part):
+            acc[0] += s
+            acc[1] += s2
 
     n = trials
-    value = total / n
-    if metric_kind == METRIC_OUTAGE:
-        hw = _wilson_half_width(total, n)
-    else:
-        var = max(0.0, (total_sq - total * total / n) / (n - 1))
-        hw = _Z95 * np.sqrt(var / n)
-    return MetricEstimate(
-        value=float(value),
-        half_width_95=float(hw),
-        trials=n,
-        metric_kind=metric_kind,
-        scheme=scheme,
-        csi_mode=config.csi_mode,
-    )
+    estimates = {}
+    for (scheme, metric_kind), (total, total_sq) in zip(pairs, totals):
+        if metric_kind == METRIC_OUTAGE:
+            hw = _wilson_half_width(total, n)
+        else:
+            var = max(0.0, (total_sq - total * total / n) / (n - 1))
+            hw = _Z95 * np.sqrt(var / n)
+        estimates[(scheme, metric_kind)] = MetricEstimate(
+            value=float(total / n),
+            half_width_95=float(hw),
+            trials=n,
+            metric_kind=metric_kind,
+            scheme=scheme,
+            csi_mode=config.csi_mode,
+        )
+    return estimates

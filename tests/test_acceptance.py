@@ -16,9 +16,11 @@ the exact outage form:
 * check 4 (secrecy surrogate oracle): the two-user distance-ranked form
   integrates the closed-form fading expectation of the simulated
   surrogate over the ordered distances, so only quadrature error and
-  Monte Carlo noise remain. The estimate-ranked forms and the
-  distance-ranked benchmark carry a truncation bias of about 1-2% at
-  their default orders, inside the 5% and 10% allowances.
+  Monte Carlo noise remain. The estimate-ranked forms (one
+  order-statistic integral) and the distance-ranked benchmark share that
+  property: at their default orders they agree with the simulated
+  surrogate to within Monte Carlo noise, well inside the 5% and 10%
+  allowances.
 
 Everything here is reproducible bit for bit: fixed seed, fixed stream
 ids, fixed batch size, deterministic reduction order.

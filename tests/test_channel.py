@@ -102,6 +102,30 @@ class TestSampling:
         assert np.array_equal(r.true_gains, true_g[0])
         assert np.array_equal(r.est_gains, est_g[0])
 
+    @pytest.mark.parametrize("kw", [
+        dict(), dict(csi_mode=CSI_PERFECT, sigma2_zeta=0.0), dict(csi_mode=CSI_SOS),
+    ])
+    def test_sorted_draws_match_argsort_form(self, kw):
+        # reference: distances ordered by a stable argsort, as first written
+        cfg = make_config(**kw)
+        rng = np.random.default_rng(77)
+        d = cfg.D * np.sqrt(rng.random((500, cfg.K)))
+        d = np.take_along_axis(d, np.argsort(d, axis=1, kind="stable"), axis=1)
+        fading = rng.exponential(1.0, (500, cfg.K))
+        true_g = fading * d ** (-cfg.eta)
+        if cfg.csi_mode == CSI_SOS:
+            est_g = None
+        elif cfg.sigma2_zeta == 0.0:
+            est_g = true_g
+        else:
+            est_g = rng.exponential(1.0, (500, cfg.K)) * (d ** (-cfg.eta) - cfg.sigma2_zeta)
+        got = sample_batch(cfg, np.random.default_rng(77), 500)
+        for a, b in zip(got, (d, fading, true_g, est_g)):
+            if b is None:
+                assert a is None
+            else:
+                assert np.array_equal(a, b)
+
     def test_nearest_distance_mean(self):
         # E[min of two uniform-in-disk radii] = 8 D / 15
         cfg = make_config(K=2)

@@ -1,10 +1,11 @@
 """Config parsing, sweep CSV contract, verify mode, and exit codes."""
 
 import csv
+import math
 
 import pytest
 
-from noma_perf import analytic
+from noma_perf import analytic, montecarlo
 from noma_perf.cli import CSV_COLUMNS, main, verify
 from noma_perf.config import ConfigError, Settings, parse_config, system_config
 
@@ -159,6 +160,31 @@ class TestSweep:
               "--workers", "3"])
         blobs = [open(p, "rb").read() for p in outs]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_one_sampling_pass_per_axis_point(self, tmp_path, monkeypatch):
+        calls = []
+        sample_batch = montecarlo.sample_batch
+
+        def counting_sample_batch(config, rng, size):
+            calls.append(config.K)
+            return sample_batch(config, rng, size)
+
+        monkeypatch.setattr(montecarlo, "sample_batch", counting_sample_batch)
+        trials = 2 * montecarlo.BATCH_SIZE + 1
+        path = write_cfg(tmp_path, self.SOS_CFG.replace("2000", str(trials)))
+        out = str(tmp_path / "k.csv")
+        assert main(["sweep", "--config", path, "--axis", "k", "--out", out]) == 0
+        per_point = math.ceil(trials / montecarlo.BATCH_SIZE)
+        assert calls == [2] * per_point + [3] * per_point
+
+        # the point's stream is its index on the axis
+        settings = parse_config(path)
+        for index, k in enumerate((2, 3)):
+            est = montecarlo.simulate(system_config(settings, k=k), "oma", "outage_prob",
+                                      trials, settings.seed, stream=index)
+            row = next(r for r in read_rows(out)[1:]
+                       if r[1] == str(k) and r[2] == "oma" and r[4] == "outage_prob")
+            assert row[6:8] == [format(est.value, ".12g"), format(est.half_width_95, ".12g")]
 
     def test_sigma2_axis(self, tmp_path):
         path = write_cfg(tmp_path,

@@ -15,6 +15,7 @@ from noma_perf.montecarlo import (
     SCHEME_OMA,
     _metric_values,
     simulate,
+    simulate_many,
 )
 from noma_perf.noma_core import oma_rates, secrecy_throughput_noma
 
@@ -52,6 +53,51 @@ class TestDeterminism:
         base = simulate(c, SCHEME_NOMA, METRIC_OUTAGE, 20_000, seed=1)
         assert base != simulate(c, SCHEME_NOMA, METRIC_OUTAGE, 20_000, seed=2)
         assert base != simulate(c, SCHEME_NOMA, METRIC_OUTAGE, 20_000, seed=1, stream=5)
+
+
+ALL_PAIRS = [(scheme, metric)
+             for metric in (METRIC_OUTAGE, METRIC_SECRECY_SURROGATE, METRIC_SECRECY)
+             for scheme in (SCHEME_NOMA, SCHEME_OMA)]
+
+
+class TestSharedSample:
+    """simulate_many scores every pair from one draw per batch."""
+
+    @pytest.mark.parametrize("csi,K", [("imperfect", 8), ("perfect", 4), ("sos", 2)])
+    def test_each_entry_equals_simulate(self, csi, K):
+        c = cfg(K=K, rho_db=20.0, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
+        trials = 2 * BATCH_SIZE + 77
+        many = simulate_many(c, ALL_PAIRS, trials, seed=21, stream=3)
+        assert list(many) == ALL_PAIRS
+        for scheme, metric in ALL_PAIRS:
+            assert many[(scheme, metric)] == simulate(c, scheme, metric, trials,
+                                                      seed=21, stream=3)
+
+    def test_worker_count_does_not_change_bits(self):
+        c = cfg(K=4)
+        serial = simulate_many(c, ALL_PAIRS, 3 * BATCH_SIZE + 5, seed=22)
+        assert simulate_many(c, ALL_PAIRS, 3 * BATCH_SIZE + 5, seed=22, workers=2) == serial
+
+    def test_distance_ranked_outage_only_for_any_k(self):
+        c = cfg(K=3, csi="sos")
+        pairs = [(SCHEME_NOMA, METRIC_OUTAGE), (SCHEME_OMA, METRIC_OUTAGE)]
+        many = simulate_many(c, pairs, 5_000, seed=23)
+        assert set(many) == set(pairs)
+        for scheme, metric in pairs:
+            assert many[(scheme, metric)] == simulate(c, scheme, metric, 5_000, seed=23)
+
+    def test_distance_ranked_surrogate_needs_two_users(self):
+        c = cfg(K=3, csi="sos")
+        with pytest.raises(ValueError):
+            simulate_many(c, ALL_PAIRS, 5_000, seed=24)
+
+    @pytest.mark.parametrize("pairs", [
+        [], [("tdma", METRIC_OUTAGE)], [(SCHEME_NOMA, "throughput")],
+        [(SCHEME_NOMA, METRIC_OUTAGE), (SCHEME_OMA, "throughput")],
+    ])
+    def test_rejects_bad_pairs(self, pairs):
+        with pytest.raises(ValueError):
+            simulate_many(cfg(), pairs, 1000, seed=0)
 
 
 class TestIntervals:
