@@ -100,14 +100,15 @@ def sample_batch(config: SystemConfig, rng: np.random.Generator, size: int):
     K = config.K
     d = np.sort(config.D * np.sqrt(rng.random((size, K))), axis=1)
     fading = rng.exponential(1.0, (size, K))
-    true_gains = fading * d ** (-config.eta)
+    path_loss = d ** (-config.eta)
+    true_gains = fading * path_loss
     if config.csi_mode == CSI_SOS:
         est_gains = None
     elif config.sigma2_zeta == 0.0:
         est_gains = true_gains
     else:
-        mean = d ** (-config.eta) - config.sigma2_zeta
-        est_gains = rng.exponential(1.0, (size, K)) * mean
+        path_loss -= config.sigma2_zeta  # now the mean estimate power, in place
+        est_gains = rng.exponential(1.0, (size, K)) * path_loss
     return d, fading, true_gains, est_gains
 
 

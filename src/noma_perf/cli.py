@@ -14,7 +14,6 @@ import numpy as np
 from . import analytic, montecarlo
 from .channel import CSI_SOS, SystemConfig, sample_batch
 from .config import ConfigError, Settings, parse_config, system_config
-from .noma_core import multicast_rate, power_split
 from .specfun import gauss_legendre_rule
 
 CSV_COLUMNS = (
@@ -169,8 +168,11 @@ def verify(settings: Settings):
                          f"analytic {a:.6g}, mc {est.value:.6g}, "
                          f"rel err {rel:.3e}, bound {rel_bound:g}")
 
-    # the power split must hit the multicast target exactly when feasible
+    # the power split must hit the multicast target exactly when feasible;
+    # the same arithmetic as noma_core.power_split and multicast_rate, on
+    # arrays of the non-outage driving gains
     rng = np.random.default_rng(np.random.SeedSequence(settings.seed, spawn_key=(10 ** 6,)))
+    eps = cfg.eps_multicast
     worst = 0.0
     theta_exact = True
     collected = 0
@@ -178,17 +180,14 @@ def verify(settings: Settings):
         if collected >= 10_000:
             break
         _, _, true_gains, est_gains = sample_batch(cfg, rng, 2000)
-        decision = true_gains if cfg.csi_mode == CSI_SOS else est_gains
-        for row_dec in decision:
-            driving = float(row_dec[-1]) if cfg.csi_mode == CSI_SOS else float(np.min(row_dec))
-            split = power_split(driving, cfg.rho, cfg.R_M)
-            if split.outage:
-                continue
-            collected += 1
-            worst = max(worst, abs(multicast_rate(driving, split, cfg.rho) - cfg.R_M))
-            theta_exact &= (split.theta_M + split.theta_U) == 1.0
-            if collected >= 10_000:
-                break
+        driving = true_gains[:, -1] if cfg.csi_mode == CSI_SOS else est_gains.min(axis=1)
+        driving = driving[driving >= eps / cfg.rho][:10_000 - collected]
+        collected += driving.size
+        theta_u = (driving - eps / cfg.rho) / (driving * (1.0 + eps))
+        theta_m = 1.0 - theta_u
+        rate = np.log2(1.0 + theta_m * driving / (theta_u * driving + 1.0 / cfg.rho))
+        worst = float(np.max(np.abs(rate - cfg.R_M), initial=worst))
+        theta_exact &= bool(np.all(theta_m + theta_u == 1.0))
     ok &= _check(lines, "power-split-identity",
                  collected > 0 and worst < 1e-9 and theta_exact,
                  f"{collected} non-outage draws, max rate error {worst:.3e}, "

@@ -9,6 +9,10 @@ across runs and across worker counts for a fixed seed and stream.
 sample: each batch is drawn once and every pair is reduced from it. The
 sample does not depend on which pairs are scored, so each estimate equals
 the one `simulate` gives for that pair on the same stream, bit for bit.
+One kernel (`_score_batch`) scores all pairs of a batch from shared
+intermediates (scheduling order, weakest decision gain, target,
+eavesdropper, unicast share); the per-trial values are the same bits as
+scoring each pair on its own, since row minima and maxima are exact.
 
 Two secrecy metrics exist side by side:
 
@@ -51,78 +55,92 @@ class MetricEstimate:
     csi_mode: str
 
 
-def _ranked_gains(config, true_gains, est_gains):
-    # scheduling order: estimates sorted descending, or distance order
-    # (rows of sample_batch are already nearest-first) under statistical CSI
-    if config.csi_mode == CSI_SOS:
-        return true_gains
-    return -np.sort(-est_gains, axis=1)
+def _row_reduce(ufunc, gains):
+    """Row-wise np.minimum or np.maximum of a (trials, k) batch.
+
+    One ufunc call per column: over the short user axis this is exact and
+    much cheaper than np.min/np.max(axis=1), which pay per row.
+    """
+    out = gains[:, 0].copy()
+    for j in range(1, gains.shape[1]):
+        ufunc(out, gains[:, j], out=out)
+    return out
 
 
-def _metric_values(config: SystemConfig, scheme: str, metric_kind: str,
-                   true_gains: np.ndarray, est_gains, ranked=None) -> np.ndarray:
-    """Per-trial metric values for a batch of gain rows.
+def _score_batch(config: SystemConfig, pairs, true_gains: np.ndarray, est_gains) -> dict:
+    """Per-trial values of every (scheme, metric_kind) pair for one batch.
 
-    `ranked` is the batch's scheduling order from `_ranked_gains`; it is
-    computed here when not given.
+    Returns {pair: array}. The scheduling order, the weakest decision gain,
+    the target, the eavesdropper and the NOMA unicast share are computed
+    once for all pairs; both OMA secrecy pairs map to one array. Pairs
+    are assumed valid (`simulate_many` checks them).
     """
     rho = config.rho
     sos = config.csi_mode == CSI_SOS
-    threshold = config.eps_multicast if scheme == SCHEME_NOMA else config.eps_multicast_oma
-    decision_gains = true_gains if sos else est_gains
-
-    if metric_kind == METRIC_OUTAGE:
-        return (np.min(decision_gains, axis=1) < threshold / rho).astype(float)
-
-    if config.K < 2:
-        raise ValueError("secrecy throughput needs K >= 2")
-    if ranked is None:
-        ranked = _ranked_gains(config, true_gains, est_gains)
-
-    if scheme == SCHEME_OMA:
-        # target is the top-ranked user, eavesdropper the best of the rest;
-        # no power split, so surrogate and exact coincide
-        target = ranked[:, 0]
-        eave = np.max(ranked[:, 1:], axis=1) if sos else ranked[:, 1]
-        gap = 0.5 * (np.log2(1.0 + rho * target) - np.log2(1.0 + rho * eave))
-        return np.maximum(0.0, gap)
-
     eps = config.eps_multicast
-    nu = 1.0 + eps
-    target = ranked[:, 0]
+    wanted = set(pairs)
+    secrecy = any(metric_kind != METRIC_OUTAGE for _, metric_kind in wanted)
 
-    if metric_kind == METRIC_SECRECY_SURROGATE:
+    if secrecy:
+        # scheduling order: estimates sorted descending, or distance order
+        # (rows of sample_batch are already nearest-first) under statistical CSI
+        ranked = true_gains if sos else -np.sort(-est_gains, axis=1)
+        target = ranked[:, 0]
+        # best internal eavesdropper; under statistical CSI the target is
+        # not the strongest user, so it is the best of the rest
+        eave = _row_reduce(np.maximum, ranked[:, 1:]) if sos else ranked[:, 1]
+    # weakest gain the scheduler decides on (the sorted estimates end with it)
+    if sos:
+        weakest = _row_reduce(np.minimum, true_gains)
+    elif secrecy:
+        weakest = ranked[:, -1]
+    else:
+        weakest = _row_reduce(np.minimum, est_gains)
+
+    values = {}
+    for scheme, threshold in ((SCHEME_NOMA, eps), (SCHEME_OMA, config.eps_multicast_oma)):
+        if (scheme, METRIC_OUTAGE) in wanted:
+            values[(scheme, METRIC_OUTAGE)] = (weakest < threshold / rho).astype(float)
+
+    oma_pairs = wanted & {(SCHEME_OMA, METRIC_SECRECY), (SCHEME_OMA, METRIC_SECRECY_SURROGATE)}
+    if oma_pairs:
+        # no power split under OMA, so surrogate and exact coincide
+        gap = 0.5 * (np.log2(1.0 + rho * target) - np.log2(1.0 + rho * eave))
+        oma = np.maximum(0.0, gap)
+        for pair in oma_pairs:
+            values[pair] = oma
+
+    nu = 1.0 + eps
+    if (SCHEME_NOMA, METRIC_SECRECY_SURROGATE) in wanted:
+        second = ranked[:, 1]
         if sos:
-            if config.K != 2:
-                raise ValueError("distance-ranked surrogate is defined for K = 2")
-            second = ranked[:, 1]
             ok = (target >= second) & (second >= eps / rho)
         else:
-            second = ranked[:, 1]
-            ok = ranked[:, -1] >= eps / rho
-        return ok * np.log2((nu + rho * target) / (nu + rho * second))
+            ok = weakest >= eps / rho
+        values[(SCHEME_NOMA, METRIC_SECRECY_SURROGATE)] = \
+            ok * np.log2((nu + rho * target) / (nu + rho * second))
 
-    # exact secrecy: realized split driven by the weakest scheduled gain
-    weakest = ranked[:, -1]
-    ok = np.min(decision_gains, axis=1) >= eps / rho if sos else weakest >= eps / rho
-    theta_u = np.where(ok, (weakest - eps / rho) / (weakest * nu), 0.0)
-    eave = np.max(ranked[:, 1:], axis=1) if sos else ranked[:, 1]
-    gap = np.log2((1.0 + rho * theta_u * target) / (1.0 + rho * theta_u * eave))
-    return ok * np.maximum(0.0, gap)
+    if (SCHEME_NOMA, METRIC_SECRECY) in wanted:
+        # exact secrecy: realized split driven by the last scheduled gain
+        # (the farthest user under statistical CSI)
+        ok = weakest >= eps / rho
+        driving = ranked[:, -1]
+        theta_u = np.where(ok, (driving - eps / rho) / (driving * nu), 0.0)
+        gap = np.log2((1.0 + rho * theta_u * target) / (1.0 + rho * theta_u * eave))
+        values[(SCHEME_NOMA, METRIC_SECRECY)] = ok * np.maximum(0.0, gap)
+    return values
 
 
 def _run_batch(config, pairs, seed, stream, index, size):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, index)))
     _, _, true_gains, est_gains = sample_batch(config, rng, size)
-    # outage needs no scheduling order; secrecy pairs share one
-    ranked = None
-    if any(metric_kind != METRIC_OUTAGE for _, metric_kind in pairs):
-        ranked = _ranked_gains(config, true_gains, est_gains)
-    sums = []
-    for scheme, metric_kind in pairs:
-        v = _metric_values(config, scheme, metric_kind, true_gains, est_gains, ranked)
-        sums.append((float(np.sum(v)), float(np.sum(v * v))))
-    return sums
+    values = _score_batch(config, pairs, true_gains, est_gains)
+    sums = {}  # keyed by array identity: a shared array is reduced once
+    for pair in pairs:
+        v = values[pair]
+        if id(v) not in sums:
+            sums[id(v)] = (float(np.sum(v)), float(np.sum(v * v)))
+    return [sums[id(values[pair])] for pair in pairs]
 
 
 def _wilson_half_width(successes: float, n: int) -> float:
@@ -161,12 +179,17 @@ def simulate_many(config: SystemConfig, pairs, trials: int, seed: int,
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if metric_kind not in METRIC_KINDS:
             raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
+        if metric_kind != METRIC_OUTAGE and config.K < 2:
+            raise ValueError("secrecy throughput needs K >= 2")
+        if ((scheme, metric_kind) == (SCHEME_NOMA, METRIC_SECRECY_SURROGATE)
+                and config.csi_mode == CSI_SOS and config.K != 2):
+            raise ValueError("distance-ranked surrogate is defined for K = 2")
     if not isinstance(trials, (int, np.integer)) or trials < 2:
         raise ValueError("trials must be an integer >= 2")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError("workers must be an integer >= 1")
     if not isinstance(stream, (int, np.integer)) or stream < 0:
         raise ValueError("stream must be a nonnegative integer")
 

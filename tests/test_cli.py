@@ -3,11 +3,14 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from noma_perf import analytic, montecarlo
+from noma_perf.channel import CSI_SOS, sample_batch
 from noma_perf.cli import CSV_COLUMNS, main, verify
 from noma_perf.config import ConfigError, Settings, parse_config, system_config
+from noma_perf.noma_core import multicast_rate, power_split
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -223,6 +226,50 @@ class TestVerify:
         assert ok
         assert "secrecy-vs-mc: SKIP" in report
         assert "secrecy-vs-mc-noma" not in report
+
+
+def scalar_power_split_line(settings):
+    """verify's power-split-identity line from one power_split and one
+    multicast_rate call per draw: the array check must reproduce it."""
+    cfg = system_config(settings)
+    rng = np.random.default_rng(np.random.SeedSequence(settings.seed, spawn_key=(10 ** 6,)))
+    worst = 0.0
+    theta_exact = True
+    collected = 0
+    for _ in range(200):
+        if collected >= 10_000:
+            break
+        _, _, true_gains, est_gains = sample_batch(cfg, rng, 2000)
+        decision = true_gains if cfg.csi_mode == CSI_SOS else est_gains
+        for row_dec in decision:
+            driving = float(row_dec[-1]) if cfg.csi_mode == CSI_SOS else float(np.min(row_dec))
+            split = power_split(driving, cfg.rho, cfg.R_M)
+            if split.outage:
+                continue
+            collected += 1
+            worst = max(worst, abs(multicast_rate(driving, split, cfg.rho) - cfg.R_M))
+            theta_exact &= (split.theta_M + split.theta_U) == 1.0
+            if collected >= 10_000:
+                break
+    ok = collected > 0 and worst < 1e-9 and theta_exact
+    return (f"power-split-identity: {'PASS' if ok else 'FAIL'} ({collected} non-outage draws, "
+            f"max rate error {worst:.3e}, theta sums exact: {theta_exact})")
+
+
+class TestPowerSplitIdentity:
+    @pytest.mark.parametrize("text", [
+        "csi = imperfect\n",
+        "csi = perfect\n",
+        "csi = sos\nk = 2\n",
+        "csi = sos\nk = 5\nrho_db = 15\nseed = 3\n",
+        "csi = imperfect\nrho_db = 10\n",  # about 5k draws from all 200 batches
+        "csi = imperfect\nrho_db = 0\nr_m = 2\n",  # every draw in outage
+    ])
+    def test_array_check_matches_scalar_loop(self, tmp_path, text):
+        settings = parse_config(write_cfg(tmp_path, text + "trials = 2000\n"))
+        _, report = verify(settings)
+        line = next(l for l in report.splitlines() if l.startswith("power-split-identity:"))
+        assert line == scalar_power_split_line(settings)
 
 
 class TestExitCodes:

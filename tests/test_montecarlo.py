@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from noma_perf import analytic
-from noma_perf.channel import CSI_SOS, SystemConfig, sample_realization
+from noma_perf import montecarlo
+from noma_perf.channel import CSI_SOS, SystemConfig, sample_batch, sample_realization
 from noma_perf.montecarlo import (
     BATCH_SIZE,
     METRIC_OUTAGE,
@@ -13,11 +14,12 @@ from noma_perf.montecarlo import (
     MetricEstimate,
     SCHEME_NOMA,
     SCHEME_OMA,
-    _metric_values,
+    _score_batch,
     simulate,
     simulate_many,
 )
 from noma_perf.noma_core import oma_rates, secrecy_throughput_noma
+from pair_scoring import metric_values
 
 
 def cfg(K=8, rho_db=30.0, R_M=0.5, sigma2=0.01, csi="imperfect"):
@@ -91,6 +93,27 @@ class TestSharedSample:
         with pytest.raises(ValueError):
             simulate_many(c, ALL_PAIRS, 5_000, seed=24)
 
+    @pytest.mark.parametrize("K,csi,pair,message", [
+        (1, "imperfect", (SCHEME_NOMA, METRIC_SECRECY), "needs K >= 2"),
+        (1, "sos", (SCHEME_OMA, METRIC_SECRECY_SURROGATE), "needs K >= 2"),
+        (1, "sos", (SCHEME_NOMA, METRIC_SECRECY_SURROGATE), "needs K >= 2"),
+        (3, "sos", (SCHEME_NOMA, METRIC_SECRECY_SURROGATE), "defined for K = 2"),
+    ])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pairs_checked_before_any_draw(self, monkeypatch, K, csi, pair, message, workers):
+        draws = []
+        monkeypatch.setattr(montecarlo, "sample_batch",
+                            lambda *args: draws.append(args) or sample_batch(*args))
+        pairs = [(SCHEME_NOMA, METRIC_OUTAGE), pair]
+        with pytest.raises(ValueError, match=message):
+            simulate_many(cfg(K=K, csi=csi), pairs, 3 * BATCH_SIZE, seed=25, workers=workers)
+        assert draws == []
+
+    @pytest.mark.parametrize("workers", [True, 1.5, 0, "2", None])
+    def test_rejects_non_integer_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            simulate_many(cfg(), [(SCHEME_NOMA, METRIC_OUTAGE)], 1000, seed=0, workers=workers)
+
     @pytest.mark.parametrize("pairs", [
         [], [("tdma", METRIC_OUTAGE)], [(SCHEME_NOMA, "throughput")],
         [(SCHEME_NOMA, METRIC_OUTAGE), (SCHEME_OMA, "throughput")],
@@ -98,6 +121,46 @@ class TestSharedSample:
     def test_rejects_bad_pairs(self, pairs):
         with pytest.raises(ValueError):
             simulate_many(cfg(), pairs, 1000, seed=0)
+
+
+def valid_pairs(c):
+    """The pairs simulate_many accepts for config c."""
+    if c.K < 2:
+        return ALL_PAIRS[:2]
+    if c.csi_mode == CSI_SOS and c.K != 2:
+        return [p for p in ALL_PAIRS if p != (SCHEME_NOMA, METRIC_SECRECY_SURROGATE)]
+    return ALL_PAIRS
+
+
+class TestScoreKernel:
+    """_score_batch against the per-pair formulas in tests/pair_scoring.py."""
+
+    @pytest.mark.parametrize("rho_db", [0.0, 20.0, 40.0])
+    @pytest.mark.parametrize("K", [1, 2, 3, 8, 40])
+    @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
+    def test_bit_identical_to_per_pair_oracle(self, csi, K, rho_db):
+        c = cfg(K=K, rho_db=rho_db, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
+        _, _, true_gains, est_gains = sample_batch(c, np.random.default_rng(K), 3_000)
+        pairs = valid_pairs(c)
+        together = _score_batch(c, pairs, true_gains, est_gains)
+        assert set(together) == set(pairs)
+        for pair in pairs:
+            expected = metric_values(c, *pair, true_gains, est_gains)
+            assert np.array_equal(together[pair], expected)
+            # scored alone the kernel takes other paths (no shared ranking)
+            alone = _score_batch(c, [pair], true_gains, est_gains)
+            assert np.array_equal(alone[pair], expected)
+
+    @pytest.mark.parametrize("csi,K", [("imperfect", 8), ("sos", 3)])
+    def test_oma_secrecy_pairs_share_one_array(self, csi, K):
+        c = cfg(K=K, csi=csi)
+        oma = [(SCHEME_OMA, METRIC_SECRECY), (SCHEME_OMA, METRIC_SECRECY_SURROGATE)]
+        _, _, true_gains, est_gains = sample_batch(c, np.random.default_rng(5), 1_000)
+        values = _score_batch(c, oma, true_gains, est_gains)
+        assert values[oma[0]] is values[oma[1]]
+        many = simulate_many(c, valid_pairs(c), BATCH_SIZE + 11, seed=26)
+        exact, surrogate = many[oma[0]], many[oma[1]]
+        assert (exact.value, exact.half_width_95) == (surrogate.value, surrogate.half_width_95)
 
 
 class TestIntervals:
@@ -144,11 +207,11 @@ class TestReferenceEquivalence:
         for _ in range(300):
             r = sample_realization(c, rng)
             ref = secrecy_throughput_noma(r, c)
-            got = _metric_values(
-                c, SCHEME_NOMA, METRIC_SECRECY,
+            got = _score_batch(
+                c, [(SCHEME_NOMA, METRIC_SECRECY)],
                 r.true_gains[None, :],
                 None if r.est_gains is None else r.est_gains[None, :],
-            )[0]
+            )[(SCHEME_NOMA, METRIC_SECRECY)][0]
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("csi,K", [("imperfect", 4), ("sos", 3)])
@@ -158,11 +221,11 @@ class TestReferenceEquivalence:
         for _ in range(300):
             r = sample_realization(c, rng)
             _, ref = oma_rates(r, c)
-            got = _metric_values(
-                c, SCHEME_OMA, METRIC_SECRECY,
+            got = _score_batch(
+                c, [(SCHEME_OMA, METRIC_SECRECY)],
                 r.true_gains[None, :],
                 None if r.est_gains is None else r.est_gains[None, :],
-            )[0]
+            )[(SCHEME_OMA, METRIC_SECRECY)][0]
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_outage_indicator_definition(self):
@@ -170,8 +233,8 @@ class TestReferenceEquivalence:
         rng = np.random.default_rng(999)
         for _ in range(200):
             r = sample_realization(c, rng)
-            got = _metric_values(c, SCHEME_NOMA, METRIC_OUTAGE,
-                                 r.true_gains[None, :], r.est_gains[None, :])[0]
+            got = _score_batch(c, [(SCHEME_NOMA, METRIC_OUTAGE)], r.true_gains[None, :],
+                               r.est_gains[None, :])[(SCHEME_NOMA, METRIC_OUTAGE)][0]
             expected = float(np.min(r.est_gains) < c.eps_multicast / c.rho)
             assert got == expected
 
