@@ -13,9 +13,9 @@ from .analytic import (
     outage_oma_perfect,
     outage_oma_sos,
     secrecy_noma_imperfect,
-    secrecy_noma_sos_k2,
+    secrecy_noma_sos,
     secrecy_oma_imperfect,
-    secrecy_oma_sos_k2,
+    secrecy_oma_sos,
 )
 from .channel import (
     CSI_IMPERFECT,
@@ -86,9 +86,9 @@ __all__ = [
     "power_split",
     "sample_realization",
     "secrecy_noma_imperfect",
-    "secrecy_noma_sos_k2",
+    "secrecy_noma_sos",
     "secrecy_oma_imperfect",
-    "secrecy_oma_sos_k2",
+    "secrecy_oma_sos",
     "secrecy_throughput_noma",
     "simulate",
     "simulate_many",

@@ -6,20 +6,15 @@ perfect and statistical CSI the survival probability is closed form through
 the lower incomplete gamma function, and under imperfect CSI it is one
 Gauss-Legendre integral over the user distance.
 
-Secrecy throughput is the mean rate gap h(X_(1)) - h(X_(2)) between the two
-strongest scheduled users, counted when the weakest decision gain clears
-z = eps/rho (the outage indicator sits inside the mean). With the
-estimated gains iid with single-user survival S, the order-statistic
-identity (David & Nagaraja, Order Statistics)
-
-    E[1{X_(K) >= z} (h(X_(1)) - h(X_(2)))]
-        = K integral_z^inf h'(t) S(t) (S(z) - S(t))^(K-1) dt
-
-turns it into two nested Gauss-Legendre integrals whose cost does not
-depend on K. The two-user distance-ranked forms integrate the closed-form
-fading expectation of the rate gap over the ordered distances. OMA
-benchmarks use the half-slot rate gap with z = 0 and, for outage, the
-threshold 2^(2 R_M) - 1.
+Secrecy throughput is the mean rate gap (h(target) - h(best other user))^+,
+counted when every decision gain clears z = eps/rho (the outage indicator
+sits inside the mean). With target survival S_1 and the other K - 1 gains
+iid with survival S, it is the order-statistic integral (David & Nagaraja,
+Order Statistics) K integral_z^inf h'(t) S_1(t) (S(z) - S(t))^(K-1) dt, one
+kernel for both rankings and any K. Estimate ranking has S_1 = S; distance
+ranking conditions on the nearest distance r, with S_1(t) = e^(-t r^eta)
+and the others iid on the annulus [r, D]. OMA benchmarks use the half-slot
+rate gap with z = 0 and, for outage, the threshold 2^(2 R_M) - 1.
 
 Outage values are clamped to [0, 1]. Secrecy values are not clamped: each
 is a quadrature of a nonnegative integrand.
@@ -30,15 +25,11 @@ from math import log
 import numpy as np
 
 from .channel import SystemConfig
-from .specfun import (
-    expint_e1_scaled,
-    gauss_legendre_rule,
-    lower_incomplete_gamma,
-)
+from .specfun import gauss_legendre_rule, lower_incomplete_gamma
 
 LN2 = log(2.0)
 
-# the survival integral drops distances whose exponent t/m(u) exceeds this;
+# the distance integrals drop distances whose exponent t/m(u) exceeds this;
 # e^-45 < 3e-20 of the integrand's peak
 _EXPONENT_CUTOFF = 45.0
 
@@ -62,16 +53,24 @@ def _outage_est_ranked(config: SystemConfig, threshold: float) -> float:
     return _clamp01(1.0 - p_single ** config.K)
 
 
+def _annulus_survival(config: SystemConfig, t, r):
+    """A_r(t) = P(g > t, d > r) for t > 0 and one user's true gain g.
+
+    The distance d is uniform in the disk and g is Exp(1) fading times
+    d^-eta, so A_r(t) = (a / (t^a D^2)) [gamma(a, t D^eta) - gamma(a, t r^eta)]
+    with a = 2/eta. A_0 is the single-user survival.
+    """
+    a = 2.0 / config.eta
+    return (a / (t ** a * config.D ** 2)) * (
+        lower_incomplete_gamma(a, t * config.D ** config.eta)
+        - lower_incomplete_gamma(a, t * r ** config.eta)
+    )
+
+
 def _outage_exact(config: SystemConfig, threshold: float) -> float:
     # outage when some user's true gain is below threshold/rho; that event
-    # ignores the ranking, so it is exact under perfect and statistical CSI.
-    # The single-user survival probability integrates in closed form through
-    # the lower incomplete gamma function.
-    z = threshold / config.rho
-    a = 2.0 / config.eta
-    surv = (a / (z ** a * config.D ** 2)) * lower_incomplete_gamma(
-        a, z * config.D ** config.eta
-    )
+    # ignores the ranking, so it is exact under perfect and statistical CSI
+    surv = _annulus_survival(config, threshold / config.rho, 0.0)
     return _clamp01(1.0 - surv ** config.K)
 
 
@@ -148,22 +147,21 @@ def _survival_est(config: SystemConfig, t: np.ndarray, n: int) -> np.ndarray:
     return R ** (2.0 / eta) / D ** 2 * (integrand @ rule.weights)
 
 
-def _secrecy_est_ranked_mean(config: SystemConfig, z: float, s: float, scale: float) -> float:
-    """K integral_z^inf h'(t) S(t) (S(z) - S(t))^(K-1) dt for estimate ranking,
-    with h'(t) = scale / ((s - z + t) ln 2) as in _gap_params.
+def _order_statistic_mean(config: SystemConfig, z: float, s: float, scale: float,
+                          m: int, m_edge: float, survivals) -> float:
+    """K integral_z^inf h'(t) S_1(t) (S(z) - S(t))^(K-1) dt, (z, s, scale) as
+    in _gap_params, averaged over an outer axis when there is one.
 
-    The t axis is mapped from v in [0, 1) by t = z + c v / (1 - v)^q with
-    q = max(1, eta/2), which makes the t^(-1-2/eta) tail smooth in v; the
-    scale c is the geometric mean of the rate knee s, the cell-edge mean
-    estimate m_D and m_D K^(eta/2), where S falls to about 1/K. Orders:
-    quad_orders[1] on v, quad_orders[2] on the mapped distance.
+    survivals(t) returns (S_1(t) times the outer weights, S(z), S(t)),
+    broadcastable to (len(t), outer). The t axis is mapped from v in [0, 1)
+    by t = z + c v / (1 - v)^q with q = max(1, eta/2), which makes the
+    t^(-1-2/eta) tail smooth in v; c is the geometric mean of the rate knee
+    s, the cell-edge mean gain m_edge and m_edge K^(eta/2), where S falls to
+    about 1/K. m is the order on v.
     """
     K, eta = config.K, config.eta
     if K < 2:
         raise ValueError("secrecy throughput needs K >= 2")
-    m, n = config.quad_orders[1], config.quad_orders[2]
-    m_edge = config.D ** (-eta) - config.sigma2_zeta
-
     q = max(1.0, eta / 2.0)
     c = (s * m_edge * m_edge * K ** (eta / 2.0)) ** (1.0 / 3.0)
     rule = gauss_legendre_rule(m, 1.0)
@@ -171,10 +169,42 @@ def _secrecy_est_ranked_mean(config: SystemConfig, z: float, s: float, scale: fl
     t = z + c * v / (1.0 - v) ** q
     dt_dv = c * (1.0 - v + q * v) / (1.0 - v) ** (q + 1.0)
 
-    surv = _survival_est(config, np.concatenate(([z], t)), n)
-    s_z, s_t = surv[0], surv[1:]
     h_prime = scale / ((s - z + t) * LN2)
-    return float(K * np.sum(rule.weights * dt_dv * h_prime * s_t * (s_z - s_t) ** (K - 1)))
+    target, rest_z, rest_t = survivals(t)
+    terms = (rule.weights * dt_dv * h_prime)[:, None] * target * (rest_z - rest_t) ** (K - 1)
+    return float(K * np.sum(terms.sum(axis=1)))
+
+
+def _secrecy_est_ranked(config: SystemConfig, z: float, s: float, scale: float) -> float:
+    # iid estimates; orders quad_orders[1] on t, quad_orders[2] on distance
+    def survivals(t):
+        surv = _survival_est(config, np.concatenate(([z], t)), config.quad_orders[2])
+        return surv[1:, None], surv[0], surv[1:, None]
+
+    m_edge = config.D ** (-config.eta) - config.sigma2_zeta
+    return _order_statistic_mean(config, z, s, scale, config.quad_orders[1], m_edge, survivals)
+
+
+def _secrecy_distance_ranked(config: SystemConfig, z: float, s: float, scale: float) -> float:
+    """The target is the nearest user. Its distance r has density
+    K (2r/D^2) (1 - r^2/D^2)^(K-1), and given r the others are iid on the
+    annulus [r, D] with survival A_r(t) / (1 - r^2/D^2), so the annulus
+    factors cancel. As in _survival_est, the r axis at each t covers only
+    the distances whose exponent t r^eta is at most 45: r = R^(1/eta) w with
+    R = min(D^eta, 45/t). Orders: quad_orders[3] on w, quad_orders[4] on t.
+    """
+    D, eta = config.D, config.eta
+    rule = gauss_legendre_rule(config.quad_orders[3], 1.0)
+
+    def survivals(t):
+        reach = np.maximum(D ** (-eta), t / _EXPONENT_CUTOFF) ** (-1.0 / eta)
+        r = np.outer(reach, rule.nodes)
+        # 2r/D^2 dr with dr = reach dw
+        target = (2.0 / D ** 2) * r * reach[:, None] * rule.weights * np.exp(-t[:, None] * r ** eta)
+        rest_z = _annulus_survival(config, z, r) if z > 0 else 1.0 - (r / D) ** 2
+        return target, rest_z, _annulus_survival(config, t[:, None], r)
+
+    return _order_statistic_mean(config, z, s, scale, config.quad_orders[4], D ** (-eta), survivals)
 
 
 def secrecy_noma_imperfect(config: SystemConfig) -> float:
@@ -184,7 +214,7 @@ def secrecy_noma_imperfect(config: SystemConfig) -> float:
     log2((nu + rho X_(1)) / (nu + rho X_(2))) between the two strongest
     estimated gains, counted when the weakest one clears eps/rho.
     """
-    return _secrecy_est_ranked_mean(config, *_gap_params(config, oma=False))
+    return _secrecy_est_ranked(config, *_gap_params(config, oma=False))
 
 
 def secrecy_oma_imperfect(config: SystemConfig) -> float:
@@ -193,49 +223,25 @@ def secrecy_oma_imperfect(config: SystemConfig) -> float:
     Half-slot rate gap between the two strongest estimates; no power split,
     so the result does not depend on R_M.
     """
-    return _secrecy_est_ranked_mean(config, *_gap_params(config, oma=True))
+    return _secrecy_est_ranked(config, *_gap_params(config, oma=True))
 
 
-def _secrecy_distance_ranked_k2(config: SystemConfig, z: float, s: float, scale: float) -> float:
-    """Mean rate gap of two distance-ranked users, (z, s, scale) as in _gap_params.
+def secrecy_noma_sos(config: SystemConfig) -> float:
+    """Average secrecy unicast throughput for distance-ranked users.
 
-    Given the distances r1 < r2, with A = r1^eta and B = r2^eta, the gap
-    counted when g1 >= g2 >= z has expectation
-    scale e^(-z(A+B)) [G(sA) - G(s(A+B))] / ln 2, where
-    G(x) = e^x E1(x) is expint_e1_scaled. That is integrated against the
-    ordered-distance density 8 r1 r2 / D^4 by Gauss-Legendre quadrature,
-    order l over the ratio r1/r2 and order q over r2.
+    Mean of the high-SNR surrogate: SNR-free power split, rate gap
+    log2((nu + rho g1)/(nu + rho g)) of the nearest user over the strongest
+    other one, clamped at zero and counted when every gain clears eps/rho.
     """
-    if config.K != 2:
-        raise ValueError("distance-ranked secrecy form needs exactly K = 2")
-    D, eta = config.D, config.eta
-    l, q = config.quad_orders[3], config.quad_orders[4]
-
-    ratio = gauss_legendre_rule(l, 1.0)
-    far = gauss_legendre_rule(q, D)
-    kappa, r2 = ratio.nodes, far.nodes
-    a = np.outer(kappa ** eta, r2 ** eta)  # r1^eta with r1 = kappa r2
-    ab = a + r2[None, :] ** eta
-    gap = np.exp(-z * ab) * (expint_e1_scaled(s * a) - expint_e1_scaled(s * ab))
-    # dr1 = r2 dkappa turns 8 r1 r2 / D^4 into 8 kappa r2^3 / D^4
-    density = np.outer(kappa, r2 ** 3)
-    return float(scale * 8.0 / (D ** 4 * LN2) * (ratio.weights @ (density * gap) @ far.weights))
+    return _secrecy_distance_ranked(config, *_gap_params(config, oma=False))
 
 
-def secrecy_noma_sos_k2(config: SystemConfig) -> float:
-    """Average secrecy unicast throughput for two distance-ranked users.
-
-    Expectation of the high-SNR surrogate: SNR-free power split, rate gap
-    log2((nu + rho g1)/(nu + rho g2)) of the nearer user over the farther
-    one, counted when g1 >= g2 >= z = eps/rho.
-    """
-    return _secrecy_distance_ranked_k2(config, *_gap_params(config, oma=False))
+def secrecy_oma_sos(config: SystemConfig) -> float:
+    """OMA benchmark of secrecy_noma_sos: half-slot rate gap, clamped at
+    zero; it does not depend on R_M."""
+    return _secrecy_distance_ranked(config, *_gap_params(config, oma=True))
 
 
-def secrecy_oma_sos_k2(config: SystemConfig) -> float:
-    """OMA benchmark secrecy throughput for two distance-ranked users.
-
-    Half-slot rate gap of the nearer user over the farther one, clamped at
-    zero; it does not depend on R_M.
-    """
-    return _secrecy_distance_ranked_k2(config, *_gap_params(config, oma=True))
+# the two-user names of the paper's form, kept for existing callers
+secrecy_noma_sos_k2 = secrecy_noma_sos
+secrecy_oma_sos_k2 = secrecy_oma_sos

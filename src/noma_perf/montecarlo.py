@@ -19,9 +19,9 @@ Two secrecy metrics exist side by side:
 * "secrecy_throughput" scores each snapshot with the realized power split,
   mirroring noma_core exactly.
 * "secrecy_throughput_surrogate" scores the high-SNR surrogate the analytic
-  forms actually approximate (SNR-free split, rate gap of the two
-  strongest scheduled gains, outage indicator inside the mean). Under OMA
-  there is no power split and the two metrics coincide.
+  forms actually approximate (SNR-free split, rate gap of the target over
+  the best other user clamped at zero, outage indicator inside the mean).
+  Under OMA there is no power split and the two metrics coincide.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -112,13 +112,9 @@ def _score_batch(config: SystemConfig, pairs, true_gains: np.ndarray, est_gains)
 
     nu = 1.0 + eps
     if (SCHEME_NOMA, METRIC_SECRECY_SURROGATE) in wanted:
-        second = ranked[:, 1]
-        if sos:
-            ok = (target >= second) & (second >= eps / rho)
-        else:
-            ok = weakest >= eps / rho
-        values[(SCHEME_NOMA, METRIC_SECRECY_SURROGATE)] = \
-            ok * np.log2((nu + rho * target) / (nu + rho * second))
+        ok = weakest >= eps / rho
+        gap = np.log2((nu + rho * target) / (nu + rho * eave))
+        values[(SCHEME_NOMA, METRIC_SECRECY_SURROGATE)] = ok * np.maximum(0.0, gap)
 
     if (SCHEME_NOMA, METRIC_SECRECY) in wanted:
         # exact secrecy: realized split driven by the last scheduled gain
@@ -181,9 +177,6 @@ def simulate_many(config: SystemConfig, pairs, trials: int, seed: int,
             raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
         if metric_kind != METRIC_OUTAGE and config.K < 2:
             raise ValueError("secrecy throughput needs K >= 2")
-        if ((scheme, metric_kind) == (SCHEME_NOMA, METRIC_SECRECY_SURROGATE)
-                and config.csi_mode == CSI_SOS and config.K != 2):
-            raise ValueError("distance-ranked surrogate is defined for K = 2")
     if not isinstance(trials, (int, np.integer)) or trials < 2:
         raise ValueError("trials must be an integer >= 2")
     if not isinstance(seed, (int, np.integer)) or seed < 0:

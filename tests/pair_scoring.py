@@ -54,13 +54,13 @@ def metric_values(config, scheme, metric_kind, true_gains, est_gains):
 
     if metric_kind == METRIC_SECRECY_SURROGATE:
         if sos:
-            if config.K != 2:
-                raise ValueError("distance-ranked surrogate is defined for K = 2")
-            second = ranked[:, 1]
-            ok = (target >= second) & (second >= eps / rho)
-        else:
-            second = ranked[:, 1]
-            ok = ranked[:, -1] >= eps / rho
+            # the nearest user over the best of the rest, clamped at zero,
+            # counted when every gain clears the multicast threshold
+            ok = np.min(true_gains, axis=1) >= eps / rho
+            eave = np.max(ranked[:, 1:], axis=1)
+            return ok * np.maximum(0.0, np.log2((nu + rho * target) / (nu + rho * eave)))
+        second = ranked[:, 1]
+        ok = ranked[:, -1] >= eps / rho
         return ok * np.log2((nu + rho * target) / (nu + rho * second))
 
     # exact secrecy: realized split driven by the weakest scheduled gain

@@ -1,12 +1,17 @@
-"""The paper's multinomial form of the estimate-ranked secrecy mean.
+"""The paper's forms of the secrecy means: test-only references.
 
-Test-only reference. The paper expands F^(K-1) in the K-fold
-order-statistics integral as a multinomial over the nodes of two nested
-Gauss-Chebyshev rules, one weak composition of K - 1 per term, so the sum
-has C(K - 1 + n, n) terms and grows as C(K + 9, 10) at the paper's n = 10.
+The estimate-ranked form (`paper_gap_mean`): the paper expands F^(K-1)
+in the K-fold order-statistics integral as a multinomial over the nodes of
+two nested Gauss-Chebyshev rules, one weak composition of K - 1 per term,
+so the sum has C(K - 1 + n, n) terms and grows as C(K + 9, 10) at the
+paper's n = 10.
 It gives the mean rate gap E[h(X_(1)) - h(X_(2))] with no outage
 indicator; the paper then multiplies it by the non-outage probability,
 which treats the outage event as independent of the gap.
+
+The two-user distance-ranked form (`paper_sos_k2`) integrates the
+closed-form fading expectation of the surrogate over the ordered
+distances; the paper gives it only for K = 2.
 """
 
 import itertools
@@ -14,7 +19,7 @@ from math import log
 
 import numpy as np
 
-from noma_perf.specfun import chebyshev_rule, expint_e1_scaled
+from noma_perf.specfun import chebyshev_rule, expint_e1_scaled, gauss_legendre_rule
 
 LN2 = log(2.0)
 
@@ -92,3 +97,36 @@ def paper_gap_mean(config, oma: bool) -> float:
     bracket = 1.0 / (rho * tau) - inner_sum
     scale = 4.0 if oma else 2.0
     return float(K * np.pi * rho / (scale * m * LN2) * np.dot(sin_m, bracket))
+
+
+def paper_sos_k2(config, oma: bool) -> float:
+    """Mean surrogate rate gap of two distance-ranked users.
+
+    NOMA: h(t) = log2(nu + rho t) with nu = 1 + eps, counted above
+    z = eps/rho; OMA: h(t) = log2(1 + rho t) / 2 with z = 0. In both,
+    h'(t) = scale / ((s - z + t) ln 2). Given the distances r1 < r2, with
+    A = r1^eta and B = r2^eta, the gap counted when g1 >= g2 >= z has
+    expectation scale e^(-z(A+B)) [G(sA) - G(s(A+B))] / ln 2, where
+    G(x) = e^x E1(x). That is integrated against the ordered-distance
+    density 8 r1 r2 / D^4 by Gauss-Legendre quadrature, order
+    quad_orders[3] over the ratio r1/r2 and quad_orders[4] over r2.
+    """
+    if config.K != 2:
+        raise ValueError("the two-user form needs K = 2")
+    D, eta, rho = config.D, config.eta, config.rho
+    if oma:
+        z, s, scale = 0.0, 1.0 / rho, 0.5
+    else:
+        eps = config.eps_multicast
+        z, s, scale = eps / rho, (1.0 + 2.0 * eps) / rho, 1.0
+    l, q = config.quad_orders[3], config.quad_orders[4]
+
+    ratio = gauss_legendre_rule(l, 1.0)
+    far = gauss_legendre_rule(q, D)
+    kappa, r2 = ratio.nodes, far.nodes
+    a = np.outer(kappa ** eta, r2 ** eta)  # r1^eta with r1 = kappa r2
+    ab = a + r2[None, :] ** eta
+    gap = np.exp(-z * ab) * (expint_e1_scaled(s * a) - expint_e1_scaled(s * ab))
+    # dr1 = r2 dkappa turns 8 r1 r2 / D^4 into 8 kappa r2^3 / D^4
+    density = np.outer(kappa, r2 ** 3)
+    return float(scale * 8.0 / (D ** 4 * LN2) * (ratio.weights @ (density * gap) @ far.weights))

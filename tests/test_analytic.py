@@ -17,7 +17,7 @@ from scipy import integrate
 from noma_perf import analytic, montecarlo
 from noma_perf.channel import DEFAULT_QUAD_ORDERS, SystemConfig, distance_order_pdf
 from noma_perf.config import Settings, system_config
-from paper_form import paper_gap_mean, weak_compositions
+from paper_form import paper_gap_mean, paper_sos_k2, weak_compositions
 
 
 def db(x):
@@ -295,7 +295,7 @@ class TestSecrecyEstRanked:
             c = cfg(K=K, rho_db=rho_db)
             eps = c.eps_multicast
             p_ok = 1.0 - analytic.outage_noma_imperfect(c)
-            product = p_ok * analytic._secrecy_est_ranked_mean(c, 0.0, (1.0 + eps) / c.rho, 1.0)
+            product = p_ok * analytic._secrecy_est_ranked(c, 0.0, (1.0 + eps) / c.rho, 1.0)
             oma = analytic.secrecy_oma_imperfect(c)
             errs, oma_errs = [], []
             for i in range(orders):
@@ -318,55 +318,109 @@ class TestSecrecyEstRanked:
 
 # -- secrecy, distance-ranked ----------------------------------------------
 
+def sos_cfg(K=2, rho_db=30.0, eta=2.0, **kw):
+    return replace(cfg(K=K, rho_db=rho_db, csi="sos", **kw), eta=eta)
+
+
 class TestSecrecyDistanceRanked:
     def test_regression_values(self):
-        # a 2e6-trial surrogate Monte Carlo (seed 1234567, stream 901) gives
-        # 0.957734 +- 0.00148 for the OMA value
-        assert analytic.secrecy_noma_sos_k2(cfg(K=2, csi="sos")) == pytest.approx(
-            1.8472315044618357, rel=1e-9
+        # pinned from this implementation to guard refactors; a 2e6-trial
+        # surrogate Monte Carlo (seed 1234567, stream 901) gives
+        # 1.84995 +- 0.00288 (NOMA) and 0.957734 +- 0.00148 (OMA) here
+        assert analytic.secrecy_noma_sos(sos_cfg()) == pytest.approx(
+            1.8472314903615064, rel=1e-9
         )
-        assert analytic.secrecy_oma_sos_k2(cfg(K=2, csi="sos")) == pytest.approx(
-            0.9562407024416963, rel=1e-9
+        assert analytic.secrecy_oma_sos(sos_cfg()) == pytest.approx(
+            0.9562406953430199, rel=1e-9
         )
 
     def test_requires_two_users(self):
-        for K in (3, 8):
-            with pytest.raises(ValueError):
-                analytic.secrecy_noma_sos_k2(cfg(K=K, csi="sos"))
-            with pytest.raises(ValueError):
-                analytic.secrecy_oma_sos_k2(cfg(K=K, csi="sos"))
+        for fn in (analytic.secrecy_noma_sos, analytic.secrecy_oma_sos):
+            with pytest.raises(ValueError, match="needs K >= 2"):
+                fn(sos_cfg(K=1))
+            for K in (3, 8, 64):
+                assert fn(sos_cfg(K=K)) > 0.0
+
+    def test_matches_two_user_paper_form(self):
+        # the paper's closed-form fading expectation over the ordered
+        # distances, run at (800, 80) nodes, where it has converged
+        for rho_db in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0):
+            ref_cfg = sos_cfg(rho_db=rho_db, l=800, q=80)
+            for oma, fn in ((False, analytic.secrecy_noma_sos), (True, analytic.secrecy_oma_sos)):
+                ref = paper_sos_k2(ref_cfg, oma=oma)
+                assert abs(fn(sos_cfg(rho_db=rho_db)) - ref) < 1e-6 * ref
+
+    @pytest.mark.parametrize("K", [3, 8])
+    @pytest.mark.parametrize("eta", [2.0, 3.0])
+    def test_matches_surrogate_mc(self, K, eta):
+        pairs = [("noma", montecarlo.METRIC_SECRECY_SURROGATE),
+                 ("oma", montecarlo.METRIC_SECRECY_SURROGATE)]
+        for rho_db in (10.0, 30.0):
+            c = sos_cfg(K=K, rho_db=rho_db, eta=eta)
+            many = montecarlo.simulate_many(c, pairs, 200_000, 1234567,
+                                            stream=910 + K + int(rho_db))
+            for pair, fn in zip(pairs, (analytic.secrecy_noma_sos, analytic.secrecy_oma_sos)):
+                est = many[pair]
+                assert abs(fn(c) - est.value) <= 3.0 * est.half_width_95
+
+    def test_ignores_estimation_error(self):
+        # statistical CSI has no estimates, so sigma2_zeta is never read,
+        # even where it is above D^-eta
+        for eta in (2.0, 3.0):
+            for fn in (analytic.secrecy_noma_sos, analytic.secrecy_oma_sos,
+                       analytic.outage_noma_sos, analytic.outage_oma_sos):
+                clean = fn(sos_cfg(K=8, eta=eta, sigma2=0.0))
+                assert fn(sos_cfg(K=8, eta=eta, sigma2=0.01)) == clean
 
     def test_positive_on_supported_grid(self):
         # the surrogate's expectation is nonnegative at every SNR; this
         # checks that it stays strictly positive on the high-SNR grid
-        for rho_db in (20.0, 25.0, 30.0, 35.0, 40.0):
-            for R_M in (0.3, 0.6, 0.9, 1.2):
-                assert analytic.secrecy_noma_sos_k2(cfg(K=2, rho_db=rho_db, R_M=R_M, csi="sos")) > 0.0
+        for K in (2, 8):
+            for rho_db in (20.0, 25.0, 30.0, 35.0, 40.0):
+                for R_M in (0.3, 0.6, 0.9, 1.2):
+                    assert analytic.secrecy_noma_sos(sos_cfg(K=K, rho_db=rho_db, R_M=R_M)) > 0.0
 
     def test_oma_ignores_multicast_target(self):
-        a = analytic.secrecy_oma_sos_k2(cfg(K=2, R_M=0.3, csi="sos"))
-        b = analytic.secrecy_oma_sos_k2(cfg(K=2, R_M=1.2, csi="sos"))
-        assert a == b
+        for K in (2, 8):
+            a = analytic.secrecy_oma_sos(sos_cfg(K=K, R_M=0.3))
+            assert analytic.secrecy_oma_sos(sos_cfg(K=K, R_M=1.2)) == a
 
     def test_noma_beats_oma_at_high_snr_only(self):
-        hi = cfg(K=2, rho_db=40.0, csi="sos")
-        lo = cfg(K=2, rho_db=0.0, csi="sos")
-        assert analytic.secrecy_noma_sos_k2(hi) > analytic.secrecy_oma_sos_k2(hi)
-        assert analytic.secrecy_noma_sos_k2(lo) < analytic.secrecy_oma_sos_k2(lo)
+        for K in (2, 8):
+            hi, lo = sos_cfg(K=K, rho_db=40.0), sos_cfg(K=K, rho_db=0.0)
+            assert analytic.secrecy_noma_sos(hi) > analytic.secrecy_oma_sos(hi)
+            assert analytic.secrecy_noma_sos(lo) < analytic.secrecy_oma_sos(lo)
 
     def test_estimate_ranking_beats_distance_ranking_at_high_snr(self):
         # per-realization estimates pick the truly strongest user far more often
-        imp = analytic.secrecy_noma_imperfect(cfg(K=2, rho_db=40.0, R_M=1.2))
-        sos = analytic.secrecy_noma_sos_k2(cfg(K=2, rho_db=40.0, R_M=1.2, csi="sos"))
-        assert imp > sos
+        for K in (2, 8):
+            imp = analytic.secrecy_noma_imperfect(cfg(K=K, rho_db=40.0, R_M=1.2))
+            assert imp > analytic.secrecy_noma_sos(sos_cfg(K=K, rho_db=40.0, R_M=1.2))
 
     def test_order_doubling_bounded_and_shrinking(self):
-        for rho_db in (0.0, 20.0, 40.0):
-            for fn in (analytic.secrecy_noma_sos_k2, analytic.secrecy_oma_sos_k2):
-                v1 = fn(cfg(K=2, rho_db=rho_db, csi="sos"))
-                v2 = fn(cfg(K=2, rho_db=rho_db, csi="sos", l=200, q=20))
-                v4 = fn(cfg(K=2, rho_db=rho_db, csi="sos", l=400, q=40))
-                d2 = abs(v2 - v1) / max(abs(v1), 1e-12)
-                d4 = abs(v4 - v2) / max(abs(v2), 1e-12)
-                assert d2 < 2.5e-2
-                assert d4 < 0.6 * d2
+        # the mapped nearest-distance axis keeps the drift small at every
+        # path-loss exponent, including the non-even ones
+        for eta in (2.0, 2.5, 3.0, 4.0):
+            for K in (2, 8):
+                for rho_db in (0.0, 30.0):
+                    for fn in (analytic.secrecy_noma_sos, analytic.secrecy_oma_sos):
+                        v1, v2, v4 = (fn(sos_cfg(K=K, rho_db=rho_db, eta=eta, l=24 * k, q=48 * k))
+                                      for k in (1, 2, 4))
+                        d2 = abs(v2 - v1) / abs(v2)
+                        d4 = abs(v4 - v2) / abs(v4)
+                        assert d2 < 1e-4
+                        assert d4 < 1e-12 or d4 < 0.6 * d2
+
+    def test_order_doubling_converged(self):
+        # the default (l, q) are chosen so that this holds on the sos snr
+        # sweeps at K = 8 (the default) and K = 2 and on the default k sweep
+        s = Settings()
+        s.csi = "sos"
+        points = [system_config(s, rho_db=float(r), k=k) for r in s.snr_db for k in (2, 8)]
+        points += [system_config(s, k=int(k)) for k in s.k_values]
+        for c in points:
+            l, q = c.quad_orders[3:]
+            doubled = replace(c, quad_orders=c.quad_orders[:3] + (2 * l, 2 * q))
+            for fn in (analytic.secrecy_noma_sos, analytic.secrecy_oma_sos):
+                v1, v2 = fn(c), fn(doubled)
+                assert abs(v2 - v1) < 1e-9 * abs(v2)

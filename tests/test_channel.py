@@ -27,7 +27,7 @@ class TestSystemConfig:
     def test_defaults_valid(self):
         cfg = SystemConfig()
         assert cfg.K == 8 and cfg.csi_mode == CSI_IMPERFECT
-        assert cfg.quad_orders == (50, 44, 17, 100, 10)
+        assert cfg.quad_orders == (50, 44, 17, 24, 48)
 
     def test_thresholds(self):
         cfg = make_config(R_M=1.0)
@@ -57,6 +57,11 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             make_config(sigma2_zeta=edge + 0.01)
         make_config(sigma2_zeta=edge - 1e-6)  # fine
+        # statistical CSI has no estimates, so the bound does not apply
+        make_config(csi_mode=CSI_SOS, eta=3.0, sigma2_zeta=0.01)
+        make_config(csi_mode=CSI_SOS, sigma2_zeta=edge + 0.01)
+        with pytest.raises(ValueError, match="below D"):
+            make_config(eta=3.0, sigma2_zeta=0.01)
 
     def test_perfect_requires_zero_error(self):
         with pytest.raises(ValueError):

@@ -107,25 +107,21 @@ class TestSweep:
         out = str(tmp_path / "k.csv")
         assert main(["sweep", "--config", path, "--axis", "k", "--out", out]) == 0
         captured = capsys.readouterr()
-        assert "8 rows" in captured.out
-        assert "need K = 2" in captured.err  # secrecy skipped for k = 3
+        assert "12 rows" in captured.out
+        assert captured.err == ""  # nothing skipped
 
         rows = read_rows(out)
         assert rows[0] == list(CSV_COLUMNS)
         body = rows[1:]
-        assert len(body) == 8
-        # k = 2 carries all six metric rows in a fixed order
-        k2 = [(r[4], r[2]) for r in body if r[1] == "2"]
-        assert k2 == [
-            ("outage_prob", "noma"), ("outage_prob", "oma"),
-            ("secrecy_throughput_surrogate", "noma"),
-            ("secrecy_throughput_surrogate", "oma"),
-            ("secrecy_throughput", "noma"), ("secrecy_throughput", "oma"),
-        ]
-        # k = 3 has no closed secrecy form, outage only
-        assert [(r[4], r[2]) for r in body if r[1] == "3"] == [
-            ("outage_prob", "noma"), ("outage_prob", "oma"),
-        ]
+        assert len(body) == 12
+        # every k carries all six metric rows in a fixed order
+        for k in ("2", "3"):
+            assert [(r[4], r[2]) for r in body if r[1] == k] == [
+                ("outage_prob", "noma"), ("outage_prob", "oma"),
+                ("secrecy_throughput_surrogate", "noma"),
+                ("secrecy_throughput_surrogate", "oma"),
+                ("secrecy_throughput", "noma"), ("secrecy_throughput", "oma"),
+            ]
         for r in body:
             assert r[0] == "k" and r[3] == "sos"
             assert r[8] == "2000" and r[9] == str(Settings().seed)
@@ -141,9 +137,24 @@ class TestSweep:
         row = next(r for r in read_rows(out)[1:]
                    if r[1] == "2" and r[2] == "noma" and r[4] == "outage_prob")
         assert row[5] == format(analytic.outage_noma_sos(cfg), ".12g")
-        srow = next(r for r in read_rows(out)[1:]
-                    if r[1] == "2" and r[2] == "noma" and r[4] == "secrecy_throughput")
-        assert srow[5] == format(analytic.secrecy_noma_sos_k2(cfg), ".12g")
+        for k in (2, 3):
+            srow = next(r for r in read_rows(out)[1:]
+                        if r[1] == str(k) and r[2] == "noma" and r[4] == "secrecy_throughput")
+            assert srow[5] == format(analytic.secrecy_noma_sos(system_config(settings, k=k)),
+                                     ".12g")
+
+    @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
+    def test_single_user_point_skips_secrecy(self, tmp_path, capsys, csi):
+        path = write_cfg(tmp_path, f"csi = {csi}\nk_values = 1,2\ntrials = 2000\n")
+        out = str(tmp_path / "k.csv")
+        assert main(["sweep", "--config", path, "--axis", "k", "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert err.count("secrecy needs K >= 2") == 4
+        body = read_rows(out)[1:]
+        assert [(r[4], r[2]) for r in body if r[1] == "1"] == [
+            ("outage_prob", "noma"), ("outage_prob", "oma"),
+        ]
+        assert len(body) == 8
 
     def test_axis_tokens_echoed_verbatim(self, tmp_path):
         path = write_cfg(tmp_path, "k = 4\nsnr_db = 1e1,30\ntrials = 500\n")
@@ -199,6 +210,17 @@ class TestSweep:
         assert len(body) == 12
         assert {r[1] for r in body} == {"0", "0.01"}
 
+    def test_distance_ranked_sigma2_axis_ignores_sigma2(self, tmp_path):
+        # sigma2 = 0.01 is above D^-eta at eta = 3, and sos never reads it
+        path = write_cfg(tmp_path, "csi = sos\neta = 3\nk = 3\n"
+                                   "sigma2_values = 0,0.01\ntrials = 500\n")
+        out = str(tmp_path / "s.csv")
+        assert main(["sweep", "--config", path, "--axis", "sigma2", "--out", out]) == 0
+        body = read_rows(out)[1:]
+        assert len(body) == 12
+        analytic_cells = [[r[5] for r in body if r[1] == v] for v in ("0", "0.01")]
+        assert analytic_cells[0] == analytic_cells[1]
+
 
 class TestVerify:
     def test_all_checks_pass_at_defaults(self, tmp_path, capsys):
@@ -221,11 +243,27 @@ class TestVerify:
         assert "verify: FAILED" in out
 
     def test_distance_ranked_without_pair_skips_secrecy(self, tmp_path):
-        path = write_cfg(tmp_path, "csi = sos\nk = 3\ntrials = 20000\n")
+        path = write_cfg(tmp_path, "csi = sos\nk = 1\ntrials = 20000\n")
         ok, report = verify(parse_config(path))
         assert ok
-        assert "secrecy-vs-mc: SKIP" in report
+        assert "secrecy-vs-mc: SKIP (secrecy needs K >= 2)" in report
         assert "secrecy-vs-mc-noma" not in report
+
+    @pytest.mark.parametrize("csi", ["imperfect", "perfect"])
+    def test_single_user_skips_secrecy(self, tmp_path, capsys, csi):
+        path = write_cfg(tmp_path, f"csi = {csi}\nk = 1\ntrials = 20000\n")
+        assert main(["verify", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "secrecy-vs-mc: SKIP (secrecy needs K >= 2)" in out
+        assert "secrecy-vs-mc-noma" not in out
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_distance_ranked_checks_secrecy_at_any_k(self, tmp_path, capsys, k):
+        # eta = 3 with the default sigma2 = 0.01 > D^-eta: sos never reads it
+        path = write_cfg(tmp_path, f"csi = sos\nk = {k}\neta = 3\ntrials = 20000\n")
+        assert main(["verify", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "secrecy-vs-mc-noma: PASS" in out and "secrecy-vs-mc-oma: PASS" in out
 
 
 def scalar_power_split_line(settings):

@@ -89,15 +89,18 @@ class TestSharedSample:
             assert many[(scheme, metric)] == simulate(c, scheme, metric, 5_000, seed=23)
 
     def test_distance_ranked_surrogate_needs_two_users(self):
+        with pytest.raises(ValueError, match="needs K >= 2"):
+            simulate_many(cfg(K=1, csi="sos"), ALL_PAIRS, 5_000, seed=24)
+        # any K >= 2 scores every pair
         c = cfg(K=3, csi="sos")
-        with pytest.raises(ValueError):
-            simulate_many(c, ALL_PAIRS, 5_000, seed=24)
+        many = simulate_many(c, ALL_PAIRS, 5_000, seed=24)
+        for scheme, metric in ALL_PAIRS:
+            assert many[(scheme, metric)] == simulate(c, scheme, metric, 5_000, seed=24)
 
     @pytest.mark.parametrize("K,csi,pair,message", [
         (1, "imperfect", (SCHEME_NOMA, METRIC_SECRECY), "needs K >= 2"),
         (1, "sos", (SCHEME_OMA, METRIC_SECRECY_SURROGATE), "needs K >= 2"),
         (1, "sos", (SCHEME_NOMA, METRIC_SECRECY_SURROGATE), "needs K >= 2"),
-        (3, "sos", (SCHEME_NOMA, METRIC_SECRECY_SURROGATE), "defined for K = 2"),
     ])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pairs_checked_before_any_draw(self, monkeypatch, K, csi, pair, message, workers):
@@ -125,11 +128,7 @@ class TestSharedSample:
 
 def valid_pairs(c):
     """The pairs simulate_many accepts for config c."""
-    if c.K < 2:
-        return ALL_PAIRS[:2]
-    if c.csi_mode == CSI_SOS and c.K != 2:
-        return [p for p in ALL_PAIRS if p != (SCHEME_NOMA, METRIC_SECRECY_SURROGATE)]
-    return ALL_PAIRS
+    return ALL_PAIRS[:2] if c.K < 2 else ALL_PAIRS
 
 
 class TestScoreKernel:
@@ -292,10 +291,11 @@ class TestValidation:
             simulate(c, SCHEME_NOMA, METRIC_OUTAGE, 1000, seed=0, stream=-1)
 
     def test_surrogate_distance_ranked_needs_two_users(self):
+        with pytest.raises(ValueError, match="needs K >= 2"):
+            simulate(cfg(K=1, csi="sos"), SCHEME_NOMA, METRIC_SECRECY_SURROGATE, 1000, seed=0)
+        # both secrecy metrics work for any K >= 2
         c = cfg(K=5, csi="sos")
-        with pytest.raises(ValueError):
-            simulate(c, SCHEME_NOMA, METRIC_SECRECY_SURROGATE, 1000, seed=0)
-        # the exact metric works for any K
+        simulate(c, SCHEME_NOMA, METRIC_SECRECY_SURROGATE, 1000, seed=0)
         simulate(c, SCHEME_NOMA, METRIC_SECRECY, 1000, seed=0)
 
     def test_secrecy_needs_two_users(self):
