@@ -21,10 +21,7 @@ from .channel import (
     CSI_IMPERFECT,
     CSI_PERFECT,
     CSI_SOS,
-    ChannelRealization,
     SystemConfig,
-    distance_order_pdf,
-    sample_realization,
 )
 from .montecarlo import (
     METRIC_OUTAGE,
@@ -39,10 +36,7 @@ from .montecarlo import (
 from .noma_core import (
     PowerSplit,
     multicast_rate,
-    oma_rates,
     power_split,
-    secrecy_throughput_noma,
-    unicast_rate,
 )
 from .specfun import (
     QuadratureRule,
@@ -59,7 +53,6 @@ __all__ = [
     "CSI_IMPERFECT",
     "CSI_PERFECT",
     "CSI_SOS",
-    "ChannelRealization",
     "METRIC_OUTAGE",
     "METRIC_SECRECY",
     "METRIC_SECRECY_SURROGATE",
@@ -70,13 +63,11 @@ __all__ = [
     "SCHEME_OMA",
     "SystemConfig",
     "chebyshev_rule",
-    "distance_order_pdf",
     "expint_e1_scaled",
     "expint_ei",
     "gauss_legendre_rule",
     "lower_incomplete_gamma",
     "multicast_rate",
-    "oma_rates",
     "outage_noma_imperfect",
     "outage_noma_perfect",
     "outage_noma_sos",
@@ -84,13 +75,10 @@ __all__ = [
     "outage_oma_perfect",
     "outage_oma_sos",
     "power_split",
-    "sample_realization",
     "secrecy_noma_imperfect",
     "secrecy_noma_sos",
     "secrecy_oma_imperfect",
     "secrecy_oma_sos",
-    "secrecy_throughput_noma",
     "simulate",
     "simulate_many",
-    "unicast_rate",
 ]

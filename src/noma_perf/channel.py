@@ -1,8 +1,9 @@
-"""System parameters and channel sampling.
+"""System parameters and batched channel sampling.
 
 Users are dropped uniformly in a disk of radius D around the transmitter.
 Small-scale fading is Rayleigh, so fading power is Exp(1), and the
-effective gain of a user at distance d is fading * d^(-eta). Channel
+effective gain of a user at distance d is fading * d^(-eta).
+`sample_batch` draws snapshots in batches, as (size, K) arrays. Channel
 knowledge comes in three flavors:
 
 * "imperfect": the scheduler ranks users by MMSE channel estimates whose
@@ -12,11 +13,8 @@ knowledge comes in three flavors:
   per-realization estimate exists.
 """
 
-from math import comb
-
 import numpy as np
 from dataclasses import dataclass
-from typing import Optional
 
 CSI_IMPERFECT = "imperfect"
 CSI_PERFECT = "perfect"
@@ -83,15 +81,6 @@ class SystemConfig:
         return 2.0 ** (2.0 * self.R_M) - 1.0
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One snapshot, users sorted by distance (nearest first)."""
-    distances: np.ndarray
-    fading_powers: np.ndarray
-    true_gains: np.ndarray
-    est_gains: Optional[np.ndarray]
-
-
 def sample_batch(config: SystemConfig, rng: np.random.Generator, size: int):
     """Draw `size` independent snapshots as (size, K) arrays.
 
@@ -111,34 +100,3 @@ def sample_batch(config: SystemConfig, rng: np.random.Generator, size: int):
         path_loss -= config.sigma2_zeta  # now the mean estimate power, in place
         est_gains = rng.exponential(1.0, (size, K)) * path_loss
     return d, fading, true_gains, est_gains
-
-
-def sample_realization(config: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    d, fading, true_gains, est_gains = sample_batch(config, rng, 1)
-    return ChannelRealization(
-        distances=d[0],
-        fading_powers=fading[0],
-        true_gains=true_gains[0],
-        est_gains=None if est_gains is None else est_gains[0],
-    )
-
-
-def distance_order_pdf(k: int, K: int, D: float, x):
-    """Density of the k-th nearest of K uniform-in-disk distances at x.
-
-    Standard order-statistic form with parent cdf (x/D)^2 on [0, D].
-    """
-    if not isinstance(k, (int, np.integer)) or not isinstance(K, (int, np.integer)):
-        raise ValueError("k and K must be integers")
-    if not 1 <= k <= K:
-        raise ValueError("need 1 <= k <= K")
-    if not D > 0:
-        raise ValueError("D must be positive")
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    if np.any((x_arr < 0) | (x_arr > D)):
-        raise ValueError("x must lie in [0, D]")
-    cdf = (x_arr / D) ** 2
-    pdf = 2.0 * x_arr / D ** 2
-    out = k * comb(K, k) * cdf ** (k - 1) * (1.0 - cdf) ** (K - k) * pdf
-    return float(out) if scalar else out

@@ -14,6 +14,7 @@ import numpy as np
 from . import analytic, montecarlo
 from .channel import CSI_SOS, SystemConfig, sample_batch
 from .config import ConfigError, Settings, parse_config, system_config
+from .noma_core import multicast_rate, power_split
 from .specfun import gauss_legendre_rule
 
 CSV_COLUMNS = (
@@ -21,28 +22,26 @@ CSV_COLUMNS = (
     "analytic_value", "mc_value", "mc_halfwidth", "trials", "seed",
 )
 
-_OUTAGE_EVALUATORS = {
-    ("noma", "imperfect"): analytic.outage_noma_imperfect,
-    ("noma", "perfect"): analytic.outage_noma_perfect,
-    ("noma", "sos"): analytic.outage_noma_sos,
-    ("oma", "imperfect"): analytic.outage_oma_imperfect,
-    ("oma", "perfect"): analytic.outage_oma_perfect,
-    ("oma", "sos"): analytic.outage_oma_sos,
+# (scheme, csi_mode, kind) -> analytic evaluator. Secrecy has one
+# estimate-ranked evaluator: perfect CSI is imperfect CSI with sigma2 = 0.
+_EVALUATORS = {
+    ("noma", "imperfect", "outage"): analytic.outage_noma_imperfect,
+    ("noma", "perfect", "outage"): analytic.outage_noma_perfect,
+    ("noma", "sos", "outage"): analytic.outage_noma_sos,
+    ("oma", "imperfect", "outage"): analytic.outage_oma_imperfect,
+    ("oma", "perfect", "outage"): analytic.outage_oma_perfect,
+    ("oma", "sos", "outage"): analytic.outage_oma_sos,
+    ("noma", "imperfect", "secrecy"): analytic.secrecy_noma_imperfect,
+    ("noma", "perfect", "secrecy"): analytic.secrecy_noma_imperfect,
+    ("noma", "sos", "secrecy"): analytic.secrecy_noma_sos,
+    ("oma", "imperfect", "secrecy"): analytic.secrecy_oma_imperfect,
+    ("oma", "perfect", "secrecy"): analytic.secrecy_oma_imperfect,
+    ("oma", "sos", "secrecy"): analytic.secrecy_oma_sos,
 }
 
 
 def _fmt(x) -> str:
     return format(float(x), ".12g")
-
-
-def _secrecy_analytic(cfg: SystemConfig, scheme: str) -> float:
-    if cfg.csi_mode == CSI_SOS:
-        if scheme == "noma":
-            return analytic.secrecy_noma_sos(cfg)
-        return analytic.secrecy_oma_sos(cfg)
-    if scheme == "noma":
-        return analytic.secrecy_noma_imperfect(cfg)
-    return analytic.secrecy_oma_imperfect(cfg)
 
 
 def _axis_points(settings: Settings, axis: str):
@@ -85,14 +84,12 @@ def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
             cfg, pairs, settings.trials, settings.seed,
             workers=settings.workers, stream=stream,
         )
-        secrecy_cache = {}
+        values = {}  # both secrecy metrics compare with one evaluator
         for scheme, metric in pairs:
-            if metric == montecarlo.METRIC_OUTAGE:
-                value = _OUTAGE_EVALUATORS[(scheme, cfg.csi_mode)](cfg)
-            else:
-                if scheme not in secrecy_cache:
-                    secrecy_cache[scheme] = _secrecy_analytic(cfg, scheme)
-                value = secrecy_cache[scheme]
+            kind = "outage" if metric == montecarlo.METRIC_OUTAGE else "secrecy"
+            if (scheme, kind) not in values:
+                values[(scheme, kind)] = _EVALUATORS[(scheme, cfg.csi_mode, kind)](cfg)
+            value = values[(scheme, kind)]
             est = estimates[(scheme, metric)]
             rows.append((
                 axis_name, token, scheme, cfg.csi_mode, metric,
@@ -130,7 +127,7 @@ def verify(settings: Settings):
                  f"rel err {rel:.3e}, bound 1e-3")
 
     # doubling the outage quadrature order must not move the result
-    noma_outage = _OUTAGE_EVALUATORS[("noma", cfg.csi_mode)]
+    noma_outage = _EVALUATORS[("noma", cfg.csi_mode, "outage")]
     doubled = replace(cfg, quad_orders=(2 * cfg.quad_orders[0],) + cfg.quad_orders[1:])
     drift = abs(noma_outage(cfg) - noma_outage(doubled))
     ok &= _check(lines, "quadrature-convergence", drift < 1e-3,
@@ -147,7 +144,7 @@ def verify(settings: Settings):
     )
 
     for scheme in ("noma", "oma"):
-        a = _OUTAGE_EVALUATORS[(scheme, cfg.csi_mode)](cfg)
+        a = _EVALUATORS[(scheme, cfg.csi_mode, "outage")](cfg)
         est = estimates[(scheme, montecarlo.METRIC_OUTAGE)]
         bound = 3.0 * est.half_width_95 + 1e-3
         err = abs(a - est.value)
@@ -160,18 +157,16 @@ def verify(settings: Settings):
     else:
         rel_bound = 0.05 if settings.rho_db >= 20 else 0.10
         for scheme in ("noma", "oma"):
-            a = _secrecy_analytic(cfg, scheme)
+            a = _EVALUATORS[(scheme, cfg.csi_mode, "secrecy")](cfg)
             est = estimates[(scheme, montecarlo.METRIC_SECRECY_SURROGATE)]
             rel = abs(a - est.value) / abs(est.value) if est.value != 0 else float("inf")
             ok &= _check(lines, f"secrecy-vs-mc-{scheme}", rel <= rel_bound,
                          f"analytic {a:.6g}, mc {est.value:.6g}, "
                          f"rel err {rel:.3e}, bound {rel_bound:g}")
 
-    # the power split must hit the multicast target exactly when feasible;
-    # the same arithmetic as noma_core.power_split and multicast_rate, on
-    # arrays of the non-outage driving gains
+    # the power split must hit the multicast target exactly when feasible,
+    # checked on arrays of driving gains with the non-outage ones kept
     rng = np.random.default_rng(np.random.SeedSequence(settings.seed, spawn_key=(10 ** 6,)))
-    eps = cfg.eps_multicast
     worst = 0.0
     theta_exact = True
     collected = 0
@@ -180,13 +175,12 @@ def verify(settings: Settings):
             break
         _, _, true_gains, est_gains = sample_batch(cfg, rng, 2000)
         driving = true_gains[:, -1] if cfg.csi_mode == CSI_SOS else est_gains.min(axis=1)
-        driving = driving[driving >= eps / cfg.rho][:10_000 - collected]
-        collected += driving.size
-        theta_u = (driving - eps / cfg.rho) / (driving * (1.0 + eps))
-        theta_m = 1.0 - theta_u
-        rate = np.log2(1.0 + theta_m * driving / (theta_u * driving + 1.0 / cfg.rho))
-        worst = float(np.max(np.abs(rate - cfg.R_M), initial=worst))
-        theta_exact &= bool(np.all(theta_m + theta_u == 1.0))
+        split = power_split(driving, cfg.rho, cfg.R_M)
+        rate = multicast_rate(driving, split, cfg.rho)
+        kept = np.flatnonzero(~split.outage)[:10_000 - collected]
+        collected += kept.size
+        worst = float(np.max(np.abs(rate[kept] - cfg.R_M), initial=worst))
+        theta_exact &= bool(np.all(split.theta_M[kept] + split.theta_U[kept] == 1.0))
     ok &= _check(lines, "power-split-identity",
                  collected > 0 and worst < 1e-9 and theta_exact,
                  f"{collected} non-outage draws, max rate error {worst:.3e}, "

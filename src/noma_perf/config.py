@@ -16,8 +16,9 @@ DEFAULT_SEED = 1234567
 _FLOAT_KEYS = {"d", "eta", "r_m", "sigma2", "rho_db"}
 _INT_KEYS = {"k", "trials", "seed", "workers", "quad_c", "quad_m", "quad_n", "quad_l", "quad_q"}
 _STR_KEYS = {"csi", "out"}
-_LIST_KEYS = {"snr_db", "sigma2_values", "k_values"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
+# list key -> the type every entry must parse as
+_LIST_KEYS = {"snr_db": float, "sigma2_values": float, "k_values": int}
+_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | set(_LIST_KEYS)
 
 
 class ConfigError(Exception):
@@ -78,7 +79,7 @@ def parse_config(path: str) -> Settings:
                 if not tokens:
                     raise ValueError("empty list")
                 for t in tokens:
-                    float(t)  # every entry must at least parse as a number
+                    _LIST_KEYS[key](t)
                 setattr(settings, key, tokens)
             else:
                 setattr(settings, key, value)

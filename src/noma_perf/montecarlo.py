@@ -16,8 +16,8 @@ scoring each pair on its own, since row minima and maxima are exact.
 
 Two secrecy metrics exist side by side:
 
-* "secrecy_throughput" scores each snapshot with the realized power split,
-  mirroring noma_core exactly.
+* "secrecy_throughput" scores each snapshot with the realized power split
+  of `noma_core.power_split`, driven by the last scheduled gain.
 * "secrecy_throughput_surrogate" scores the high-SNR surrogate the analytic
   forms actually approximate (SNR-free split, rate gap of the target over
   the best other user clamped at zero, outage indicator inside the mean).
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CSI_SOS, SystemConfig, sample_batch
+from .noma_core import power_split
 
 SCHEME_NOMA = "noma"
 SCHEME_OMA = "oma"
@@ -110,18 +111,18 @@ def _score_batch(config: SystemConfig, pairs, true_gains: np.ndarray, est_gains)
         for pair in oma_pairs:
             values[pair] = oma
 
-    nu = 1.0 + eps
     if (SCHEME_NOMA, METRIC_SECRECY_SURROGATE) in wanted:
+        nu = 1.0 + eps
         ok = weakest >= eps / rho
         gap = np.log2((nu + rho * target) / (nu + rho * eave))
         values[(SCHEME_NOMA, METRIC_SECRECY_SURROGATE)] = ok * np.maximum(0.0, gap)
 
     if (SCHEME_NOMA, METRIC_SECRECY) in wanted:
         # exact secrecy: realized split driven by the last scheduled gain
-        # (the farthest user under statistical CSI)
+        # (the farthest user under statistical CSI); a trial that is not ok
+        # scores 0 whatever share the split gives it
         ok = weakest >= eps / rho
-        driving = ranked[:, -1]
-        theta_u = np.where(ok, (driving - eps / rho) / (driving * nu), 0.0)
+        theta_u = power_split(ranked[:, -1], rho, config.R_M).theta_U
         gap = np.log2((1.0 + rho * theta_u * target) / (1.0 + rho * theta_u * eave))
         values[(SCHEME_NOMA, METRIC_SECRECY)] = ok * np.maximum(0.0, gap)
     return values

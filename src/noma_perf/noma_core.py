@@ -1,27 +1,27 @@
-"""Per-realization transmission logic.
+"""The NOMA power split and the multicast rate it delivers.
 
 The transmitter superimposes a multicast stream (decoded by everyone) and a
 unicast stream for the strongest user. The power split gives the multicast
 stream exactly enough power that the weakest scheduled gain still decodes
-rate R_M, and hands the remainder to unicast. Secrecy throughput counts the
-unicast rate surplus of the intended user over the best internal
-eavesdropper, zero if negative.
+rate R_M, and hands the remainder to unicast. Both functions work
+elementwise on arrays of gains (the Monte Carlo kernel and `verify` pass
+whole batches) and return plain floats and a bool for a scalar gain.
 """
 
-import numpy as np
 from dataclasses import dataclass
 
-from .channel import CSI_SOS, ChannelRealization, SystemConfig
+import numpy as np
 
 
 @dataclass(frozen=True)
 class PowerSplit:
+    """Power shares and the outage flag; arrays when the gain was an array."""
     theta_M: float
     theta_U: float
     outage: bool
 
 
-def power_split(alpha_weakest: float, rho: float, R_M: float) -> PowerSplit:
+def power_split(alpha_weakest, rho: float, R_M: float) -> PowerSplit:
     """Split total power so the weakest gain decodes R_M, rest to unicast.
 
     If even full power cannot support R_M (alpha_weakest < eps/rho) the slot
@@ -31,80 +31,25 @@ def power_split(alpha_weakest: float, rho: float, R_M: float) -> PowerSplit:
         raise ValueError("rho must be positive")
     if not R_M > 0:
         raise ValueError("R_M must be positive")
-    if alpha_weakest < 0:
+    alpha = np.asarray(alpha_weakest, dtype=float)
+    if np.any(alpha < 0):
         raise ValueError("alpha_weakest must be nonnegative")
     eps = 2.0 ** R_M - 1.0
-    if alpha_weakest < eps / rho:
-        return PowerSplit(theta_M=1.0, theta_U=0.0, outage=True)
-    theta_U = (alpha_weakest - eps / rho) / (alpha_weakest * (1.0 + eps))
-    return PowerSplit(theta_M=1.0 - theta_U, theta_U=theta_U, outage=False)
+    outage = alpha < eps / rho
+    # the quotient is only formed where it is feasible, so a zero gain
+    # (always in outage) divides by nothing
+    theta_U = np.divide(alpha - eps / rho, alpha * (1.0 + eps),
+                        out=np.zeros_like(alpha), where=~outage)
+    theta_M = 1.0 - theta_U
+    if alpha.ndim == 0:
+        return PowerSplit(theta_M=float(theta_M), theta_U=float(theta_U), outage=bool(outage))
+    return PowerSplit(theta_M=theta_M, theta_U=theta_U, outage=outage)
 
 
-def multicast_rate(alpha: float, split: PowerSplit, rho: float) -> float:
+def multicast_rate(alpha, split: PowerSplit, rho: float):
     """Multicast rate seen by a gain alpha, with unicast power as interference."""
-    if alpha < 0:
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha < 0):
         raise ValueError("alpha must be nonnegative")
-    return float(np.log2(1.0 + split.theta_M * alpha / (split.theta_U * alpha + 1.0 / rho)))
-
-
-def unicast_rate(alpha: float, theta_U: float, rho: float) -> float:
-    """Unicast rate after SIC has removed the multicast stream."""
-    if alpha < 0 or theta_U < 0:
-        raise ValueError("alpha and theta_U must be nonnegative")
-    return float(np.log2(1.0 + rho * theta_U * alpha))
-
-
-def secrecy_throughput_noma(realization: ChannelRealization, config: SystemConfig) -> float:
-    """Secrecy unicast throughput of one snapshot under the config's CSI mode.
-
-    With per-realization estimates the scheduler ranks estimated gains; the
-    unicast target is the estimated-strongest user and the split is driven by
-    the estimated-weakest. Under statistical CSI ranking falls back to
-    distance, so the target is the nearest user and the split is driven by
-    the farthest one's true gain.
-    """
-    rho, R_M = config.rho, config.R_M
-    if config.csi_mode == CSI_SOS:
-        if config.K < 2:
-            raise ValueError("secrecy throughput needs K >= 2")
-        gains = realization.true_gains  # already distance-sorted
-        split = power_split(float(gains[-1]), rho, R_M)
-        eps = config.eps_multicast
-        if np.min(gains) < eps / rho:  # some user cannot decode the multicast
-            return 0.0
-        target, eave = float(gains[0]), float(np.max(gains[1:]))
-    else:
-        gains = realization.est_gains
-        if gains is None or config.K < 2:
-            raise ValueError("need estimated gains and K >= 2")
-        ranked = np.sort(gains)[::-1]
-        split = power_split(float(ranked[-1]), rho, R_M)
-        if split.outage:
-            return 0.0
-        target, eave = float(ranked[0]), float(ranked[1])
-    leak = unicast_rate(eave, split.theta_U, rho)
-    return max(0.0, unicast_rate(target, split.theta_U, rho) - leak)
-
-
-def oma_rates(realization: ChannelRealization, config: SystemConfig):
-    """Benchmark rates when multicast and unicast get orthogonal half slots.
-
-    Returns (per-user multicast rates, secrecy unicast throughput). Under
-    statistical CSI the unicast target is the nearest user and his strongest
-    peer eavesdrops; otherwise ranking uses the estimates.
-    """
-    rho = config.rho
-    if config.K < 2:
-        raise ValueError("secrecy throughput needs K >= 2")
-    if config.csi_mode == CSI_SOS:
-        gains = realization.true_gains
-        target, eave = float(gains[0]), float(np.max(gains[1:]))
-    else:
-        gains = realization.est_gains
-        if gains is None:
-            raise ValueError("need estimated gains outside statistical CSI")
-        ranked = np.sort(gains)[::-1]
-        target, eave = float(ranked[0]), float(ranked[1])
-    mc = 0.5 * np.log2(1.0 + rho * gains)
-    secrecy = max(0.0, 0.5 * (np.log2(1.0 + rho * target) - np.log2(1.0 + rho * eave)))
-    return mc, secrecy
+    rate = np.log2(1.0 + split.theta_M * alpha / (split.theta_U * alpha + 1.0 / rho))
+    return float(rate) if rate.ndim == 0 else rate

@@ -12,16 +12,40 @@ which treats the outage event as independent of the gap.
 The two-user distance-ranked form (`paper_sos_k2`) integrates the
 closed-form fading expectation of the surrogate over the ordered
 distances; the paper gives it only for K = 2.
+
+`distance_order_pdf` is the density of the k-th nearest user distance
+that such forms integrate over.
 """
 
 import itertools
-from math import log
+from math import comb, log
 
 import numpy as np
 
 from noma_perf.specfun import chebyshev_rule, expint_e1_scaled, gauss_legendre_rule
 
 LN2 = log(2.0)
+
+
+def distance_order_pdf(k: int, K: int, D: float, x):
+    """Density of the k-th nearest of K uniform-in-disk distances at x.
+
+    Standard order-statistic form with parent cdf (x/D)^2 on [0, D].
+    """
+    if not isinstance(k, (int, np.integer)) or not isinstance(K, (int, np.integer)):
+        raise ValueError("k and K must be integers")
+    if not 1 <= k <= K:
+        raise ValueError("need 1 <= k <= K")
+    if not D > 0:
+        raise ValueError("D must be positive")
+    x_arr = np.asarray(x, dtype=float)
+    scalar = x_arr.ndim == 0
+    if np.any((x_arr < 0) | (x_arr > D)):
+        raise ValueError("x must lie in [0, D]")
+    cdf = (x_arr / D) ** 2
+    pdf = 2.0 * x_arr / D ** 2
+    out = k * comb(K, k) * cdf ** (k - 1) * (1.0 - cdf) ** (K - k) * pdf
+    return float(out) if scalar else out
 
 
 def weak_compositions(total: int, parts: int):

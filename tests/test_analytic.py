@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from noma_perf import analytic, montecarlo
-from noma_perf.channel import DEFAULT_QUAD_ORDERS, SystemConfig, distance_order_pdf
+from noma_perf.channel import DEFAULT_QUAD_ORDERS, SystemConfig
 from noma_perf.config import Settings, system_config
-from paper_form import paper_gap_mean, paper_sos_k2, weak_compositions
+from paper_form import distance_order_pdf, paper_gap_mean, paper_sos_k2, weak_compositions
 
 
 def db(x):

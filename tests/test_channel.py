@@ -11,10 +11,10 @@ from noma_perf.channel import (
     CSI_PERFECT,
     CSI_SOS,
     SystemConfig,
-    distance_order_pdf,
     sample_batch,
-    sample_realization,
 )
+from pair_scoring import snapshot
+from paper_form import distance_order_pdf
 
 
 def make_config(**kw):
@@ -73,39 +73,29 @@ class TestSampling:
     def test_shapes_and_ordering(self):
         cfg = make_config()
         rng = np.random.default_rng(7)
-        r = sample_realization(cfg, rng)
-        assert r.distances.shape == (8,)
-        assert np.all(np.diff(r.distances) >= 0)
-        assert np.all((r.distances > 0) & (r.distances < cfg.D))
-        assert np.all(r.fading_powers >= 0)
-        np.testing.assert_allclose(
-            r.true_gains, r.fading_powers * r.distances ** -cfg.eta, rtol=1e-15
-        )
-        assert r.est_gains is not None and r.est_gains.shape == (8,)
+        d, fading, true_g, est_g = snapshot(cfg, rng)
+        assert d.shape == (8,)
+        assert np.all(np.diff(d) >= 0)
+        assert np.all((d > 0) & (d < cfg.D))
+        assert np.all(fading >= 0)
+        np.testing.assert_allclose(true_g, fading * d ** -cfg.eta, rtol=1e-15)
+        assert est_g is not None and est_g.shape == (8,)
 
     def test_sos_has_no_estimates(self):
-        r = sample_realization(make_config(csi_mode=CSI_SOS), np.random.default_rng(7))
-        assert r.est_gains is None
+        _, _, _, est_g = snapshot(make_config(csi_mode=CSI_SOS), np.random.default_rng(7))
+        assert est_g is None
 
     def test_perfect_estimates_equal_truth(self):
         cfg = make_config(csi_mode=CSI_PERFECT, sigma2_zeta=0.0)
-        r = sample_realization(cfg, np.random.default_rng(7))
-        assert np.array_equal(r.est_gains, r.true_gains)
+        _, _, true_g, est_g = snapshot(cfg, np.random.default_rng(7))
+        assert np.array_equal(est_g, true_g)
 
     def test_deterministic_given_seed(self):
         cfg = make_config()
-        r1 = sample_realization(cfg, np.random.default_rng(123))
-        r2 = sample_realization(cfg, np.random.default_rng(123))
-        assert np.array_equal(r1.distances, r2.distances)
-        assert np.array_equal(r1.est_gains, r2.est_gains)
-
-    def test_single_draw_matches_batch_row(self):
-        cfg = make_config()
-        r = sample_realization(cfg, np.random.default_rng(99))
-        d, fading, true_g, est_g = sample_batch(cfg, np.random.default_rng(99), 1)
-        assert np.array_equal(r.distances, d[0])
-        assert np.array_equal(r.true_gains, true_g[0])
-        assert np.array_equal(r.est_gains, est_g[0])
+        d1, _, _, est1 = snapshot(cfg, np.random.default_rng(123))
+        d2, _, _, est2 = snapshot(cfg, np.random.default_rng(123))
+        assert np.array_equal(d1, d2)
+        assert np.array_equal(est1, est2)
 
     @pytest.mark.parametrize("kw", [
         dict(), dict(csi_mode=CSI_PERFECT, sigma2_zeta=0.0), dict(csi_mode=CSI_SOS),

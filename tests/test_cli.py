@@ -58,6 +58,8 @@ class TestParseConfig:
         ("trials = 1e5\n", "bad value"),
         ("snr_db = 0,ten,20\n", "bad value"),
         ("snr_db = ,\n", "bad value"),
+        ("k_values = 2,2.5\n", "bad value"),
+        ("k_values = 1e1\n", "bad value"),
         ("csi = genie\n", "csi must be one of"),
     ])
     def test_rejects_malformed_input(self, tmp_path, text, fragment):
@@ -331,6 +333,13 @@ class TestExitCodes:
         assert len(rows) == 2
         for r in rows:
             assert abs(float(r[5]) - float(r[6])) <= 3.0 * float(r[7])
+
+    def test_non_integer_k_value_is_a_config_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "k_values = 2,2.5\ntrials = 500\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", path, "--axis", "k", "--out", str(out)]) == 2
+        assert ":1: bad value for 'k_values'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("snr", ["inf", "1e4"])
     def test_unrepresentable_snr_is_a_config_error(self, tmp_path, capsys, snr):

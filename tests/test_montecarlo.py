@@ -5,7 +5,7 @@ import pytest
 
 from noma_perf import analytic
 from noma_perf import montecarlo
-from noma_perf.channel import CSI_SOS, SystemConfig, sample_batch, sample_realization
+from noma_perf.channel import CSI_SOS, SystemConfig, sample_batch
 from noma_perf.montecarlo import (
     BATCH_SIZE,
     METRIC_OUTAGE,
@@ -18,8 +18,7 @@ from noma_perf.montecarlo import (
     simulate,
     simulate_many,
 )
-from noma_perf.noma_core import oma_rates, secrecy_throughput_noma
-from pair_scoring import metric_values
+from pair_scoring import metric_values, oma_rates, secrecy_throughput_noma, snapshot
 
 
 def cfg(K=8, rho_db=30.0, R_M=0.5, sigma2=0.01, csi="imperfect"):
@@ -197,19 +196,19 @@ class TestIntervals:
 
 
 class TestReferenceEquivalence:
-    """The vectorized kernels must agree with the per-realization logic."""
+    """The vectorized kernels must agree with the per-snapshot references."""
 
     @pytest.mark.parametrize("csi,K", [("imperfect", 4), ("perfect", 4), ("sos", 2), ("sos", 5)])
     def test_exact_secrecy_matches_noma_core(self, csi, K):
         c = cfg(K=K, rho_db=20.0, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
         rng = np.random.default_rng(2718)
         for _ in range(300):
-            r = sample_realization(c, rng)
-            ref = secrecy_throughput_noma(r, c)
+            _, _, true_g, est_g = snapshot(c, rng)
+            ref = secrecy_throughput_noma(true_g, est_g, c)
             got = _score_batch(
                 c, [(SCHEME_NOMA, METRIC_SECRECY)],
-                r.true_gains[None, :],
-                None if r.est_gains is None else r.est_gains[None, :],
+                true_g[None, :],
+                None if est_g is None else est_g[None, :],
             )[(SCHEME_NOMA, METRIC_SECRECY)][0]
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
@@ -218,12 +217,12 @@ class TestReferenceEquivalence:
         c = cfg(K=K, rho_db=20.0, csi=csi)
         rng = np.random.default_rng(31415)
         for _ in range(300):
-            r = sample_realization(c, rng)
-            _, ref = oma_rates(r, c)
+            _, _, true_g, est_g = snapshot(c, rng)
+            _, ref = oma_rates(true_g, est_g, c)
             got = _score_batch(
                 c, [(SCHEME_OMA, METRIC_SECRECY)],
-                r.true_gains[None, :],
-                None if r.est_gains is None else r.est_gains[None, :],
+                true_g[None, :],
+                None if est_g is None else est_g[None, :],
             )[(SCHEME_OMA, METRIC_SECRECY)][0]
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
@@ -231,10 +230,10 @@ class TestReferenceEquivalence:
         c = cfg(K=4, rho_db=10.0)
         rng = np.random.default_rng(999)
         for _ in range(200):
-            r = sample_realization(c, rng)
-            got = _score_batch(c, [(SCHEME_NOMA, METRIC_OUTAGE)], r.true_gains[None, :],
-                               r.est_gains[None, :])[(SCHEME_NOMA, METRIC_OUTAGE)][0]
-            expected = float(np.min(r.est_gains) < c.eps_multicast / c.rho)
+            _, _, true_g, est_g = snapshot(c, rng)
+            got = _score_batch(c, [(SCHEME_NOMA, METRIC_OUTAGE)], true_g[None, :],
+                               est_g[None, :])[(SCHEME_NOMA, METRIC_OUTAGE)][0]
+            expected = float(np.min(est_g) < c.eps_multicast / c.rho)
             assert got == expected
 
     def test_oma_secrecy_metrics_coincide(self):

@@ -1,35 +1,33 @@
-"""Power split and per-realization rate logic."""
+"""Power split and multicast rate, scalar and array-valued, and the
+per-snapshot secrecy and OMA references in `pair_scoring`."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noma_perf.channel import (
-    CSI_SOS,
-    ChannelRealization,
-    SystemConfig,
-    sample_realization,
-)
-from noma_perf.noma_core import (
-    PowerSplit,
-    multicast_rate,
-    oma_rates,
-    power_split,
-    secrecy_throughput_noma,
-    unicast_rate,
-)
+from noma_perf.channel import CSI_SOS, SystemConfig
+from noma_perf.noma_core import PowerSplit, multicast_rate, power_split
+from pair_scoring import oma_rates, secrecy_throughput_noma, snapshot, unicast_rate
 
 
-def realization(true_gains, est_gains=None, distances=None):
-    g = np.asarray(true_gains, dtype=float)
-    d = np.arange(1.0, g.size + 1) if distances is None else np.asarray(distances, dtype=float)
-    return ChannelRealization(
-        distances=d,
-        fading_powers=g * d ** 2.0,
-        true_gains=g,
-        est_gains=None if est_gains is None else np.asarray(est_gains, dtype=float),
-    )
+def realization(true_gains, est_gains=None):
+    """(true_gains, est_gains) of one snapshot, as the references take them."""
+    return (np.asarray(true_gains, dtype=float),
+            None if est_gains is None else np.asarray(est_gains, dtype=float))
+
+
+def gain_grid(rho, R_M):
+    """Gains at 0, below, exactly at and just around eps/rho, and above it."""
+    z = (2.0 ** R_M - 1.0) / rho
+    return np.array([0.0, 1e-300, 0.5 * z, np.nextafter(z, 0.0), z,
+                     np.nextafter(z, 1.0), 2.0 * z, 1.0, 1e3])
+
+
+def assert_bitwise_equal(array, scalars):
+    expected = np.array(scalars, dtype=float)
+    assert array.shape == expected.shape
+    assert np.array_equal(array.view(np.int64), expected.view(np.int64))
 
 
 class TestPowerSplit:
@@ -76,9 +74,27 @@ class TestPowerSplit:
             # any stronger gain does at least as well
             assert multicast_rate(2.0 * alpha, split, rho) >= R_M - 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho,R_M", [(100.0, 1.0), (50.0, 0.75), (1e9, 1.2), (0.5, 3.0)])
+    def test_array_matches_scalar_calls(self, rho, R_M):
+        alpha = gain_grid(rho, R_M)
+        split = power_split(alpha, rho, R_M)
+        scalar = [power_split(float(a), rho, R_M) for a in alpha]
+        for one in scalar:
+            assert type(one.theta_M) is float and type(one.theta_U) is float
+            assert type(one.outage) is bool
+        assert split.outage.dtype == bool
+        assert np.array_equal(split.outage, [one.outage for one in scalar])
+        assert_bitwise_equal(split.theta_M, [one.theta_M for one in scalar])
+        assert_bitwise_equal(split.theta_U, [one.theta_U for one in scalar])
+        # 0, 1e-300 and 0.5 eps/rho are in outage, eps/rho is not
+        assert list(split.outage[:5]) == [True, True, True, True, False]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             power_split(-1.0, 100.0, 1.0)
+        with pytest.raises(ValueError):
+            power_split(np.array([1.0, -1.0]), 100.0, 1.0)
         with pytest.raises(ValueError):
             power_split(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
@@ -94,10 +110,21 @@ class TestRates:
         split = PowerSplit(theta_M=1.0, theta_U=0.0, outage=True)
         assert abs(multicast_rate(0.3, split, 20.0) - np.log2(1.0 + 20.0 * 0.3)) < 1e-15
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho,R_M", [(100.0, 1.0), (50.0, 0.75), (1e9, 1.2), (0.5, 3.0)])
+    def test_multicast_rate_array_matches_scalar_calls(self, rho, R_M):
+        alpha = gain_grid(rho, R_M)
+        rate = multicast_rate(alpha, power_split(alpha, rho, R_M), rho)
+        scalar = [multicast_rate(float(a), power_split(float(a), rho, R_M), rho) for a in alpha]
+        assert all(type(r) is float for r in scalar)
+        assert_bitwise_equal(rate, scalar)
+
     def test_validation(self):
         split = PowerSplit(1.0, 0.0, False)
         with pytest.raises(ValueError):
             multicast_rate(-0.1, split, 10.0)
+        with pytest.raises(ValueError):
+            multicast_rate(np.array([0.1, -0.1]), split, 10.0)
         with pytest.raises(ValueError):
             unicast_rate(-0.1, 0.5, 10.0)
         with pytest.raises(ValueError):
@@ -117,45 +144,45 @@ class TestSecrecyThroughputNoma:
         # weakest estimate 0.5 drives the split: theta_U = (0.5 - 0.01) / 1.0
         theta_u = (0.5 - 1.0 / 100.0) / (0.5 * 2.0)
         expected = np.log2(1.0 + 100.0 * theta_u * 2.0) - np.log2(1.0 + 100.0 * theta_u * 1.0)
-        assert abs(secrecy_throughput_noma(r, cfg) - expected) < 1e-12
+        assert abs(secrecy_throughput_noma(*r, cfg) - expected) < 1e-12
 
     def test_zero_on_outage(self):
         cfg = self.cfg()
         r = realization([1.0, 1.0, 1.0], est_gains=[2.0, 0.005, 1.0])
-        assert secrecy_throughput_noma(r, cfg) == 0.0
+        assert secrecy_throughput_noma(*r, cfg) == 0.0
 
     def test_nonnegative(self):
         cfg = self.cfg()
         rng = np.random.default_rng(3)
         for _ in range(200):
-            r = sample_realization(cfg, rng)
-            assert secrecy_throughput_noma(r, cfg) >= 0.0
+            r = snapshot(cfg, rng)[2:]  # (true_gains, est_gains)
+            assert secrecy_throughput_noma(*r, cfg) >= 0.0
 
     def test_sos_targets_nearest_user(self):
         cfg = self.cfg(csi_mode=CSI_SOS)
         # nearest user strongest: positive secrecy
         r = realization([3.0, 1.0, 0.8])
-        v = secrecy_throughput_noma(r, cfg)
+        v = secrecy_throughput_noma(*r, cfg)
         split_theta = (0.8 - 0.01) / (0.8 * 2.0)
         expected = np.log2(1.0 + 100.0 * split_theta * 3.0) - np.log2(1.0 + 100.0 * split_theta * 1.0)
         assert abs(v - expected) < 1e-12
         # nearest user outgained by a farther one: clipped to zero
         r = realization([1.0, 3.0, 0.8])
-        assert secrecy_throughput_noma(r, cfg) == 0.0
+        assert secrecy_throughput_noma(*r, cfg) == 0.0
 
     def test_sos_zero_if_any_user_in_outage(self):
         cfg = self.cfg(csi_mode=CSI_SOS)
         r = realization([3.0, 0.005, 0.8])  # middle user cannot decode
-        assert secrecy_throughput_noma(r, cfg) == 0.0
+        assert secrecy_throughput_noma(*r, cfg) == 0.0
 
     def test_validation(self):
         cfg = self.cfg()
         r = realization([1.0, 2.0, 3.0])  # no estimates
         with pytest.raises(ValueError):
-            secrecy_throughput_noma(r, cfg)
+            secrecy_throughput_noma(*r, cfg)
         k1 = SystemConfig(K=1, rho=100.0, R_M=1.0, sigma2_zeta=0.01)
         with pytest.raises(ValueError):
-            secrecy_throughput_noma(sample_realization(k1, np.random.default_rng(0)), k1)
+            secrecy_throughput_noma(*snapshot(k1, np.random.default_rng(0))[2:], k1)
 
 
 class TestOmaRates:
@@ -167,28 +194,28 @@ class TestOmaRates:
     def test_half_slot_rates(self):
         cfg = self.cfg()
         r = realization([1.8, 0.6, 0.9], est_gains=[2.0, 0.5, 1.0])
-        mc, secrecy = oma_rates(r, cfg)
+        mc, secrecy = oma_rates(*r, cfg)
         np.testing.assert_allclose(mc, 0.5 * np.log2(1.0 + 100.0 * np.array([2.0, 0.5, 1.0])))
         expected = 0.5 * (np.log2(1.0 + 200.0) - np.log2(1.0 + 100.0))
         assert abs(secrecy - expected) < 1e-12
 
     def test_independent_of_multicast_target(self):
         r = realization([1.8, 0.6, 0.9], est_gains=[2.0, 0.5, 1.0])
-        _, s1 = oma_rates(r, self.cfg(R_M=0.3))
-        _, s2 = oma_rates(r, self.cfg(R_M=2.5))
+        _, s1 = oma_rates(*r, self.cfg(R_M=0.3))
+        _, s2 = oma_rates(*r, self.cfg(R_M=2.5))
         assert s1 == s2
 
     def test_sos_clips_negative_gap(self):
         cfg = self.cfg(csi_mode=CSI_SOS)
         r = realization([0.5, 3.0, 0.8])
-        mc, secrecy = oma_rates(r, cfg)
+        mc, secrecy = oma_rates(*r, cfg)
         assert secrecy == 0.0
         np.testing.assert_allclose(mc, 0.5 * np.log2(1.0 + 100.0 * np.array([0.5, 3.0, 0.8])))
 
     def test_validation(self):
         cfg = self.cfg()
         with pytest.raises(ValueError):
-            oma_rates(realization([1.0, 2.0, 3.0]), cfg)  # estimates missing
+            oma_rates(*realization([1.0, 2.0, 3.0]), cfg)  # estimates missing
         k1 = SystemConfig(K=1, rho=100.0, R_M=1.0, sigma2_zeta=0.01)
         with pytest.raises(ValueError):
-            oma_rates(sample_realization(k1, np.random.default_rng(0)), k1)
+            oma_rates(*snapshot(k1, np.random.default_rng(0))[2:], k1)
