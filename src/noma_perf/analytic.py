@@ -3,8 +3,8 @@
 Each function consumes a SystemConfig and returns a float. Multicast outage
 is 1 - (single-user survival)^K, since the decision gains are iid: under
 perfect and statistical CSI the survival probability is closed form through
-the lower incomplete gamma function, and under imperfect CSI it is one
-Gauss-Legendre integral over the user distance.
+the lower incomplete gamma function, and under imperfect CSI it is the
+estimate survival S(threshold/rho) shared with estimate-ranked secrecy.
 
 Secrecy throughput is the mean rate gap (h(target) - h(best other user))^+,
 counted when every decision gain clears z = eps/rho (the outage indicator
@@ -42,15 +42,33 @@ def _clamp01(p: float) -> float:
 # outage probability
 # ---------------------------------------------------------------------------
 
+def _survival_est(config: SystemConfig, t: np.ndarray, n: int) -> np.ndarray:
+    """P(X > t) at each t >= 0 for one user's estimated gain X.
+
+    X is exponential with mean m(u) = u^(-eta/2) - sigma2 given the squared
+    distance u, which is uniform on [0, D^2]. With R = min(1/m(D^2), 45/t),
+    the map u = R^(2/eta) w^2 (1 + sigma2 R w^eta)^(-2/eta) sends w in
+    [0, 1] onto the distances whose exponent t/m(u) = R t w^eta is at most
+    45, and leaves the smooth integrand
+    R^(2/eta)/D^2 * 2w e^(-R t w^eta) (1 + sigma2 R w^eta)^(-1-2/eta).
+    """
+    D, eta, s2 = config.D, config.eta, config.sigma2_zeta
+    m_edge = D ** (-eta) - s2
+    R = 1.0 / np.maximum(m_edge, t / _EXPONENT_CUTOFF)
+    rule = gauss_legendre_rule(n, 1.0)
+    w = rule.nodes
+    we = w ** eta
+    integrand = (2.0 * w) * np.exp(-np.outer(R * t, we)) * (
+        1.0 + s2 * np.outer(R, we)
+    ) ** (-1.0 - 2.0 / eta)
+    return R ** (2.0 / eta) / D ** 2 * (integrand @ rule.weights)
+
+
 def _outage_est_ranked(config: SystemConfig, threshold: float) -> float:
-    # ranking by per-realization estimates: estimates are iid across users
-    # given the distances, so non-outage factorizes over users
-    rule = gauss_legendre_rule(config.quad_orders[0], config.D)
-    x = rule.nodes
-    est_mean = x ** (-config.eta) - config.sigma2_zeta
-    density = 2.0 * x / config.D ** 2
-    p_single = float(np.sum(rule.weights * density * np.exp(-threshold / (config.rho * est_mean))))
-    return _clamp01(1.0 - p_single ** config.K)
+    # ranking by per-realization estimates: estimates are iid across users,
+    # so non-outage is the estimate survival at threshold/rho to the power K
+    surv = _survival_est(config, np.array([threshold / config.rho]), config.quad_orders[0])
+    return _clamp01(1.0 - float(surv[0]) ** config.K)
 
 
 def _annulus_survival(config: SystemConfig, t, r):
@@ -123,28 +141,6 @@ def _gap_params(config: SystemConfig, oma: bool):
         return 0.0, 1.0 / config.rho, 0.5
     eps = config.eps_multicast
     return eps / config.rho, (1.0 + 2.0 * eps) / config.rho, 1.0
-
-
-def _survival_est(config: SystemConfig, t: np.ndarray, n: int) -> np.ndarray:
-    """P(X > t) at each t >= 0 for one user's estimated gain X.
-
-    X is exponential with mean m(u) = u^(-eta/2) - sigma2 given the squared
-    distance u, which is uniform on [0, D^2]. With R = min(1/m(D^2), 45/t),
-    the map u = R^(2/eta) w^2 (1 + sigma2 R w^eta)^(-2/eta) sends w in
-    [0, 1] onto the distances whose exponent t/m(u) = R t w^eta is at most
-    45, and leaves the smooth integrand
-    R^(2/eta)/D^2 * 2w e^(-R t w^eta) (1 + sigma2 R w^eta)^(-1-2/eta).
-    """
-    D, eta, s2 = config.D, config.eta, config.sigma2_zeta
-    m_edge = D ** (-eta) - s2
-    R = 1.0 / np.maximum(m_edge, t / _EXPONENT_CUTOFF)
-    rule = gauss_legendre_rule(n, 1.0)
-    w = rule.nodes
-    we = w ** eta
-    integrand = (2.0 * w) * np.exp(-np.outer(R * t, we)) * (
-        1.0 + s2 * np.outer(R, we)
-    ) ** (-1.0 - 2.0 / eta)
-    return R ** (2.0 / eta) / D ** 2 * (integrand @ rule.weights)
 
 
 def _order_statistic_mean(config: SystemConfig, z: float, s: float, scale: float,

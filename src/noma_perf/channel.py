@@ -22,11 +22,12 @@ CSI_SOS = "sos"
 CSI_MODES = (CSI_IMPERFECT, CSI_PERFECT, CSI_SOS)
 
 # Quadrature orders (c, m, n, l, q) used by the analytic evaluators:
-# c the outage integral under imperfect CSI, m/n the t and mapped-distance
-# axes of the estimate-ranked secrecy kernel, l/q the mapped nearest-distance
-# and t axes of the distance-ranked one. Each pair has the fewest nodes whose
-# doubling moves every value of the default sweeps by less than 1e-9
-# relative, except q = 48 over 46, which leaves 7e-10 in place of 9.9e-10.
+# c the estimate survival at the outage threshold under imperfect CSI, m/n
+# the t and mapped-distance axes of the estimate-ranked secrecy kernel, l/q
+# the mapped nearest-distance and t axes of the distance-ranked one. Each
+# pair has the fewest nodes whose doubling moves every value of the default
+# sweeps by less than 1e-9 relative, except q = 48 over 46 (7e-10 in place
+# of 9.9e-10). No config key sets them.
 DEFAULT_QUAD_ORDERS = (50, 44, 17, 24, 48)
 
 

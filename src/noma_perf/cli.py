@@ -44,19 +44,25 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+# axis -> (CSV axis name, list key, system_config override, entry type)
+_AXES = {"snr": ("snr_db", "snr_db", "rho_db", float),
+         "sigma2": ("sigma2", "sigma2_values", "sigma2", float),
+         "k": ("k", "k_values", "k", int)}
+
+
 def _axis_points(settings: Settings, axis: str):
-    """Yield (axis_name, raw_token, SystemConfig) along the chosen axis."""
-    if axis == "snr":
-        for tok in settings.snr_db:
-            yield "snr_db", tok, system_config(settings, rho_db=float(tok))
-    elif axis == "sigma2":
-        for tok in settings.sigma2_values:
-            yield "sigma2", tok, system_config(settings, sigma2=float(tok))
-    elif axis == "k":
-        for tok in settings.k_values:
-            yield "k", tok, system_config(settings, k=int(tok))
-    else:
+    """[(axis_name, raw_token, SystemConfig)] along the chosen axis; every
+    entry is checked before any point runs."""
+    if axis not in _AXES:
         raise ConfigError(f"unknown axis '{axis}'")
+    axis_name, key, override, kind = _AXES[axis]
+    points = []
+    for tok in getattr(settings, key):
+        try:
+            points.append((axis_name, tok, system_config(settings, **{override: kind(tok)})))
+        except ConfigError as exc:
+            raise ConfigError(f"{key} entry '{tok}': {exc}") from exc
+    return points
 
 
 def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
@@ -126,15 +132,18 @@ def verify(settings: Settings):
     ok &= _check(lines, "quadrature-selftest", rel < 1e-3,
                  f"rel err {rel:.3e}, bound 1e-3")
 
-    # doubling the outage quadrature order must not move the result
-    noma_outage = _EVALUATORS[("noma", cfg.csi_mode, "outage")]
-    doubled = replace(cfg, quad_orders=(2 * cfg.quad_orders[0],) + cfg.quad_orders[1:])
-    drift = abs(noma_outage(cfg) - noma_outage(doubled))
+    # doubling every quadrature order must not move any checked value
+    secrecy_ok = cfg.K >= 2
+    evaluators = {(scheme, kind): _EVALUATORS[(scheme, cfg.csi_mode, kind)]
+                  for scheme in ("noma", "oma")
+                  for kind in (("outage", "secrecy") if secrecy_ok else ("outage",))}
+    values = {key: evaluator(cfg) for key, evaluator in evaluators.items()}
+    doubled = replace(cfg, quad_orders=tuple(2 * o for o in cfg.quad_orders))
+    drift = max(abs(values[key] - evaluator(doubled)) for key, evaluator in evaluators.items())
     ok &= _check(lines, "quadrature-convergence", drift < 1e-3,
-                 f"order-doubling drift {drift:.3e}, bound 1e-3")
+                 f"all-order doubling drift {drift:.3e} over {len(values)} values, bound 1e-3")
 
     # analytic outage and secrecy against one shared simulation sample
-    secrecy_ok = cfg.K >= 2
     metrics = [montecarlo.METRIC_OUTAGE]
     if secrecy_ok:
         metrics.append(montecarlo.METRIC_SECRECY_SURROGATE)
@@ -144,7 +153,7 @@ def verify(settings: Settings):
     )
 
     for scheme in ("noma", "oma"):
-        a = _EVALUATORS[(scheme, cfg.csi_mode, "outage")](cfg)
+        a = values[(scheme, "outage")]
         est = estimates[(scheme, montecarlo.METRIC_OUTAGE)]
         bound = 3.0 * est.half_width_95 + 1e-3
         err = abs(a - est.value)
@@ -157,7 +166,7 @@ def verify(settings: Settings):
     else:
         rel_bound = 0.05 if settings.rho_db >= 20 else 0.10
         for scheme in ("noma", "oma"):
-            a = _EVALUATORS[(scheme, cfg.csi_mode, "secrecy")](cfg)
+            a = values[(scheme, "secrecy")]
             est = estimates[(scheme, montecarlo.METRIC_SECRECY_SURROGATE)]
             rel = abs(a - est.value) / abs(est.value) if est.value != 0 else float("inf")
             ok &= _check(lines, f"secrecy-vs-mc-{scheme}", rel <= rel_bound,

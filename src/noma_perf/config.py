@@ -9,12 +9,12 @@ exactly what was configured.
 from dataclasses import dataclass, field
 from typing import List
 
-from .channel import CSI_MODES, DEFAULT_QUAD_ORDERS, SystemConfig
+from .channel import CSI_MODES, SystemConfig
 
 DEFAULT_SEED = 1234567
 
 _FLOAT_KEYS = {"d", "eta", "r_m", "sigma2", "rho_db"}
-_INT_KEYS = {"k", "trials", "seed", "workers", "quad_c", "quad_m", "quad_n", "quad_l", "quad_q"}
+_INT_KEYS = {"k", "trials", "seed", "workers"}
 _STR_KEYS = {"csi", "out"}
 # list key -> the type every entry must parse as
 _LIST_KEYS = {"snr_db": float, "sigma2_values": float, "k_values": int}
@@ -40,11 +40,6 @@ class Settings:
     trials: int = 100_000
     seed: int = DEFAULT_SEED
     workers: int = 1
-    quad_c: int = DEFAULT_QUAD_ORDERS[0]
-    quad_m: int = DEFAULT_QUAD_ORDERS[1]
-    quad_n: int = DEFAULT_QUAD_ORDERS[2]
-    quad_l: int = DEFAULT_QUAD_ORDERS[3]
-    quad_q: int = DEFAULT_QUAD_ORDERS[4]
     out: str = "sweep.csv"
 
 
@@ -105,8 +100,6 @@ def system_config(settings: Settings, rho_db=None, sigma2=None, k=None) -> Syste
             R_M=settings.r_m,
             sigma2_zeta=settings.sigma2 if sigma2 is None else sigma2,
             csi_mode=settings.csi,
-            quad_orders=(settings.quad_c, settings.quad_m, settings.quad_n,
-                         settings.quad_l, settings.quad_q),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -24,11 +24,11 @@ def db(x):
     return 10.0 ** (x / 10.0)
 
 
-def cfg(K=8, rho_db=30.0, R_M=0.5, sigma2=0.01, csi="imperfect", **orders):
+def cfg(K=8, rho_db=30.0, R_M=0.5, sigma2=0.01, csi="imperfect", eta=2.0, **orders):
     quad = dict(zip("cmnlq", DEFAULT_QUAD_ORDERS))
     quad.update(orders)
     return SystemConfig(
-        K=K, D=5.0, eta=2.0, rho=db(rho_db), R_M=R_M, sigma2_zeta=sigma2,
+        K=K, D=5.0, eta=eta, rho=db(rho_db), R_M=R_M, sigma2_zeta=sigma2,
         csi_mode=csi,
         quad_orders=(quad["c"], quad["m"], quad["n"], quad["l"], quad["q"]),
     )
@@ -177,6 +177,18 @@ class TestOutage:
                     v1 = fn(cfg(R_M=R_M, rho_db=rho_db, c=50))
                     v2 = fn(cfg(R_M=R_M, rho_db=rho_db, c=100))
                     assert abs(v1 - v2) < 1e-3
+        # at other path-loss exponents, with and without estimation error
+        # (half of D^-eta), it moves by less than 1e-9 relative
+        for eta in (2.5, 3.0, 4.0):
+            for sigma2 in (0.0, 0.5 * 5.0 ** -eta):
+                for R_M in (0.5, 1.2):
+                    for rho_db in (0.0, 10.0, 20.0, 30.0, 40.0):
+                        for fn in (analytic.outage_noma_imperfect,
+                                   analytic.outage_oma_imperfect):
+                            point = dict(R_M=R_M, rho_db=rho_db, sigma2=sigma2, eta=eta)
+                            v1 = fn(cfg(c=50, **point))
+                            v2 = fn(cfg(c=100, **point))
+                            assert abs(v1 - v2) <= 1e-9 * v2
 
 
 # -- secrecy, estimate-ranked ----------------------------------------------

@@ -2,11 +2,12 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from noma_perf import analytic, montecarlo
+from noma_perf import analytic, cli, montecarlo
 from noma_perf.channel import CSI_SOS, sample_batch
 from noma_perf.cli import CSV_COLUMNS, main, verify
 from noma_perf.config import ConfigError, Settings, parse_config, system_config
@@ -61,6 +62,7 @@ class TestParseConfig:
         ("k_values = 2,2.5\n", "bad value"),
         ("k_values = 1e1\n", "bad value"),
         ("csi = genie\n", "csi must be one of"),
+        ("quad_c = 50\n", "unknown key"),
     ])
     def test_rejects_malformed_input(self, tmp_path, text, fragment):
         path = write_cfg(tmp_path, text)
@@ -202,6 +204,29 @@ class TestSweep:
                        if r[1] == str(k) and r[2] == "oma" and r[4] == "outage_prob")
             assert row[6:8] == [format(est.value, ".12g"), format(est.half_width_95, ".12g")]
 
+    @pytest.mark.parametrize("text,axis,message", [
+        ("k_values = 2,4,0\n", "k",
+         "error: k_values entry '0': K must be a positive integer"),
+        ("csi = perfect\n", "sigma2",
+         "error: sigma2_values entry '0.005': perfect CSI requires sigma2_zeta = 0"),
+    ], ids=["k-zero", "perfect-sigma2"])
+    def test_bad_axis_entry_rejected_before_any_point(self, tmp_path, capsys, monkeypatch,
+                                                      text, axis, message):
+        calls = []
+        sample_batch = montecarlo.sample_batch
+
+        def counting_sample_batch(config, rng, size):
+            calls.append(config.K)
+            return sample_batch(config, rng, size)
+
+        monkeypatch.setattr(montecarlo, "sample_batch", counting_sample_batch)
+        path = write_cfg(tmp_path, text + "trials = 500\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", path, "--axis", axis, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == []
+
     def test_sigma2_axis(self, tmp_path):
         path = write_cfg(tmp_path,
                          "k = 2\nsigma2_values = 0,0.01\ntrials = 500\n")
@@ -237,8 +262,13 @@ class TestVerify:
         assert "verify: OK" in out
         assert "FAIL" not in out
 
-    def test_broken_quadrature_is_caught(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, "trials = 20000\nquad_c = 2\n")
+    def test_broken_quadrature_is_caught(self, tmp_path, capsys, monkeypatch):
+        def order_two(settings, **point):
+            cfg = system_config(settings, **point)
+            return replace(cfg, quad_orders=(2,) + cfg.quad_orders[1:])
+
+        monkeypatch.setattr(cli, "system_config", order_two)
+        path = write_cfg(tmp_path, "trials = 20000\n")
         assert main(["verify", "--config", path]) == 1
         out = capsys.readouterr().out
         assert "quadrature-selftest: FAIL" in out
