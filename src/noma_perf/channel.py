@@ -3,14 +3,22 @@
 Users are dropped uniformly in a disk of radius D around the transmitter.
 Small-scale fading is Rayleigh, so fading power is Exp(1), and the
 effective gain of a user at distance d is fading * d^(-eta).
-`sample_batch` draws snapshots in batches, as (size, K) arrays. Channel
-knowledge comes in three flavors:
+`sample_batch` draws snapshots in batches, as (size, K) arrays, and draws
+only what the scheduler reads in each flavor of channel knowledge:
 
-* "imperfect": the scheduler ranks users by MMSE channel estimates whose
-  power is Exp with mean d^(-eta) - sigma2_zeta (error variance subtracted).
-* "perfect": same pipeline with sigma2_zeta = 0; estimates equal the truth.
+* "imperfect": the scheduler ranks users by MMSE channel estimates. Given
+  the squared distance u = d^2, uniform on [0, D^2], an estimate is Exp
+  with mean u^(-eta/2) - sigma2_zeta (error variance subtracted), the
+  variable `analytic._survival_est` integrates over. Only the estimates are
+  drawn, in draw order; no distance or true fading is drawn.
+* "perfect": the same draw with sigma2_zeta = 0, so the estimates are the
+  true gains.
 * "sos": only statistical knowledge; users are ranked by distance and no
-  per-realization estimate exists.
+  per-realization estimate exists. Distances and fading are drawn, and
+  each row is nearest-first.
+
+Batch rows are the caller's choice; `montecarlo` asks for at most 10k rows
+and 80k gains per batch.
 """
 
 import numpy as np
@@ -85,19 +93,25 @@ class SystemConfig:
 def sample_batch(config: SystemConfig, rng: np.random.Generator, size: int):
     """Draw `size` independent snapshots as (size, K) arrays.
 
-    Returns (distances, fading_powers, true_gains, est_gains); rows are
-    sorted by distance and est_gains is None under statistical CSI.
+    Returns (distances, fading_powers, ranked_gains, est_gains). ranked_gains
+    are the gains the scheduler ranks: the estimates under imperfect and
+    perfect CSI, in draw order, and the true gains under statistical CSI,
+    nearest-first. est_gains are the estimates, or None under statistical
+    CSI; distances and fading_powers are None outside it.
     """
     K = config.K
-    d = np.sort(config.D * np.sqrt(rng.random((size, K))), axis=1)
-    fading = rng.exponential(1.0, (size, K))
-    path_loss = d ** (-config.eta)
-    true_gains = fading * path_loss
-    if config.csi_mode == CSI_SOS:
-        est_gains = None
-    elif config.sigma2_zeta == 0.0:
-        est_gains = true_gains
+    u = rng.random((size, K))
+    if config.csi_mode != CSI_SOS:
+        u *= config.D ** 2  # squared distance
+        u **= -0.5 * config.eta  # mean path loss
+        u -= config.sigma2_zeta  # mean estimate power
+        u *= rng.standard_exponential((size, K))
+        return None, None, u, u
+    # D sqrt(u) is monotone in u, so sorting the uniforms sorts the distances
+    if K == 2:
+        u[:, 0], u[:, 1] = np.minimum(u[:, 0], u[:, 1]), np.maximum(u[:, 0], u[:, 1])
     else:
-        path_loss -= config.sigma2_zeta  # now the mean estimate power, in place
-        est_gains = rng.exponential(1.0, (size, K)) * path_loss
-    return d, fading, true_gains, est_gains
+        u.sort(axis=1)
+    d = config.D * np.sqrt(u)
+    fading = rng.standard_exponential((size, K))
+    return d, fading, fading * d ** (-config.eta), None

@@ -123,10 +123,11 @@ def verify(settings: Settings):
     lines = []
     ok = True
 
-    # quadrature sanity on a smooth integrand with known integral; not a
-    # polynomial, which Gauss-Legendre integrates exactly at low order
-    rule = gauss_legendre_rule(cfg.quad_orders[0], cfg.D)
-    approx = rule.integrate(lambda x: np.exp(-x))
+    # quadrature sanity of the [0, 1] rule the estimate survival runs, on a
+    # smooth integrand with known integral; not a polynomial, which
+    # Gauss-Legendre integrates exactly at low order
+    rule = gauss_legendre_rule(cfg.quad_orders[0], 1.0)
+    approx = rule.integrate(lambda w: cfg.D * np.exp(-cfg.D * w))
     exact = -np.expm1(-cfg.D)
     rel = abs(approx - exact) / exact
     ok &= _check(lines, "quadrature-selftest", rel < 1e-3,
@@ -182,8 +183,8 @@ def verify(settings: Settings):
     for _ in range(200):
         if collected >= 10_000:
             break
-        _, _, true_gains, est_gains = sample_batch(cfg, rng, 2000)
-        driving = true_gains[:, -1] if cfg.csi_mode == CSI_SOS else est_gains.min(axis=1)
+        gains = sample_batch(cfg, rng, 2000)[2]
+        driving = gains[:, -1] if cfg.csi_mode == CSI_SOS else gains.min(axis=1)
         split = power_split(driving, cfg.rho, cfg.R_M)
         rate = multicast_rate(driving, split, cfg.rho)
         kept = np.flatnonzero(~split.outage)[:10_000 - collected]

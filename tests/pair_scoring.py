@@ -26,8 +26,10 @@ from noma_perf.noma_core import power_split
 def snapshot(config, rng):
     """One snapshot: row 0 of every array of a one-row `sample_batch` draw.
 
-    Returns (distances, fading_powers, true_gains, est_gains), sorted by
-    distance; est_gains is None under statistical CSI.
+    Returns (distances, fading_powers, ranked_gains, est_gains) as
+    `sample_batch` does: ranked_gains are the estimates outside statistical
+    CSI, where distances and fading_powers are None, and the true gains,
+    nearest-first, under it, where est_gains is None.
     """
     return tuple(None if a is None else a[0] for a in sample_batch(config, rng, 1))
 
@@ -96,27 +98,21 @@ def oma_rates(true_gains, est_gains, config):
     return mc, secrecy
 
 
-def ranked_gains(config, true_gains, est_gains):
-    # scheduling order: estimates sorted descending, or distance order
-    # (rows of sample_batch are already nearest-first) under statistical CSI
-    if config.csi_mode == CSI_SOS:
-        return true_gains
-    return -np.sort(-est_gains, axis=1)
-
-
-def metric_values(config, scheme, metric_kind, true_gains, est_gains):
-    """Per-trial values of one (scheme, metric_kind) pair for a batch."""
+def metric_values(config, scheme, metric_kind, gains):
+    """Per-trial values of one (scheme, metric_kind) pair for a batch of
+    the gains the scheduler ranks (`sample_batch` index 2)."""
     rho = config.rho
     sos = config.csi_mode == CSI_SOS
     threshold = config.eps_multicast if scheme == SCHEME_NOMA else config.eps_multicast_oma
-    decision_gains = true_gains if sos else est_gains
 
     if metric_kind == METRIC_OUTAGE:
-        return (np.min(decision_gains, axis=1) < threshold / rho).astype(float)
+        return (np.min(gains, axis=1) < threshold / rho).astype(float)
 
     if config.K < 2:
         raise ValueError("secrecy throughput needs K >= 2")
-    ranked = ranked_gains(config, true_gains, est_gains)
+    # scheduling order: estimates sorted descending, or distance order
+    # (rows of sample_batch are already nearest-first) under statistical CSI
+    ranked = gains if sos else -np.sort(-gains, axis=1)
 
     if scheme == SCHEME_OMA:
         # target is the top-ranked user, eavesdropper the best of the rest;
@@ -134,7 +130,7 @@ def metric_values(config, scheme, metric_kind, true_gains, est_gains):
         if sos:
             # the nearest user over the best of the rest, clamped at zero,
             # counted when every gain clears the multicast threshold
-            ok = np.min(true_gains, axis=1) >= eps / rho
+            ok = np.min(gains, axis=1) >= eps / rho
             eave = np.max(ranked[:, 1:], axis=1)
             return ok * np.maximum(0.0, np.log2((nu + rho * target) / (nu + rho * eave)))
         second = ranked[:, 1]
@@ -143,7 +139,7 @@ def metric_values(config, scheme, metric_kind, true_gains, est_gains):
 
     # exact secrecy: realized split driven by the weakest scheduled gain
     weakest = ranked[:, -1]
-    ok = np.min(decision_gains, axis=1) >= eps / rho if sos else weakest >= eps / rho
+    ok = np.min(gains, axis=1) >= eps / rho if sos else weakest >= eps / rho
     theta_u = np.where(ok, (weakest - eps / rho) / (weakest * nu), 0.0)
     eave = np.max(ranked[:, 1:], axis=1) if sos else ranked[:, 1]
     gap = np.log2((1.0 + rho * theta_u * target) / (1.0 + rho * theta_u * eave))

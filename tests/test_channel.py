@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from noma_perf.analytic import _survival_est
 from noma_perf.channel import (
     CSI_IMPERFECT,
     CSI_PERFECT,
@@ -71,15 +72,18 @@ class TestSystemConfig:
 
 class TestSampling:
     def test_shapes_and_ordering(self):
-        cfg = make_config()
-        rng = np.random.default_rng(7)
-        d, fading, true_g, est_g = snapshot(cfg, rng)
+        cfg = make_config(csi_mode=CSI_SOS)
+        d, fading, true_g, est_g = snapshot(cfg, np.random.default_rng(7))
         assert d.shape == (8,)
         assert np.all(np.diff(d) >= 0)
         assert np.all((d > 0) & (d < cfg.D))
         assert np.all(fading >= 0)
         np.testing.assert_allclose(true_g, fading * d ** -cfg.eta, rtol=1e-15)
-        assert est_g is not None and est_g.shape == (8,)
+        assert est_g is None
+        # estimate modes draw the estimates alone, which are also the ranked gains
+        d, fading, ranked, est_g = sample_batch(make_config(), np.random.default_rng(7), 5)
+        assert d is None and fading is None
+        assert est_g is ranked and est_g.shape == (5, 8) and np.all(est_g >= 0)
 
     def test_sos_has_no_estimates(self):
         _, _, _, est_g = snapshot(make_config(csi_mode=CSI_SOS), np.random.default_rng(7))
@@ -89,33 +93,38 @@ class TestSampling:
         cfg = make_config(csi_mode=CSI_PERFECT, sigma2_zeta=0.0)
         _, _, true_g, est_g = snapshot(cfg, np.random.default_rng(7))
         assert np.array_equal(est_g, true_g)
+        # the draw is the imperfect one with no error variance subtracted
+        no_error = snapshot(make_config(sigma2_zeta=0.0), np.random.default_rng(7))[3]
+        assert np.array_equal(est_g, no_error)
 
     def test_deterministic_given_seed(self):
-        cfg = make_config()
-        d1, _, _, est1 = snapshot(cfg, np.random.default_rng(123))
-        d2, _, _, est2 = snapshot(cfg, np.random.default_rng(123))
-        assert np.array_equal(d1, d2)
-        assert np.array_equal(est1, est2)
+        for cfg in (make_config(), make_config(csi_mode=CSI_SOS)):
+            first = sample_batch(cfg, np.random.default_rng(123), 50)
+            second = sample_batch(cfg, np.random.default_rng(123), 50)
+            for a, b in zip(first, second):
+                assert (a is None and b is None) or np.array_equal(a, b)
 
     @pytest.mark.parametrize("kw", [
         dict(), dict(csi_mode=CSI_PERFECT, sigma2_zeta=0.0), dict(csi_mode=CSI_SOS),
     ])
     def test_sorted_draws_match_argsort_form(self, kw):
-        # reference: distances ordered by a stable argsort, as first written
+        # reference: each mode's draw written out. Statistical CSI orders
+        # distances by a stable argsort, as first written; the estimate
+        # modes draw squared distances D^2 U and one Exp(1) per user, and
+        # neither sort nor keep distances
         cfg = make_config(**kw)
         rng = np.random.default_rng(77)
-        d = cfg.D * np.sqrt(rng.random((500, cfg.K)))
-        d = np.take_along_axis(d, np.argsort(d, axis=1, kind="stable"), axis=1)
-        fading = rng.exponential(1.0, (500, cfg.K))
-        true_g = fading * d ** (-cfg.eta)
         if cfg.csi_mode == CSI_SOS:
-            est_g = None
-        elif cfg.sigma2_zeta == 0.0:
-            est_g = true_g
+            d = cfg.D * np.sqrt(rng.random((500, cfg.K)))
+            d = np.take_along_axis(d, np.argsort(d, axis=1, kind="stable"), axis=1)
+            fading = rng.exponential(1.0, (500, cfg.K))
+            expected = (d, fading, fading * d ** (-cfg.eta), None)
         else:
-            est_g = rng.exponential(1.0, (500, cfg.K)) * (d ** (-cfg.eta) - cfg.sigma2_zeta)
+            mean = (cfg.D ** 2 * rng.random((500, cfg.K))) ** (-cfg.eta / 2) - cfg.sigma2_zeta
+            est = rng.exponential(1.0, (500, cfg.K)) * mean
+            expected = (None, None, est, est)
         got = sample_batch(cfg, np.random.default_rng(77), 500)
-        for a, b in zip(got, (d, fading, true_g, est_g)):
+        for a, b in zip(got, expected):
             if b is None:
                 assert a is None
             else:
@@ -123,22 +132,25 @@ class TestSampling:
 
     def test_nearest_distance_mean(self):
         # E[min of two uniform-in-disk radii] = 8 D / 15
-        cfg = make_config(K=2)
+        cfg = make_config(K=2, csi_mode=CSI_SOS)
         d, _, _, _ = sample_batch(cfg, np.random.default_rng(2024), 200_000)
         mean = d[:, 0].mean()
         se = d[:, 0].std() / np.sqrt(d.shape[0])
         assert abs(mean - 8.0 * cfg.D / 15.0) < 4 * se
 
-    def test_estimates_are_exponential_with_claimed_mean(self):
-        cfg = make_config(K=4, sigma2_zeta=0.02)
-        d, _, _, est = sample_batch(cfg, np.random.default_rng(5), 100_000)
-        normalized = est / (d ** -cfg.eta - cfg.sigma2_zeta)
-        flat = normalized.ravel()
-        n = flat.size
-        assert abs(flat.mean() - 1.0) < 4.0 / np.sqrt(n)
-        # exponential: var = mean^2 and P(X > 1) = 1/e
-        assert abs(flat.var() - 1.0) < 0.02
-        assert abs((flat > 1.0).mean() - np.exp(-1.0)) < 0.01
+    @pytest.mark.parametrize("kw", [
+        dict(sigma2_zeta=0.02), dict(csi_mode=CSI_PERFECT, sigma2_zeta=0.0),
+    ], ids=["imperfect", "perfect"])
+    def test_estimate_survival_matches_analytic(self, kw):
+        # P(est > t) of the draw against the survival the analytic layer
+        # integrates, from the bulk to the tail
+        cfg = make_config(K=4, **kw)
+        est = sample_batch(cfg, np.random.default_rng(5), 100_000)[3].ravel()
+        t = np.array([0.01, 0.03, 0.1, 0.3, 1.0, 3.0])
+        expected = _survival_est(cfg, t, cfg.quad_orders[0])
+        empirical = (est[:, None] > t).mean(axis=0)
+        se = np.sqrt(expected * (1.0 - expected) / est.size)
+        assert np.all(np.abs(empirical - expected) < 4 * se)
 
 
 class TestDistanceOrderPdf:
@@ -148,7 +160,7 @@ class TestDistanceOrderPdf:
         assert abs(total - 1.0) < 1e-10
 
     def test_matches_sampled_mean(self):
-        cfg = make_config(K=4)
+        cfg = make_config(K=4, csi_mode=CSI_SOS)
         d, _, _, _ = sample_batch(cfg, np.random.default_rng(11), 150_000)
         for k in (1, 2, 4):
             ref = integrate.quad(

@@ -7,6 +7,8 @@ from noma_perf import analytic
 from noma_perf import montecarlo
 from noma_perf.channel import CSI_SOS, SystemConfig, sample_batch
 from noma_perf.montecarlo import (
+    _TOP2_LOOP_MAX_K,
+    BATCH_ELEMENTS,
     BATCH_SIZE,
     METRIC_OUTAGE,
     METRIC_SECRECY,
@@ -15,6 +17,7 @@ from noma_perf.montecarlo import (
     SCHEME_NOMA,
     SCHEME_OMA,
     _score_batch,
+    batch_rows,
     simulate,
     simulate_many,
 )
@@ -60,6 +63,89 @@ ALL_PAIRS = [(scheme, metric)
              for metric in (METRIC_OUTAGE, METRIC_SECRECY_SURROGATE, METRIC_SECRECY)
              for scheme in (SCHEME_NOMA, SCHEME_OMA)]
 
+
+# simulate_many(cfg(K, rho_db, csi="sos"), ALL_PAIRS, 20_077, seed=31, stream=2)
+# as (value, half_width_95) float hex per pair in ALL_PAIRS order, recorded
+# when every row was drawn as sorted distances; statistical CSI keeps them
+SOS_PINNED = {
+    (2, 0.0): [
+        ("0x1.fadfc748b1640p-1", "0x1.69cbfa3520dbfp-10"),
+        ("0x1.ff22083cb1bf6p-1", "0x1.2e51ca4ed4b62p-11"),
+        ("0x1.eca653fc23b53p-8", "0x1.f06ec767a9736p-10"),
+        ("0x1.1bed76472ac3fp-3", "0x1.1c98f88fe97ecp-8"),
+        ("0x1.2743d066c1cebp-8", "0x1.761c4a889d037p-10"),
+        ("0x1.1bed76472ac3fp-3", "0x1.1c98f88fe97ecp-8"),
+    ],
+    (2, 40.0): [
+        ("0x1.87b53a8a17a3ep-11", "0x1.98ba8249a35b4p-12"),
+        ("0x1.2c4f3569deec9p-9", "0x1.5e4763ca1c684p-11"),
+        ("0x1.002a97c2ac1dbp+1", "0x1.0150c3f95afa5p-5"),
+        ("0x1.017ab919725e4p+0", "0x1.03410d516dfe2p-6"),
+        ("0x1.ffcfdcce0debdp+0", "0x1.00b05143337a1p-5"),
+        ("0x1.017ab919725e4p+0", "0x1.03410d516dfe2p-6"),
+    ],
+    (3, 0.0): [
+        ("0x1.ff9e12b15d7a1p-1", "0x1.98ba8249a3691p-12"),
+        ("0x1.0000000000000p+0", "0x1.912f3db44ad27p-14"),
+        ("0x1.a42de1498a3afp-12", "0x1.8e609b14ddca8p-12"),
+        ("0x1.426331adc57c5p-3", "0x1.35c5f88d25ba7p-8"),
+        ("0x1.50c325412a375p-13", "0x1.3217161e3b2e2p-13"),
+        ("0x1.426331adc57c5p-3", "0x1.35c5f88d25ba7p-8"),
+    ],
+    (3, 40.0): [
+        ("0x1.a1d260934c6a9p-10", "0x1.258f2d89e5521p-11"),
+        ("0x1.0eee6a9f838d1p-8", "0x1.d3eef06cf50f3p-11"),
+        ("0x1.6b542da692c58p+0", "0x1.9bd8d5215395ap-6"),
+        ("0x1.6ca9fa594d8e1p-1", "0x1.9d18fef835f3cp-7"),
+        ("0x1.6b5191c454334p+0", "0x1.9bd4d8fa15af0p-6"),
+        ("0x1.6ca9fa594d8e1p-1", "0x1.9d18fef835f3cp-7"),
+    ],
+    (8, 0.0): [
+        ("0x1.0000000000000p+0", "0x1.912f3db44ad27p-14"),
+        ("0x1.0000000000000p+0", "0x1.912f3db44ad27p-14"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.e87b21dff00d3p-3", "0x1.9cfec1418d66fp-8"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.e87b21dff00d3p-3", "0x1.9cfec1418d66fp-8"),
+    ],
+    (8, 40.0): [
+        ("0x1.fd3865b38521ep-9", "0x1.c5d7d339f1cb5p-11"),
+        ("0x1.466c5b7313b34p-7", "0x1.68e8b6e54a352p-10"),
+        ("0x1.1f3a65ea6fcb8p+0", "0x1.66e2fe483b866p-6"),
+        ("0x1.20734660c4a72p-1", "0x1.6779a0f9967b4p-7"),
+        ("0x1.1f3a21658cac5p+0", "0x1.66e2bd96ebe46p-6"),
+        ("0x1.20734660c4a72p-1", "0x1.6779a0f9967b4p-7"),
+    ],
+}
+
+
+class TestStreams:
+    """What each batch draws, and how many rows it holds."""
+
+    @pytest.mark.parametrize("K,rho_db", sorted(SOS_PINNED))
+    def test_distance_ranked_bits_pinned(self, K, rho_db):
+        many = simulate_many(cfg(K=K, rho_db=rho_db, csi="sos"), ALL_PAIRS, 20_077,
+                             seed=31, stream=2)
+        got = [(many[p].value.hex(), many[p].half_width_95.hex()) for p in ALL_PAIRS]
+        assert got == [tuple(x) for x in SOS_PINNED[(K, rho_db)]]
+
+    def test_batch_rows_bounded_in_k(self):
+        assert [batch_rows(K) for K in (1, 8, 9, 40, BATCH_ELEMENTS + 1)] == \
+            [BATCH_SIZE, BATCH_SIZE, BATCH_ELEMENTS // 9, 2_000, 1]
+
+    def test_large_k_batches_hold_bounded_elements(self, monkeypatch):
+        elements = []
+
+        def recording_sample_batch(config, rng, size):
+            elements.append(size * config.K)
+            return sample_batch(config, rng, size)
+
+        monkeypatch.setattr(montecarlo, "sample_batch", recording_sample_batch)
+        c = cfg(K=40)
+        serial = simulate_many(c, ALL_PAIRS, 12_345, seed=27)
+        assert max(elements) <= BATCH_ELEMENTS
+        assert sum(elements) == 12_345 * 40
+        assert simulate_many(c, ALL_PAIRS, 12_345, seed=27, workers=2) == serial
 
 class TestSharedSample:
     """simulate_many scores every pair from one draw per batch."""
@@ -134,27 +220,29 @@ class TestScoreKernel:
     """_score_batch against the per-pair formulas in tests/pair_scoring.py."""
 
     @pytest.mark.parametrize("rho_db", [0.0, 20.0, 40.0])
-    @pytest.mark.parametrize("K", [1, 2, 3, 8, 40])
+    # K up to _TOP2_LOOP_MAX_K ranks by a column loop, above it by a row sort
+    @pytest.mark.parametrize("K", [1, 2, 3, 8, 15, 16, 17,
+                                   _TOP2_LOOP_MAX_K, _TOP2_LOOP_MAX_K + 1, 40])
     @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
     def test_bit_identical_to_per_pair_oracle(self, csi, K, rho_db):
         c = cfg(K=K, rho_db=rho_db, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
-        _, _, true_gains, est_gains = sample_batch(c, np.random.default_rng(K), 3_000)
+        gains = sample_batch(c, np.random.default_rng(K), 3_000)[2]
         pairs = valid_pairs(c)
-        together = _score_batch(c, pairs, true_gains, est_gains)
+        together = _score_batch(c, pairs, gains)
         assert set(together) == set(pairs)
         for pair in pairs:
-            expected = metric_values(c, *pair, true_gains, est_gains)
+            expected = metric_values(c, *pair, gains)
             assert np.array_equal(together[pair], expected)
             # scored alone the kernel takes other paths (no shared ranking)
-            alone = _score_batch(c, [pair], true_gains, est_gains)
+            alone = _score_batch(c, [pair], gains)
             assert np.array_equal(alone[pair], expected)
 
     @pytest.mark.parametrize("csi,K", [("imperfect", 8), ("sos", 3)])
     def test_oma_secrecy_pairs_share_one_array(self, csi, K):
         c = cfg(K=K, csi=csi)
         oma = [(SCHEME_OMA, METRIC_SECRECY), (SCHEME_OMA, METRIC_SECRECY_SURROGATE)]
-        _, _, true_gains, est_gains = sample_batch(c, np.random.default_rng(5), 1_000)
-        values = _score_batch(c, oma, true_gains, est_gains)
+        gains = sample_batch(c, np.random.default_rng(5), 1_000)[2]
+        values = _score_batch(c, oma, gains)
         assert values[oma[0]] is values[oma[1]]
         many = simulate_many(c, valid_pairs(c), BATCH_SIZE + 11, seed=26)
         exact, surrogate = many[oma[0]], many[oma[1]]
@@ -203,13 +291,10 @@ class TestReferenceEquivalence:
         c = cfg(K=K, rho_db=20.0, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
         rng = np.random.default_rng(2718)
         for _ in range(300):
-            _, _, true_g, est_g = snapshot(c, rng)
-            ref = secrecy_throughput_noma(true_g, est_g, c)
-            got = _score_batch(
-                c, [(SCHEME_NOMA, METRIC_SECRECY)],
-                true_g[None, :],
-                None if est_g is None else est_g[None, :],
-            )[(SCHEME_NOMA, METRIC_SECRECY)][0]
+            _, _, gains, est_g = snapshot(c, rng)
+            ref = secrecy_throughput_noma(gains, est_g, c)
+            got = _score_batch(c, [(SCHEME_NOMA, METRIC_SECRECY)],
+                               gains[None, :])[(SCHEME_NOMA, METRIC_SECRECY)][0]
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("csi,K", [("imperfect", 4), ("sos", 3)])
@@ -217,22 +302,19 @@ class TestReferenceEquivalence:
         c = cfg(K=K, rho_db=20.0, csi=csi)
         rng = np.random.default_rng(31415)
         for _ in range(300):
-            _, _, true_g, est_g = snapshot(c, rng)
-            _, ref = oma_rates(true_g, est_g, c)
-            got = _score_batch(
-                c, [(SCHEME_OMA, METRIC_SECRECY)],
-                true_g[None, :],
-                None if est_g is None else est_g[None, :],
-            )[(SCHEME_OMA, METRIC_SECRECY)][0]
+            _, _, gains, est_g = snapshot(c, rng)
+            _, ref = oma_rates(gains, est_g, c)
+            got = _score_batch(c, [(SCHEME_OMA, METRIC_SECRECY)],
+                               gains[None, :])[(SCHEME_OMA, METRIC_SECRECY)][0]
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_outage_indicator_definition(self):
         c = cfg(K=4, rho_db=10.0)
         rng = np.random.default_rng(999)
         for _ in range(200):
-            _, _, true_g, est_g = snapshot(c, rng)
-            got = _score_batch(c, [(SCHEME_NOMA, METRIC_OUTAGE)], true_g[None, :],
-                               est_g[None, :])[(SCHEME_NOMA, METRIC_OUTAGE)][0]
+            _, _, gains, est_g = snapshot(c, rng)
+            got = _score_batch(c, [(SCHEME_NOMA, METRIC_OUTAGE)],
+                               gains[None, :])[(SCHEME_NOMA, METRIC_OUTAGE)][0]
             expected = float(np.min(est_g) < c.eps_multicast / c.rho)
             assert got == expected
 
@@ -288,6 +370,13 @@ class TestValidation:
             simulate(c, SCHEME_NOMA, METRIC_OUTAGE, 1000, seed=0, workers=0)
         with pytest.raises(ValueError):
             simulate(c, SCHEME_NOMA, METRIC_OUTAGE, 1000, seed=0, stream=-1)
+        # a bool is an int to Python, but not a count, a seed or a stream
+        with pytest.raises(ValueError, match="trials must be"):
+            simulate(c, SCHEME_NOMA, METRIC_OUTAGE, True, seed=0)
+        with pytest.raises(ValueError, match="seed must be"):
+            simulate(c, SCHEME_NOMA, METRIC_OUTAGE, 1000, seed=True)
+        with pytest.raises(ValueError, match="stream must be"):
+            simulate_many(c, [(SCHEME_NOMA, METRIC_OUTAGE)], 1000, seed=0, stream=True)
 
     def test_surrogate_distance_ranked_needs_two_users(self):
         with pytest.raises(ValueError, match="needs K >= 2"):
