@@ -19,7 +19,7 @@ One kernel (`_score_batch`) scores all pairs of a batch from shared
 intermediates (weakest decision gain, target, eavesdropper, unicast
 share). Under estimate ranking the target, the eavesdropper and the
 weakest gain are the row maximum, second maximum and minimum, found by
-one column loop (or a row sort at large K) without ranking the rest; the
+one column loop without ranking the rest; the
 per-trial values are the same bits as scoring each pair on its own, since
 row minima, maxima and order statistics are exact copies of gains.
 
@@ -52,14 +52,11 @@ METRIC_SECRECY_SURROGATE = "secrecy_throughput_surrogate"
 METRIC_KINDS = (METRIC_OUTAGE, METRIC_SECRECY, METRIC_SECRECY_SURROGATE)
 
 BATCH_SIZE = 10_000  # rows of a batch up to K = 8
-BATCH_ELEMENTS = 80_000  # gains of a batch above it
-
-# Largest K whose (max, second max, min) per row comes from a column loop;
-# above it a row sort is faster. Measured with numpy 2.4 on a shared 2-core
-# Xeon over batch_rows(K) rows: loop 0.27 ms against sort 0.41 ms at K = 14,
-# 0.31 against 0.33 at K = 24, 0.31 against 0.29 at K = 26 and 0.48
-# against 0.26 at K = 32.
-_TOP2_LOOP_MAX_K = 24
+# Gains of a batch above it. Peak RSS of simulate_many, all six pairs, 3e4
+# trials, numpy 2.4: 10k-row batches 41.1 / 50.3 MB at K = 40 / 100
+# (imperfect) and 47.8 / 66.3 MB (sos); 80k-gain batches 36.3-38.2 MB at
+# both, as at K = 8.
+BATCH_ELEMENTS = 80_000
 
 _Z95 = 1.959963984540054
 
@@ -94,12 +91,9 @@ def _row_reduce(ufunc, gains):
 def _top2_min(gains):
     """(max, second max, min) of each row of a (trials, K >= 2) batch.
 
-    Each is an element of its row, so the bits equal those of a full row
-    sort; up to _TOP2_LOOP_MAX_K columns they come from one column loop.
+    One column loop; each is an element of its row, so the bits equal those
+    of a full row sort.
     """
-    if gains.shape[1] > _TOP2_LOOP_MAX_K:
-        ranked = np.sort(gains, axis=1)
-        return ranked[:, -1], ranked[:, -2], ranked[:, 0]
     a, b = gains[:, 0], gains[:, 1]
     top, second = np.maximum(a, b), np.minimum(a, b)
     low = second.copy()

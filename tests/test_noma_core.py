@@ -155,7 +155,7 @@ class TestSecrecyThroughputNoma:
         cfg = self.cfg()
         rng = np.random.default_rng(3)
         for _ in range(200):
-            r = snapshot(cfg, rng)[2:]  # (true_gains, est_gains)
+            r = snapshot(cfg, rng)[2:]  # (ranked_gains, est_gains)
             assert secrecy_throughput_noma(*r, cfg) >= 0.0
 
     def test_sos_targets_nearest_user(self):
