@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytic, montecarlo
-from .channel import CSI_SOS, SystemConfig, sample_batch
+from .channel import sample_batch
 from .config import ConfigError, Settings, parse_config, system_config
 from .noma_core import multicast_rate, power_split
 from .specfun import gauss_legendre_rule
@@ -69,40 +69,46 @@ def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
     """Write one CSV row per (axis point, scheme, metric). Returns row count.
 
     Each axis point draws one Monte Carlo stream (its index) and scores
-    all of its rows from that sample. Secrecy rows need K >= 2.
+    all of its rows from that sample. Secrecy rows need K >= 2. The output
+    file is opened once every axis entry is checked, before any point runs.
     """
-    rows = []
-    for stream, (axis_name, token, cfg) in enumerate(_axis_points(settings, axis)):
-        pairs = []
-        for metric in (montecarlo.METRIC_OUTAGE,
-                       montecarlo.METRIC_SECRECY_SURROGATE,
-                       montecarlo.METRIC_SECRECY):
-            for scheme in (montecarlo.SCHEME_NOMA, montecarlo.SCHEME_OMA):
-                if metric != montecarlo.METRIC_OUTAGE and cfg.K < 2:
-                    print(
-                        f"note: skipping {scheme}/{metric} at {axis_name}={token}: "
-                        "secrecy needs K >= 2",
-                        file=sys.stderr,
-                    )
-                    continue
-                pairs.append((scheme, metric))
-        estimates = montecarlo.simulate_many(
-            cfg, pairs, settings.trials, settings.seed,
-            workers=settings.workers, stream=stream,
-        )
-        values = {}  # both secrecy metrics compare with one evaluator
-        for scheme, metric in pairs:
-            kind = "outage" if metric == montecarlo.METRIC_OUTAGE else "secrecy"
-            if (scheme, kind) not in values:
-                values[(scheme, kind)] = _EVALUATORS[(scheme, cfg.csi_mode, kind)](cfg)
-            value = values[(scheme, kind)]
-            est = estimates[(scheme, metric)]
-            rows.append((
-                axis_name, token, scheme, cfg.csi_mode, metric,
-                _fmt(value), _fmt(est.value), _fmt(est.half_width_95),
-                str(settings.trials), str(settings.seed),
-            ))
-    with open(out_path, "w", newline="") as fh:
+    points = _axis_points(settings, axis)
+    try:
+        fh = open(out_path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+    with fh:
+        rows = []
+        for stream, (axis_name, token, cfg) in enumerate(points):
+            pairs = []
+            for metric in (montecarlo.METRIC_OUTAGE,
+                           montecarlo.METRIC_SECRECY_SURROGATE,
+                           montecarlo.METRIC_SECRECY):
+                for scheme in (montecarlo.SCHEME_NOMA, montecarlo.SCHEME_OMA):
+                    if metric != montecarlo.METRIC_OUTAGE and cfg.K < 2:
+                        print(
+                            f"note: skipping {scheme}/{metric} at {axis_name}={token}: "
+                            "secrecy needs K >= 2",
+                            file=sys.stderr,
+                        )
+                        continue
+                    pairs.append((scheme, metric))
+            estimates = montecarlo.simulate_many(
+                cfg, pairs, settings.trials, settings.seed,
+                workers=settings.workers, stream=stream,
+            )
+            values = {}  # both secrecy metrics compare with one evaluator
+            for scheme, metric in pairs:
+                kind = "outage" if metric == montecarlo.METRIC_OUTAGE else "secrecy"
+                if (scheme, kind) not in values:
+                    values[(scheme, kind)] = _EVALUATORS[(scheme, cfg.csi_mode, kind)](cfg)
+                value = values[(scheme, kind)]
+                est = estimates[(scheme, metric)]
+                rows.append((
+                    axis_name, token, scheme, cfg.csi_mode, metric,
+                    _fmt(value), _fmt(est.value), _fmt(est.half_width_95),
+                    str(settings.trials), str(settings.seed),
+                ))
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)
@@ -184,7 +190,7 @@ def verify(settings: Settings):
         if collected >= 10_000:
             break
         gains = sample_batch(cfg, rng, 2000)[2]
-        driving = gains[:, -1] if cfg.csi_mode == CSI_SOS else gains.min(axis=1)
+        _, driving, _, _ = montecarlo.schedule(cfg, gains, secrecy=False)
         split = power_split(driving, cfg.rho, cfg.R_M)
         rate = multicast_rate(driving, split, cfg.rho)
         kept = np.flatnonzero(~split.outage)[:10_000 - collected]

@@ -15,11 +15,11 @@ nearest-first, under statistical CSI.
 sample: each batch is drawn once and every pair is reduced from it. The
 sample does not depend on which pairs are scored, so each estimate equals
 the one `simulate` gives for that pair on the same stream, bit for bit.
-One kernel (`_score_batch`) scores all pairs of a batch from shared
-intermediates (weakest decision gain, target, eavesdropper, unicast
-share). Under estimate ranking the target, the eavesdropper and the
-weakest gain are the row maximum, second maximum and minimum, found by
-one column loop without ranking the rest; the
+One kernel (`_score_batch`) scores all pairs of a batch from the roles
+`schedule` gives each row (weakest decision gain, the gain driving the
+power split, target, eavesdropper); `cli.verify` reads the same function.
+Under estimate ranking the roles are the row minimum, maximum and second
+maximum, found by one column loop without ranking the rest. The
 per-trial values are the same bits as scoring each pair on its own, since
 row minima, maxima and order statistics are exact copies of gains.
 
@@ -107,40 +107,49 @@ def _top2_min(gains):
     return top, second, low
 
 
+def schedule(config: SystemConfig, gains: np.ndarray, secrecy: bool):
+    """(weakest, driving, target, eavesdropper) gains of each row.
+
+    Estimates: the weakest drives the power split, the strongest is the
+    target and the runner-up eavesdrops. Statistical CSI (rows
+    nearest-first): the farthest drives, the nearest is the target and the
+    best of the rest eavesdrops. Target and eavesdropper are None unless
+    `secrecy` is set and K >= 2, so outage-only callers skip `_top2_min`.
+    """
+    sos = config.csi_mode == CSI_SOS
+    if not secrecy or gains.shape[1] < 2:
+        weakest = _row_reduce(np.minimum, gains)
+        return weakest, gains[:, -1] if sos else weakest, None, None
+    if sos:
+        return (_row_reduce(np.minimum, gains), gains[:, -1], gains[:, 0],
+                _row_reduce(np.maximum, gains[:, 1:]))
+    target, eave, weakest = _top2_min(gains)
+    return weakest, weakest, target, eave
+
+
 def _score_batch(config: SystemConfig, pairs, gains: np.ndarray) -> dict:
     """Per-trial values of every (scheme, metric_kind) pair for one batch.
 
     `gains` are the ranked gains of `sample_batch`: estimates in any order,
     or true gains nearest-first under statistical CSI. Returns
-    {pair: array}. The weakest decision gain, the target, the eavesdropper
-    and the NOMA unicast share are computed once for all pairs; both OMA
-    secrecy pairs map to one array. Pairs are assumed valid
+    {pair: array}. The scheduler's roles (`schedule`), the NOMA outage
+    mask and the NOMA unicast share are computed once for all pairs; both
+    OMA secrecy pairs map to one array. Pairs are assumed valid
     (`simulate_many` checks them).
     """
     rho = config.rho
     eps = config.eps_multicast
     wanted = set(pairs)
     secrecy = any(metric_kind != METRIC_OUTAGE for _, metric_kind in wanted)
-
-    if config.csi_mode == CSI_SOS:
-        # distance ranking: the nearest user is the target, the best of the
-        # rest eavesdrops and the farthest drives the split
-        weakest = _row_reduce(np.minimum, gains)
-        if secrecy:
-            target, driving = gains[:, 0], gains[:, -1]
-            eave = _row_reduce(np.maximum, gains[:, 1:])
-    elif secrecy:
-        # estimate ranking: the strongest is the target, the runner-up
-        # eavesdrops and the weakest drives the split
-        target, eave, weakest = _top2_min(gains)
-        driving = weakest
-    else:
-        weakest = _row_reduce(np.minimum, gains)
+    weakest, driving, target, eave = schedule(config, gains, secrecy)
+    ok = weakest >= eps / rho  # every user decodes the NOMA multicast
 
     values = {}
-    for scheme, threshold in ((SCHEME_NOMA, eps), (SCHEME_OMA, config.eps_multicast_oma)):
-        if (scheme, METRIC_OUTAGE) in wanted:
-            values[(scheme, METRIC_OUTAGE)] = (weakest < threshold / rho).astype(float)
+    if (SCHEME_NOMA, METRIC_OUTAGE) in wanted:
+        values[(SCHEME_NOMA, METRIC_OUTAGE)] = (~ok).astype(float)
+    if (SCHEME_OMA, METRIC_OUTAGE) in wanted:
+        oma_outage = weakest < config.eps_multicast_oma / rho
+        values[(SCHEME_OMA, METRIC_OUTAGE)] = oma_outage.astype(float)
 
     oma_pairs = wanted & {(SCHEME_OMA, METRIC_SECRECY), (SCHEME_OMA, METRIC_SECRECY_SURROGATE)}
     if oma_pairs:
@@ -152,14 +161,12 @@ def _score_batch(config: SystemConfig, pairs, gains: np.ndarray) -> dict:
 
     if (SCHEME_NOMA, METRIC_SECRECY_SURROGATE) in wanted:
         nu = 1.0 + eps
-        ok = weakest >= eps / rho
         gap = np.log2((nu + rho * target) / (nu + rho * eave))
         values[(SCHEME_NOMA, METRIC_SECRECY_SURROGATE)] = ok * np.maximum(0.0, gap)
 
     if (SCHEME_NOMA, METRIC_SECRECY) in wanted:
         # exact secrecy: realized split; a trial that is not ok scores 0
         # whatever share the split gives it
-        ok = weakest >= eps / rho
         theta_u = power_split(driving, rho, config.R_M).theta_U
         gap = np.log2((1.0 + rho * theta_u * target) / (1.0 + rho * theta_u * eave))
         values[(SCHEME_NOMA, METRIC_SECRECY)] = ok * np.maximum(0.0, gap)

@@ -42,16 +42,20 @@ class QuadratureRule:
         return float(np.sum(self.weights * f(self.nodes)))
 
 
+def _check_rule_args(order, upper_limit):
+    if not isinstance(order, (int, np.integer)) or order < 1:
+        raise ValueError("quadrature order must be a positive integer")
+    if not upper_limit > 0:
+        raise ValueError("quadrature upper_limit must be positive")
+
+
 def chebyshev_rule(order: int, upper_limit: float) -> QuadratureRule:
     """Build the Chebyshev rule of a given order on [0, upper_limit].
 
     Nodes are x_i = (U/2)(1 + cos((2i-1)pi/(2N))) and the weight of node i
     is (pi*U)/(2N) * |sin((2i-1)pi/(2N))|.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError("quadrature order must be a positive integer")
-    if not upper_limit > 0:
-        raise ValueError("quadrature upper_limit must be positive")
+    _check_rule_args(order, upper_limit)
     i = np.arange(1, order + 1)
     ang = (2 * i - 1) * np.pi / (2 * order)
     nodes = (upper_limit / 2.0) * (1.0 + np.cos(ang))
@@ -67,10 +71,7 @@ def gauss_legendre_rule(order: int, upper_limit: float) -> QuadratureRule:
     (order, upper_limit) because high orders are slow to build (about 2 s
     at N = 3200); every caller shares one rule, so its arrays are read-only.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError("quadrature order must be a positive integer")
-    if not upper_limit > 0:
-        raise ValueError("quadrature upper_limit must be positive")
+    _check_rule_args(order, upper_limit)
     t, w = np.polynomial.legendre.leggauss(int(order))
     nodes = (upper_limit / 2.0) * (1.0 + t)
     weights = (upper_limit / 2.0) * w
@@ -98,8 +99,9 @@ def _gamma_series(a, b):
     return total * np.exp(-b + a * np.log(np.where(b > 0, b, 1.0)) - math.lgamma(a))
 
 
-def _gamma_cf(a, b):
-    # regularized complement Q(a,b) by continued fraction, for b >= a+1
+def _gamma_cf_scaled(a, b):
+    # e^b b^(-a) Gamma(a, b) by modified Lentz continued fraction, for
+    # b >= a+1; at a = 0 this is e^b E1(b)
     tiny = 1e-300
     f = b + 1.0 - a
     c = np.full_like(b, 1e300)
@@ -117,7 +119,7 @@ def _gamma_cf(a, b):
         h *= delta
         if np.all(np.abs(delta - 1.0) < _CF_EPS):
             break
-    return h * np.exp(-b + a * np.log(b) - math.lgamma(a))
+    return h
 
 
 def lower_incomplete_gamma(a: float, b):
@@ -136,7 +138,8 @@ def lower_incomplete_gamma(a: float, b):
     if np.any(lo):
         p[lo] = _gamma_series(a, b_arr[lo])
     if np.any(~lo):
-        p[~lo] = 1.0 - _gamma_cf(a, b_arr[~lo])
+        hi = b_arr[~lo]
+        p[~lo] = 1.0 - _gamma_cf_scaled(a, hi) * np.exp(-hi + a * np.log(hi) - math.lgamma(a))
     out = p * math.gamma(a)
     out = np.where(b_arr == 0.0, 0.0, out)
     return float(out) if scalar else out
@@ -154,26 +157,18 @@ def _e1_series(z):
     return -EULER_GAMMA - np.log(z) + total
 
 
-def _e1_cf_scaled(z):
-    # e^z E1(z) by modified Lentz continued fraction, for z > 1
-    tiny = 1e-300
-    f = z + 1.0
-    c = np.full_like(z, 1e300)
-    d = 1.0 / f
-    h = d.copy()
-    for i in range(1, _MAX_ITER + 1):
-        an = -float(i * i)
-        f = f + 2.0
-        d = an * d + f
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = f + an / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if np.all(np.abs(delta - 1.0) < _CF_EPS):
-            break
-    return h
+def _e1(z, scaled):
+    # E1(z), or e^z E1(z) if scaled, for an array z > 0: series up to
+    # _E1_SERIES_MAX, the continued fraction of Gamma(0, z) above it
+    out = np.empty_like(z)
+    lo = z <= _E1_SERIES_MAX
+    if np.any(lo):
+        series = _e1_series(z[lo])
+        out[lo] = np.exp(z[lo]) * series if scaled else series
+    if np.any(~lo):
+        frac = _gamma_cf_scaled(0.0, z[~lo])
+        out[~lo] = frac if scaled else np.exp(-z[~lo]) * frac
+    return out
 
 
 def expint_e1_scaled(z):
@@ -185,29 +180,18 @@ def expint_e1_scaled(z):
     z_arr, scalar = _as_array(z)
     if np.any(z_arr <= 0):
         raise ValueError("expint_e1_scaled requires z > 0")
-    out = np.empty_like(z_arr)
-    lo = z_arr <= _E1_SERIES_MAX
-    if np.any(lo):
-        out[lo] = np.exp(z_arr[lo]) * _e1_series(z_arr[lo])
-    if np.any(~lo):
-        out[~lo] = _e1_cf_scaled(z_arr[~lo])
+    out = _e1(z_arr, scaled=True)
     return float(out) if scalar else out
 
 
 def expint_ei(x):
     """Exponential integral Ei(x) for x < 0.
 
-    Computed as -E1(-x): convergent series for |x| <= 1, continued
+    Computed as -E1(-x): convergent series for |x| <= 4, continued
     fraction beyond.
     """
     x_arr, scalar = _as_array(x)
     if np.any(x_arr >= 0):
         raise ValueError("expint_ei is defined here for x < 0 only")
-    z = -x_arr
-    out = np.empty_like(z)
-    lo = z <= _E1_SERIES_MAX
-    if np.any(lo):
-        out[lo] = -_e1_series(z[lo])
-    if np.any(~lo):
-        out[~lo] = -np.exp(-z[~lo]) * _e1_cf_scaled(z[~lo])
+    out = -_e1(-x_arr, scaled=False)
     return float(out) if scalar else out

@@ -1,10 +1,11 @@
 """Reference scoring for `montecarlo._score_batch`. Test-only.
 
 Per-pair form (`metric_values`): each (scheme, metric) pair is scored on
-its own, with row minima and maxima taken by np.min/np.max over the user
-axis and the scheduling order recomputed per call. The kernel shares these
-intermediates across pairs; since minima and maxima are exact, its
-per-trial values must equal these bit for bit.
+its own, from scheduling roles (`roles`) taken by a full row sort and
+np.min/np.max over the user axis, recomputed per call. The kernel shares
+these intermediates across pairs and finds them without a sort
+(`montecarlo.schedule`); since minima, maxima and order statistics are
+exact, its roles and per-trial values must equal these bit for bit.
 
 Per-snapshot form (`secrecy_throughput_noma`, `oma_rates`): one snapshot
 of true and estimated gains at a time, in scalar arithmetic through
@@ -98,49 +99,57 @@ def oma_rates(true_gains, est_gains, config):
     return mc, secrecy
 
 
+def roles(config, gains):
+    """(weakest, driving, target, eavesdropper) of each row of a batch of
+    the gains the scheduler ranks (`sample_batch` index 2), by a full sort.
+
+    The weakest gain decides multicast outage and the driving gain sets the
+    power split. Estimates are sorted descending: the strongest is the
+    target, the runner-up eavesdrops and the weakest drives the split.
+    Under statistical CSI rows are already nearest-first: the nearest user
+    is the target, the best of the rest eavesdrops and the farthest drives
+    the split. Target and eavesdropper are None at K = 1.
+    """
+    weakest = np.min(gains, axis=1)
+    if config.csi_mode == CSI_SOS:
+        driving = gains[:, -1]
+        if config.K < 2:
+            return weakest, driving, None, None
+        return weakest, driving, gains[:, 0], np.max(gains[:, 1:], axis=1)
+    ranked = -np.sort(-gains, axis=1)
+    if config.K < 2:
+        return weakest, ranked[:, -1], None, None
+    return weakest, ranked[:, -1], ranked[:, 0], ranked[:, 1]
+
+
 def metric_values(config, scheme, metric_kind, gains):
     """Per-trial values of one (scheme, metric_kind) pair for a batch of
     the gains the scheduler ranks (`sample_batch` index 2)."""
     rho = config.rho
-    sos = config.csi_mode == CSI_SOS
     threshold = config.eps_multicast if scheme == SCHEME_NOMA else config.eps_multicast_oma
+    weakest, driving, target, eave = roles(config, gains)
 
     if metric_kind == METRIC_OUTAGE:
-        return (np.min(gains, axis=1) < threshold / rho).astype(float)
+        return (weakest < threshold / rho).astype(float)
 
     if config.K < 2:
         raise ValueError("secrecy throughput needs K >= 2")
-    # scheduling order: estimates sorted descending, or distance order
-    # (rows of sample_batch are already nearest-first) under statistical CSI
-    ranked = gains if sos else -np.sort(-gains, axis=1)
 
     if scheme == SCHEME_OMA:
-        # target is the top-ranked user, eavesdropper the best of the rest;
         # no power split, so surrogate and exact coincide
-        target = ranked[:, 0]
-        eave = np.max(ranked[:, 1:], axis=1) if sos else ranked[:, 1]
         gap = 0.5 * (np.log2(1.0 + rho * target) - np.log2(1.0 + rho * eave))
         return np.maximum(0.0, gap)
 
     eps = config.eps_multicast
     nu = 1.0 + eps
-    target = ranked[:, 0]
+    # counted only when every gain clears the multicast threshold
+    ok = weakest >= eps / rho
 
     if metric_kind == METRIC_SECRECY_SURROGATE:
-        if sos:
-            # the nearest user over the best of the rest, clamped at zero,
-            # counted when every gain clears the multicast threshold
-            ok = np.min(gains, axis=1) >= eps / rho
-            eave = np.max(ranked[:, 1:], axis=1)
-            return ok * np.maximum(0.0, np.log2((nu + rho * target) / (nu + rho * eave)))
-        second = ranked[:, 1]
-        ok = ranked[:, -1] >= eps / rho
-        return ok * np.log2((nu + rho * target) / (nu + rho * second))
+        # the target over the eavesdropper, clamped at zero
+        return ok * np.maximum(0.0, np.log2((nu + rho * target) / (nu + rho * eave)))
 
-    # exact secrecy: realized split driven by the weakest scheduled gain
-    weakest = ranked[:, -1]
-    ok = np.min(gains, axis=1) >= eps / rho if sos else weakest >= eps / rho
-    theta_u = np.where(ok, (weakest - eps / rho) / (weakest * nu), 0.0)
-    eave = np.max(ranked[:, 1:], axis=1) if sos else ranked[:, 1]
+    # exact secrecy: realized split set by the driving gain
+    theta_u = np.where(ok, (driving - eps / rho) / (driving * nu), 0.0)
     gap = np.log2((1.0 + rho * theta_u * target) / (1.0 + rho * theta_u * eave))
     return ok * np.maximum(0.0, gap)

@@ -98,6 +98,20 @@ class TestSystemConfigBridge:
             system_config(s)
 
 
+@pytest.fixture
+def sample_calls(monkeypatch):
+    """K of every montecarlo.sample_batch call, in call order."""
+    calls = []
+    sample_batch = montecarlo.sample_batch
+
+    def counting_sample_batch(config, rng, size):
+        calls.append(config.K)
+        return sample_batch(config, rng, size)
+
+    monkeypatch.setattr(montecarlo, "sample_batch", counting_sample_batch)
+    return calls
+
+
 class TestSweep:
     SOS_CFG = "\n".join([
         "csi = sos",
@@ -179,21 +193,13 @@ class TestSweep:
         blobs = [open(p, "rb").read() for p in outs]
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_one_sampling_pass_per_axis_point(self, tmp_path, monkeypatch):
-        calls = []
-        sample_batch = montecarlo.sample_batch
-
-        def counting_sample_batch(config, rng, size):
-            calls.append(config.K)
-            return sample_batch(config, rng, size)
-
-        monkeypatch.setattr(montecarlo, "sample_batch", counting_sample_batch)
+    def test_one_sampling_pass_per_axis_point(self, tmp_path, sample_calls):
         trials = 2 * montecarlo.BATCH_SIZE + 1
         path = write_cfg(tmp_path, self.SOS_CFG.replace("2000", str(trials)))
         out = str(tmp_path / "k.csv")
         assert main(["sweep", "--config", path, "--axis", "k", "--out", out]) == 0
         per_point = math.ceil(trials / montecarlo.BATCH_SIZE)
-        assert calls == [2] * per_point + [3] * per_point
+        assert sample_calls == [2] * per_point + [3] * per_point
 
         # the point's stream is its index on the axis
         settings = parse_config(path)
@@ -210,22 +216,27 @@ class TestSweep:
         ("csi = perfect\n", "sigma2",
          "error: sigma2_values entry '0.005': perfect CSI requires sigma2_zeta = 0"),
     ], ids=["k-zero", "perfect-sigma2"])
-    def test_bad_axis_entry_rejected_before_any_point(self, tmp_path, capsys, monkeypatch,
+    def test_bad_axis_entry_rejected_before_any_point(self, tmp_path, capsys, sample_calls,
                                                       text, axis, message):
-        calls = []
-        sample_batch = montecarlo.sample_batch
-
-        def counting_sample_batch(config, rng, size):
-            calls.append(config.K)
-            return sample_batch(config, rng, size)
-
-        monkeypatch.setattr(montecarlo, "sample_batch", counting_sample_batch)
         path = write_cfg(tmp_path, text + "trials = 500\n")
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", path, "--axis", axis, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
-        assert calls == []
+        assert sample_calls == []
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "subdir"],
+                             ids=["missing-dir", "directory"])
+    def test_unwritable_out_rejected_before_any_point(self, tmp_path, capsys, sample_calls,
+                                                      target):
+        (tmp_path / "subdir").mkdir()
+        path = write_cfg(tmp_path, "k_values = 2,3\ntrials = 500\n")
+        out = tmp_path / target
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["sweep", "--config", path, "--axis", "k", "--out", str(out)]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before  # no file left behind
+        assert sample_calls == []
 
     def test_sigma2_axis(self, tmp_path):
         path = write_cfg(tmp_path,
@@ -300,22 +311,24 @@ class TestVerify:
 
 def scalar_power_split_line(settings):
     """verify's power-split-identity line from one power_split and one
-    multicast_rate call per draw: the array check must reproduce it."""
+    multicast_rate call per non-outage draw: the array check must
+    reproduce it. A draw whose driving gain is below the multicast
+    threshold is skipped without a call."""
     cfg = system_config(settings)
     rng = np.random.default_rng(np.random.SeedSequence(settings.seed, spawn_key=(10 ** 6,)))
+    threshold = (2.0 ** cfg.R_M - 1.0) / cfg.rho
     worst = 0.0
     theta_exact = True
     collected = 0
     for _ in range(200):
         if collected >= 10_000:
             break
-        _, _, true_gains, est_gains = sample_batch(cfg, rng, 2000)
-        decision = true_gains if cfg.csi_mode == CSI_SOS else est_gains
-        for row_dec in decision:
-            driving = float(row_dec[-1]) if cfg.csi_mode == CSI_SOS else float(np.min(row_dec))
-            split = power_split(driving, cfg.rho, cfg.R_M)
-            if split.outage:
+        for row in sample_batch(cfg, rng, 2000)[2].tolist():
+            driving = row[-1] if cfg.csi_mode == CSI_SOS else min(row)
+            if driving < threshold:
                 continue
+            split = power_split(driving, cfg.rho, cfg.R_M)
+            assert not split.outage
             collected += 1
             worst = max(worst, abs(multicast_rate(driving, split, cfg.rho) - cfg.R_M))
             theta_exact &= (split.theta_M + split.theta_U) == 1.0

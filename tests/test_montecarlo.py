@@ -17,10 +17,11 @@ from noma_perf.montecarlo import (
     SCHEME_OMA,
     _score_batch,
     batch_rows,
+    schedule,
     simulate,
     simulate_many,
 )
-from pair_scoring import metric_values, oma_rates, secrecy_throughput_noma, snapshot
+from pair_scoring import metric_values, oma_rates, roles, secrecy_throughput_noma, snapshot
 
 
 def cfg(K=8, rho_db=30.0, R_M=0.5, sigma2=0.01, csi="imperfect"):
@@ -213,6 +214,39 @@ class TestSharedSample:
 def valid_pairs(c):
     """The pairs simulate_many accepts for config c."""
     return ALL_PAIRS[:2] if c.K < 2 else ALL_PAIRS
+
+
+class TestSchedule:
+    """montecarlo.schedule against the sorted roles in tests/pair_scoring.py."""
+
+    @pytest.mark.parametrize("secrecy", [False, True])
+    @pytest.mark.parametrize("K", [1, 2, 3, 8, 40])
+    @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
+    def test_bit_identical_to_sorted_roles(self, csi, K, secrecy):
+        c = cfg(K=K, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
+        gains = sample_batch(c, np.random.default_rng(K), 3_000)[2]
+        weakest, driving, target, eave = schedule(c, gains, secrecy)
+        ref_weakest, ref_driving, ref_target, ref_eave = roles(c, gains)
+        assert np.array_equal(weakest, ref_weakest)
+        assert np.array_equal(driving, ref_driving)
+        if secrecy and K >= 2:
+            assert np.array_equal(target, ref_target)
+            assert np.array_equal(eave, ref_eave)
+        else:
+            assert target is None and eave is None
+        if csi == "sos" and K >= 2:
+            # the farthest user often fades less than a nearer one
+            assert np.any(driving > weakest)
+
+    @pytest.mark.parametrize("secrecy", [False, True])
+    def test_farthest_user_drives_the_split_under_sos(self, secrecy):
+        c = cfg(K=3, csi="sos")
+        gains = np.array([[2.0, 0.5, 1.0], [3.0, 1.5, 0.7]])  # nearest-first
+        weakest, driving, target, eave = schedule(c, gains, secrecy)
+        assert weakest.tolist() == [0.5, 0.7]
+        assert driving.tolist() == [1.0, 0.7]
+        if secrecy:
+            assert target.tolist() == [2.0, 3.0] and eave.tolist() == [1.0, 1.5]
 
 
 class TestScoreKernel:
