@@ -22,22 +22,32 @@ CSV_COLUMNS = (
     "analytic_value", "mc_value", "mc_halfwidth", "trials", "seed",
 )
 
-# (scheme, csi_mode, kind) -> analytic evaluator. Secrecy has one
-# estimate-ranked evaluator: perfect CSI is imperfect CSI with sigma2 = 0.
+# (scheme, csi_mode, Monte Carlo metric) -> analytic evaluator. Secrecy has
+# one estimate-ranked evaluator: perfect CSI is imperfect CSI with sigma2 = 0.
+# A secrecy_throughput row reads the surrogate evaluator (README, Caveats).
 _EVALUATORS = {
-    ("noma", "imperfect", "outage"): analytic.outage_noma_imperfect,
-    ("noma", "perfect", "outage"): analytic.outage_noma_perfect,
-    ("noma", "sos", "outage"): analytic.outage_noma_sos,
-    ("oma", "imperfect", "outage"): analytic.outage_oma_imperfect,
-    ("oma", "perfect", "outage"): analytic.outage_oma_perfect,
-    ("oma", "sos", "outage"): analytic.outage_oma_sos,
-    ("noma", "imperfect", "secrecy"): analytic.secrecy_noma_imperfect,
-    ("noma", "perfect", "secrecy"): analytic.secrecy_noma_imperfect,
-    ("noma", "sos", "secrecy"): analytic.secrecy_noma_sos,
-    ("oma", "imperfect", "secrecy"): analytic.secrecy_oma_imperfect,
-    ("oma", "perfect", "secrecy"): analytic.secrecy_oma_imperfect,
-    ("oma", "sos", "secrecy"): analytic.secrecy_oma_sos,
+    ("noma", "imperfect", "outage_prob"): analytic.outage_noma_imperfect,
+    ("noma", "perfect", "outage_prob"): analytic.outage_noma_perfect,
+    ("noma", "sos", "outage_prob"): analytic.outage_noma_sos,
+    ("oma", "imperfect", "outage_prob"): analytic.outage_oma_imperfect,
+    ("oma", "perfect", "outage_prob"): analytic.outage_oma_perfect,
+    ("oma", "sos", "outage_prob"): analytic.outage_oma_sos,
+    ("noma", "imperfect", "secrecy_throughput_surrogate"): analytic.secrecy_noma_imperfect,
+    ("noma", "perfect", "secrecy_throughput_surrogate"): analytic.secrecy_noma_imperfect,
+    ("noma", "sos", "secrecy_throughput_surrogate"): analytic.secrecy_noma_sos,
+    ("oma", "imperfect", "secrecy_throughput_surrogate"): analytic.secrecy_oma_imperfect,
+    ("oma", "perfect", "secrecy_throughput_surrogate"): analytic.secrecy_oma_imperfect,
+    ("oma", "sos", "secrecy_throughput_surrogate"): analytic.secrecy_oma_sos,
+    ("noma", "imperfect", "secrecy_throughput"): analytic.secrecy_noma_imperfect,
+    ("noma", "perfect", "secrecy_throughput"): analytic.secrecy_noma_imperfect,
+    ("noma", "sos", "secrecy_throughput"): analytic.secrecy_noma_sos,
+    ("oma", "imperfect", "secrecy_throughput"): analytic.secrecy_oma_imperfect,
+    ("oma", "perfect", "secrecy_throughput"): analytic.secrecy_oma_imperfect,
+    ("oma", "sos", "secrecy_throughput"): analytic.secrecy_oma_sos,
 }
+# the metrics of a sweep, in CSV order
+_SWEEP_METRICS = (montecarlo.METRIC_OUTAGE, montecarlo.METRIC_SECRECY_SURROGATE,
+                  montecarlo.METRIC_SECRECY)
 
 
 def _fmt(x) -> str:
@@ -65,6 +75,27 @@ def _axis_points(settings: Settings, axis: str):
     return points
 
 
+def _point(settings: Settings, cfg, metrics, stream: int) -> dict:
+    """{(scheme, metric): (analytic value, MetricEstimate)} at one point.
+
+    Rows run metric by metric, NOMA before OMA, and every estimate is
+    scored from one Monte Carlo stream. Secrecy rows need K >= 2 and are
+    dropped below it. An evaluator that two metrics share runs once.
+    """
+    pairs = [(scheme, metric) for metric in metrics for scheme in montecarlo.SCHEMES
+             if metric == montecarlo.METRIC_OUTAGE or cfg.K >= 2]
+    estimates = montecarlo.simulate_many(
+        cfg, pairs, settings.trials, settings.seed, workers=settings.workers, stream=stream,
+    )
+    values, rows = {}, {}
+    for (scheme, metric), est in estimates.items():
+        evaluator = _EVALUATORS[(scheme, cfg.csi_mode, metric)]
+        if evaluator not in values:
+            values[evaluator] = evaluator(cfg)
+        rows[(scheme, metric)] = values[evaluator], est
+    return rows
+
+
 def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
     """Write one CSV row per (axis point, scheme, metric). Returns row count.
 
@@ -80,35 +111,16 @@ def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
     with fh:
         rows = []
         for stream, (axis_name, token, cfg) in enumerate(points):
-            pairs = []
-            for metric in (montecarlo.METRIC_OUTAGE,
-                           montecarlo.METRIC_SECRECY_SURROGATE,
-                           montecarlo.METRIC_SECRECY):
-                for scheme in (montecarlo.SCHEME_NOMA, montecarlo.SCHEME_OMA):
-                    if metric != montecarlo.METRIC_OUTAGE and cfg.K < 2:
-                        print(
-                            f"note: skipping {scheme}/{metric} at {axis_name}={token}: "
-                            "secrecy needs K >= 2",
-                            file=sys.stderr,
-                        )
-                        continue
-                    pairs.append((scheme, metric))
-            estimates = montecarlo.simulate_many(
-                cfg, pairs, settings.trials, settings.seed,
-                workers=settings.workers, stream=stream,
-            )
-            values = {}  # both secrecy metrics compare with one evaluator
-            for scheme, metric in pairs:
-                kind = "outage" if metric == montecarlo.METRIC_OUTAGE else "secrecy"
-                if (scheme, kind) not in values:
-                    values[(scheme, kind)] = _EVALUATORS[(scheme, cfg.csi_mode, kind)](cfg)
-                value = values[(scheme, kind)]
-                est = estimates[(scheme, metric)]
-                rows.append((
-                    axis_name, token, scheme, cfg.csi_mode, metric,
-                    _fmt(value), _fmt(est.value), _fmt(est.half_width_95),
-                    str(settings.trials), str(settings.seed),
-                ))
+            point = _point(settings, cfg, _SWEEP_METRICS, stream)
+            for metric in _SWEEP_METRICS:
+                for scheme in montecarlo.SCHEMES:
+                    if (scheme, metric) not in point:
+                        print(f"note: skipping {scheme}/{metric} at {axis_name}={token}: "
+                              "secrecy needs K >= 2", file=sys.stderr)
+            rows += [(axis_name, token, scheme, cfg.csi_mode, metric,
+                      _fmt(value), _fmt(est.value), _fmt(est.half_width_95),
+                      str(settings.trials), str(settings.seed))
+                     for (scheme, metric), (value, est) in point.items()]
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)
@@ -139,46 +151,31 @@ def verify(settings: Settings):
     ok &= _check(lines, "quadrature-selftest", rel < 1e-3,
                  f"rel err {rel:.3e}, bound 1e-3")
 
-    # doubling every quadrature order must not move any checked value
-    secrecy_ok = cfg.K >= 2
-    evaluators = {(scheme, kind): _EVALUATORS[(scheme, cfg.csi_mode, kind)]
-                  for scheme in ("noma", "oma")
-                  for kind in (("outage", "secrecy") if secrecy_ok else ("outage",))}
-    values = {key: evaluator(cfg) for key, evaluator in evaluators.items()}
-    doubled = replace(cfg, quad_orders=tuple(2 * o for o in cfg.quad_orders))
-    drift = max(abs(values[key] - evaluator(doubled)) for key, evaluator in evaluators.items())
-    ok &= _check(lines, "quadrature-convergence", drift < 1e-3,
-                 f"all-order doubling drift {drift:.3e} over {len(values)} values, bound 1e-3")
-
     # analytic outage and secrecy against one shared simulation sample
-    metrics = [montecarlo.METRIC_OUTAGE]
-    if secrecy_ok:
-        metrics.append(montecarlo.METRIC_SECRECY_SURROGATE)
-    estimates = montecarlo.simulate_many(
-        cfg, [(scheme, metric) for metric in metrics for scheme in ("noma", "oma")],
-        settings.trials, settings.seed, workers=settings.workers, stream=0,
-    )
+    rows = _point(settings, cfg, (montecarlo.METRIC_OUTAGE,
+                                  montecarlo.METRIC_SECRECY_SURROGATE), 0)
 
-    for scheme in ("noma", "oma"):
-        a = values[(scheme, "outage")]
-        est = estimates[(scheme, montecarlo.METRIC_OUTAGE)]
-        bound = 3.0 * est.half_width_95 + 1e-3
-        err = abs(a - est.value)
-        ok &= _check(lines, f"outage-vs-mc-{scheme}", err <= bound,
-                     f"|{a:.6g} - {est.value:.6g}| = {err:.3e}, bound {bound:.3e}")
+    # doubling every quadrature order must not move any checked value
+    doubled = replace(cfg, quad_orders=tuple(2 * o for o in cfg.quad_orders))
+    drift = max(abs(a - _EVALUATORS[(scheme, cfg.csi_mode, metric)](doubled))
+                for (scheme, metric), (a, _) in rows.items())
+    ok &= _check(lines, "quadrature-convergence", drift < 1e-3,
+                 f"all-order doubling drift {drift:.3e} over {len(rows)} values, bound 1e-3")
 
-    # analytic secrecy against its simulation surrogate
-    if not secrecy_ok:
-        lines.append("secrecy-vs-mc: SKIP (secrecy needs K >= 2)")
-    else:
-        rel_bound = 0.05 if settings.rho_db >= 20 else 0.10
-        for scheme in ("noma", "oma"):
-            a = values[(scheme, "secrecy")]
-            est = estimates[(scheme, montecarlo.METRIC_SECRECY_SURROGATE)]
+    rel_bound = 0.05 if settings.rho_db >= 20 else 0.10
+    for (scheme, metric), (a, est) in rows.items():
+        if metric == montecarlo.METRIC_OUTAGE:
+            bound = 3.0 * est.half_width_95 + 1e-3
+            err = abs(a - est.value)
+            ok &= _check(lines, f"outage-vs-mc-{scheme}", err <= bound,
+                         f"|{a:.6g} - {est.value:.6g}| = {err:.3e}, bound {bound:.3e}")
+        else:  # analytic secrecy against its simulation surrogate
             rel = abs(a - est.value) / abs(est.value) if est.value != 0 else float("inf")
             ok &= _check(lines, f"secrecy-vs-mc-{scheme}", rel <= rel_bound,
                          f"analytic {a:.6g}, mc {est.value:.6g}, "
                          f"rel err {rel:.3e}, bound {rel_bound:g}")
+    if all(metric == montecarlo.METRIC_OUTAGE for _, metric in rows):
+        lines.append("secrecy-vs-mc: SKIP (secrecy needs K >= 2)")
 
     # the power split must hit the multicast target exactly when feasible,
     # checked on arrays of driving gains with the non-outage ones kept
@@ -186,10 +183,11 @@ def verify(settings: Settings):
     worst = 0.0
     theta_exact = True
     collected = 0
+    size = min(2000, montecarlo.batch_rows(cfg.K))  # at most BATCH_ELEMENTS gains
     for _ in range(200):
         if collected >= 10_000:
             break
-        gains = sample_batch(cfg, rng, 2000)[2]
+        gains = sample_batch(cfg, rng, size)[2]
         _, driving, _, _ = montecarlo.schedule(cfg, gains, secrecy=False)
         split = power_split(driving, cfg.rho, cfg.R_M)
         rate = multicast_rate(driving, split, cfg.rho)

@@ -6,19 +6,17 @@ rejected. Axis values keep their original tokens so sweep output echoes
 exactly what was configured.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List
 
 from .channel import CSI_MODES, SystemConfig
+from .montecarlo import BATCH_ELEMENTS
 
 DEFAULT_SEED = 1234567
 
-_FLOAT_KEYS = {"d", "eta", "r_m", "sigma2", "rho_db"}
-_INT_KEYS = {"k", "trials", "seed", "workers"}
-_STR_KEYS = {"csi", "out"}
-# list key -> the type every entry must parse as
+# list key -> the type every entry must parse as; every other key parses as
+# the type of its Settings default
 _LIST_KEYS = {"snr_db": float, "sigma2_values": float, "k_values": int}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | set(_LIST_KEYS)
 
 
 class ConfigError(Exception):
@@ -51,6 +49,7 @@ def parse_config(path: str) -> Settings:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
+    types = {f.name: type(f.default) for f in fields(Settings)}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -60,16 +59,12 @@ def parse_config(path: str) -> Settings:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for '{key}'")
         try:
-            if key in _FLOAT_KEYS:
-                setattr(settings, key, float(value))
-            elif key in _INT_KEYS:
-                setattr(settings, key, int(value))
-            elif key in _LIST_KEYS:
+            if key in _LIST_KEYS:
                 tokens = [t.strip() for t in value.split(",") if t.strip()]
                 if not tokens:
                     raise ValueError("empty list")
@@ -77,7 +72,7 @@ def parse_config(path: str) -> Settings:
                     _LIST_KEYS[key](t)
                 setattr(settings, key, tokens)
             else:
-                setattr(settings, key, value)
+                setattr(settings, key, types[key](value))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
 
@@ -92,7 +87,7 @@ def system_config(settings: Settings, rho_db=None, sigma2=None, k=None) -> Syste
     """Materialize a SystemConfig, optionally overriding one swept quantity."""
     rho_db = settings.rho_db if rho_db is None else rho_db
     try:
-        return SystemConfig(
+        config = SystemConfig(
             K=settings.k if k is None else k,
             D=settings.d,
             eta=settings.eta,
@@ -105,3 +100,6 @@ def system_config(settings: Settings, rho_db=None, sigma2=None, k=None) -> Syste
         raise ConfigError(str(exc)) from exc
     except OverflowError as exc:
         raise ConfigError(f"rho_db = {rho_db:g} overflows the linear SNR") from exc
+    if config.K > BATCH_ELEMENTS:  # one Monte Carlo row of K gains must fit a batch
+        raise ConfigError(f"K must be at most {BATCH_ELEMENTS}")
+    return config

@@ -2,7 +2,7 @@
 
 Trials are generated in batches of `batch_rows(K)` rows: 10k rows up to
 K = 8, and 80k // K rows above it, so a batch holds at most 80k gains
-whatever K is. Batch i of a stream uses a generator seeded by
+(K above 80k is refused). Batch i of a stream uses a generator seeded by
 SeedSequence(seed, spawn_key=(stream, i)), and batch results are reduced
 in batch order. The estimate is therefore bit-identical across runs and
 across worker counts for a fixed seed and stream.
@@ -222,6 +222,8 @@ def simulate_many(config: SystemConfig, pairs, trials: int, seed: int,
             raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
         if metric_kind != METRIC_OUTAGE and config.K < 2:
             raise ValueError("secrecy throughput needs K >= 2")
+    if config.K > BATCH_ELEMENTS:  # one row of K gains must fit a batch
+        raise ValueError(f"K must be at most {BATCH_ELEMENTS}")
     for name, value, low, message in (("trials", trials, 2, "an integer >= 2"),
                                       ("seed", seed, 0, "a nonnegative integer"),
                                       ("workers", workers, 1, "an integer >= 1"),

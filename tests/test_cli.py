@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,19 @@ from noma_perf.channel import CSI_SOS, sample_batch
 from noma_perf.cli import CSV_COLUMNS, main, verify
 from noma_perf.config import ConfigError, Settings, parse_config, system_config
 from noma_perf.noma_core import multicast_rate, power_split
+
+
+# (csi, scheme) -> (outage evaluator, secrecy evaluator) that sweep and
+# verify pair with Monte Carlo. Both secrecy metrics read the surrogate
+# evaluator, and perfect CSI runs the estimate-ranked one at sigma2 = 0.
+ANALYTIC = {
+    ("imperfect", "noma"): (analytic.outage_noma_imperfect, analytic.secrecy_noma_imperfect),
+    ("imperfect", "oma"): (analytic.outage_oma_imperfect, analytic.secrecy_oma_imperfect),
+    ("perfect", "noma"): (analytic.outage_noma_perfect, analytic.secrecy_noma_imperfect),
+    ("perfect", "oma"): (analytic.outage_oma_perfect, analytic.secrecy_oma_imperfect),
+    ("sos", "noma"): (analytic.outage_noma_sos, analytic.secrecy_noma_sos),
+    ("sos", "oma"): (analytic.outage_oma_sos, analytic.secrecy_oma_sos),
+}
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -46,6 +60,16 @@ class TestParseConfig:
         assert s.snr_db == ["0", "12.5", "3e1"]  # raw tokens preserved
         assert s.trials == 5000
         assert s.out == "results.csv"
+
+    def test_scalar_keys_parse_as_their_default_types(self, tmp_path):
+        path = write_cfg(tmp_path, "d = 4\neta = 3\nr_m = 1\nsigma2 = 0\nrho_db = 20\n"
+                                   "k = 3\ntrials = 500\nseed = 7\nworkers = 2\n"
+                                   "csi = sos\nout = x.csv\n")
+        s, defaults = parse_config(path), Settings()
+        for key in ("d", "eta", "r_m", "sigma2", "rho_db", "k", "trials", "seed", "workers",
+                    "csi", "out"):
+            assert type(getattr(s, key)) is type(getattr(defaults, key)), key
+        assert (s.d, s.k, s.csi) == (4.0, 3, "sos")
 
     def test_perfect_csi_forces_zero_estimation_error(self, tmp_path):
         path = write_cfg(tmp_path, "csi = perfect\nsigma2 = 0.01\n")
@@ -90,6 +114,12 @@ class TestSystemConfigBridge:
         s = Settings()
         cfg = system_config(s, sigma2=0.005, k=3)
         assert cfg.sigma2_zeta == 0.005 and cfg.K == 3
+
+    def test_k_above_batch_elements_is_a_config_error(self):
+        s = Settings()
+        assert system_config(s, k=montecarlo.BATCH_ELEMENTS).K == montecarlo.BATCH_ELEMENTS
+        with pytest.raises(ConfigError, match=f"K must be at most {montecarlo.BATCH_ELEMENTS}"):
+            system_config(s, k=montecarlo.BATCH_ELEMENTS + 1)
 
     def test_invalid_parameters_become_config_errors(self):
         s = Settings()
@@ -147,19 +177,20 @@ class TestSweep:
                 float(r[col])  # numeric columns parse
 
     def test_analytic_column_matches_evaluator(self, tmp_path):
-        path = write_cfg(tmp_path, self.SOS_CFG)
-        out = str(tmp_path / "k.csv")
-        main(["sweep", "--config", path, "--axis", "k", "--out", out])
-        settings = parse_config(path)
-        cfg = system_config(settings, k=2)
-        row = next(r for r in read_rows(out)[1:]
-                   if r[1] == "2" and r[2] == "noma" and r[4] == "outage_prob")
-        assert row[5] == format(analytic.outage_noma_sos(cfg), ".12g")
-        for k in (2, 3):
-            srow = next(r for r in read_rows(out)[1:]
-                        if r[1] == str(k) and r[2] == "noma" and r[4] == "secrecy_throughput")
-            assert srow[5] == format(analytic.secrecy_noma_sos(system_config(settings, k=k)),
-                                     ".12g")
+        # every (csi, scheme, metric) entry of the lookup, at two K
+        for csi in ("imperfect", "perfect", "sos"):
+            path = write_cfg(tmp_path, f"csi = {csi}\nk_values = 2,3\nrho_db = 30\n"
+                                       "trials = 2000\n", name=f"{csi}.cfg")
+            out = str(tmp_path / f"{csi}.csv")
+            assert main(["sweep", "--config", path, "--axis", "k", "--out", out]) == 0
+            settings = parse_config(path)
+            body = read_rows(out)[1:]
+            assert len(body) == 12 and {r[4] for r in body} == set(montecarlo.METRIC_KINDS)
+            for r in body:
+                outage, secrecy = ANALYTIC[(csi, r[2])]
+                evaluator = outage if r[4] == "outage_prob" else secrecy
+                cfg = system_config(settings, k=int(r[1]))
+                assert r[5] == format(evaluator(cfg), ".12g"), (csi, r[1], r[2], r[4])
 
     @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
     def test_single_user_point_skips_secrecy(self, tmp_path, capsys, csi):
@@ -215,7 +246,10 @@ class TestSweep:
          "error: k_values entry '0': K must be a positive integer"),
         ("csi = perfect\n", "sigma2",
          "error: sigma2_values entry '0.005': perfect CSI requires sigma2_zeta = 0"),
-    ], ids=["k-zero", "perfect-sigma2"])
+        # a row of K gains would not fit one Monte Carlo batch
+        ("k_values = 2,80001\n", "k",
+         "error: k_values entry '80001': K must be at most 80000"),
+    ], ids=["k-zero", "perfect-sigma2", "k-above-batch"])
     def test_bad_axis_entry_rejected_before_any_point(self, tmp_path, capsys, sample_calls,
                                                       text, axis, message):
         path = write_cfg(tmp_path, text + "trials = 500\n")
@@ -300,6 +334,39 @@ class TestVerify:
         assert "secrecy-vs-mc: SKIP (secrecy needs K >= 2)" in out
         assert "secrecy-vs-mc-noma" not in out
 
+    @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
+    def test_printed_analytic_values_match_evaluators(self, tmp_path, csi):
+        settings = parse_config(write_cfg(tmp_path, f"csi = {csi}\nk = 3\ntrials = 2000\n"))
+        _, report = verify(settings)
+        cfg = system_config(settings)
+        for scheme in ("noma", "oma"):
+            outage, secrecy = ANALYTIC[(csi, scheme)]
+            printed = re.search(rf"outage-vs-mc-{scheme}: \w+ \(\|(\S+) - ", report).group(1)
+            assert printed == format(outage(cfg), ".6g")
+            printed = re.search(rf"secrecy-vs-mc-{scheme}: \w+ \(analytic (\S+),",
+                                report).group(1)
+            assert printed == format(secrecy(cfg), ".6g")
+
+    def test_batches_bounded_at_large_k(self, tmp_path, monkeypatch):
+        # only batch sizes are asserted: at 2000 trials a check may fail on noise
+        elements = {}
+        for module in (cli, montecarlo):
+            def recording_sample_batch(config, rng, size, name=module.__name__,
+                                       draw=module.sample_batch):
+                elements.setdefault(name, []).append(size * config.K)
+                return draw(config, rng, size)
+            monkeypatch.setattr(module, "sample_batch", recording_sample_batch)
+        verify(parse_config(write_cfg(tmp_path, "k = 400\ntrials = 2000\n")))
+        assert sorted(elements) == ["noma_perf.cli", "noma_perf.montecarlo"]
+        for sizes in elements.values():
+            assert max(sizes) <= montecarlo.BATCH_ELEMENTS
+
+    def test_k_above_batch_elements_exits_before_any_draw(self, tmp_path, capsys, sample_calls):
+        path = write_cfg(tmp_path, "k = 80001\ntrials = 2000\n")
+        assert main(["verify", "--config", path]) == 2
+        assert "error: K must be at most 80000" in capsys.readouterr().err
+        assert sample_calls == []
+
     @pytest.mark.parametrize("k", [3, 8])
     def test_distance_ranked_checks_secrecy_at_any_k(self, tmp_path, capsys, k):
         # eta = 3 with the default sigma2 = 0.01 > D^-eta: sos never reads it
@@ -323,7 +390,7 @@ def scalar_power_split_line(settings):
     for _ in range(200):
         if collected >= 10_000:
             break
-        for row in sample_batch(cfg, rng, 2000)[2].tolist():
+        for row in sample_batch(cfg, rng, min(2000, montecarlo.batch_rows(cfg.K)))[2].tolist():
             driving = row[-1] if cfg.csi_mode == CSI_SOS else min(row)
             if driving < threshold:
                 continue

@@ -147,6 +147,15 @@ class TestStreams:
         assert sum(elements) == 12_345 * 40
         assert simulate_many(c, ALL_PAIRS, 12_345, seed=27, workers=2) == serial
 
+    def test_k_above_batch_elements_refused_before_any_draw(self, monkeypatch):
+        # one row of K gains would not fit a batch; never draw at such a K
+        draws = []
+        monkeypatch.setattr(montecarlo, "sample_batch",
+                            lambda *args: draws.append(args) or sample_batch(*args))
+        with pytest.raises(ValueError, match=f"K must be at most {BATCH_ELEMENTS}"):
+            simulate_many(cfg(K=BATCH_ELEMENTS + 1), [(SCHEME_NOMA, METRIC_OUTAGE)], 1000, seed=0)
+        assert draws == []
+
 class TestSharedSample:
     """simulate_many scores every pair from one draw per batch."""
 
