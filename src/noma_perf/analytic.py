@@ -153,13 +153,16 @@ def _order_statistic_mean(config: SystemConfig, z: float, s: float, scale: float
     by t = z + c v / (1 - v)^q with q = max(1, eta/2), which makes the
     t^(-1-2/eta) tail smooth in v; c is the geometric mean of the rate knee
     s, the cell-edge mean gain m_edge and m_edge K^(eta/2), where S falls to
-    about 1/K. m is the order on v.
+    about 1/K. c is at least m_edge K^(eta/2) / 100: at large K the
+    (1 - S)^(K-1) mass sits near m_edge K^(eta/2), which the geometric
+    mean alone maps beyond the last node. m is the order on v.
     """
     K, eta = config.K, config.eta
     if K < 2:
         raise ValueError("secrecy throughput needs K >= 2")
     q = max(1.0, eta / 2.0)
-    c = (s * m_edge * m_edge * K ** (eta / 2.0)) ** (1.0 / 3.0)
+    c = max((s * m_edge * m_edge * K ** (eta / 2.0)) ** (1.0 / 3.0),
+            m_edge * K ** (eta / 2.0) / 100.0)
     rule = gauss_legendre_rule(m, 1.0)
     v = rule.nodes
     t = z + c * v / (1.0 - v) ** q

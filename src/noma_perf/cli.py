@@ -12,8 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytic, montecarlo
-from .channel import sample_batch
-from .config import ConfigError, Settings, parse_config, system_config
+from .config import LIST_KEYS, ConfigError, Settings, parse_config, system_config
 from .noma_core import multicast_rate, power_split
 from .specfun import gauss_legendre_rule
 
@@ -54,10 +53,11 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-# axis -> (CSV axis name, list key, system_config override, entry type)
-_AXES = {"snr": ("snr_db", "snr_db", "rho_db", float),
-         "sigma2": ("sigma2", "sigma2_values", "sigma2", float),
-         "k": ("k", "k_values", "k", int)}
+# axis -> (CSV axis name, list key, system_config override); entries parse
+# as LIST_KEYS gives
+_AXES = {"snr": ("snr_db", "snr_db", "rho_db"),
+         "sigma2": ("sigma2", "sigma2_values", "sigma2"),
+         "k": ("k", "k_values", "k")}
 
 
 def _axis_points(settings: Settings, axis: str):
@@ -65,7 +65,8 @@ def _axis_points(settings: Settings, axis: str):
     entry is checked before any point runs."""
     if axis not in _AXES:
         raise ConfigError(f"unknown axis '{axis}'")
-    axis_name, key, override, kind = _AXES[axis]
+    axis_name, key, override = _AXES[axis]
+    kind = LIST_KEYS[key]
     points = []
     for tok in getattr(settings, key):
         try:
@@ -178,27 +179,17 @@ def verify(settings: Settings):
         lines.append("secrecy-vs-mc: SKIP (secrecy needs K >= 2)")
 
     # the power split must hit the multicast target exactly when feasible,
-    # checked on arrays of driving gains with the non-outage ones kept
-    rng = np.random.default_rng(np.random.SeedSequence(settings.seed, spawn_key=(10 ** 6,)))
-    worst = 0.0
-    theta_exact = True
-    collected = 0
-    size = min(2000, montecarlo.batch_rows(cfg.K))  # at most BATCH_ELEMENTS gains
-    for _ in range(200):
-        if collected >= 10_000:
-            break
-        gains = sample_batch(cfg, rng, size)[2]
-        _, driving, _, _ = montecarlo.schedule(cfg, gains, secrecy=False)
-        split = power_split(driving, cfg.rho, cfg.R_M)
-        rate = multicast_rate(driving, split, cfg.rho)
-        kept = np.flatnonzero(~split.outage)[:10_000 - collected]
-        collected += kept.size
-        worst = float(np.max(np.abs(rate[kept] - cfg.R_M), initial=worst))
-        theta_exact &= bool(np.all(split.theta_M[kept] + split.theta_U[kept] == 1.0))
-    ok &= _check(lines, "power-split-identity",
-                 collected > 0 and worst < 1e-9 and theta_exact,
-                 f"{collected} non-outage draws, max rate error {worst:.3e}, "
-                 f"theta sums exact: {theta_exact}")
+    # on gains from the threshold eps/rho up to 1e12 times it; eps/rho has
+    # power_split's bits, so the first gain tests its boundary
+    threshold = cfg.eps_multicast / cfg.rho
+    gains = threshold * np.logspace(0.0, 12.0, 10_000)
+    split = power_split(gains, cfg.rho, cfg.R_M)
+    outages = int(np.count_nonzero(split.outage))
+    worst = float(np.max(np.abs(multicast_rate(gains, split, cfg.rho) - cfg.R_M)))
+    theta_exact = bool(np.all(split.theta_M + split.theta_U == 1.0))
+    ok &= _check(lines, "power-split-identity", outages == 0 and worst < 1e-9 and theta_exact,
+                 f"{gains.size} gains from eps/rho to 1e12 eps/rho, {outages} in outage, "
+                 f"max rate error {worst:.3e}, theta sums exact: {theta_exact}")
 
     # repeated simulation with one seed must agree bit for bit
     a1 = montecarlo.simulate(cfg, "noma", montecarlo.METRIC_OUTAGE, 20_000,

@@ -16,7 +16,7 @@ DEFAULT_SEED = 1234567
 
 # list key -> the type every entry must parse as; every other key parses as
 # the type of its Settings default
-_LIST_KEYS = {"snr_db": float, "sigma2_values": float, "k_values": int}
+LIST_KEYS = {"snr_db": float, "sigma2_values": float, "k_values": int}
 
 
 class ConfigError(Exception):
@@ -64,12 +64,12 @@ def parse_config(path: str) -> Settings:
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for '{key}'")
         try:
-            if key in _LIST_KEYS:
+            if key in LIST_KEYS:
                 tokens = [t.strip() for t in value.split(",") if t.strip()]
                 if not tokens:
                     raise ValueError("empty list")
                 for t in tokens:
-                    _LIST_KEYS[key](t)
+                    LIST_KEYS[key](t)
                 setattr(settings, key, tokens)
             else:
                 setattr(settings, key, types[key](value))

@@ -1,4 +1,4 @@
-"""Monte Carlo oracle for the analytic evaluators.
+"""Monte Carlo oracle for the analytic evaluators; no other module draws.
 
 Trials are generated in batches of `batch_rows(K)` rows: 10k rows up to
 K = 8, and 80k // K rows above it, so a batch holds at most 80k gains
@@ -17,7 +17,7 @@ sample does not depend on which pairs are scored, so each estimate equals
 the one `simulate` gives for that pair on the same stream, bit for bit.
 One kernel (`_score_batch`) scores all pairs of a batch from the roles
 `schedule` gives each row (weakest decision gain, the gain driving the
-power split, target, eavesdropper); `cli.verify` reads the same function.
+power split, target, eavesdropper).
 Under estimate ranking the roles are the row minimum, maximum and second
 maximum, found by one column loop without ranking the rest. The
 per-trial values are the same bits as scoring each pair on its own, since
@@ -113,14 +113,13 @@ def schedule(config: SystemConfig, gains: np.ndarray, secrecy: bool):
     Estimates: the weakest drives the power split, the strongest is the
     target and the runner-up eavesdrops. Statistical CSI (rows
     nearest-first): the farthest drives, the nearest is the target and the
-    best of the rest eavesdrops. Target and eavesdropper are None unless
-    `secrecy` is set and K >= 2, so outage-only callers skip `_top2_min`.
+    best of the rest eavesdrops. Only the secrecy scores read the split, so
+    driving, target and eavesdropper are None unless `secrecy` is set and
+    K >= 2, and outage-only callers skip `_top2_min`.
     """
-    sos = config.csi_mode == CSI_SOS
     if not secrecy or gains.shape[1] < 2:
-        weakest = _row_reduce(np.minimum, gains)
-        return weakest, gains[:, -1] if sos else weakest, None, None
-    if sos:
+        return _row_reduce(np.minimum, gains), None, None, None
+    if config.csi_mode == CSI_SOS:
         return (_row_reduce(np.minimum, gains), gains[:, -1], gains[:, 0],
                 _row_reduce(np.maximum, gains[:, 1:]))
     target, eave, weakest = _top2_min(gains)

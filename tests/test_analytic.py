@@ -436,3 +436,65 @@ class TestSecrecyDistanceRanked:
             for fn in (analytic.secrecy_noma_sos, analytic.secrecy_oma_sos):
                 v1, v2 = fn(c), fn(doubled)
                 assert abs(v2 - v1) < 1e-9 * abs(v2)
+
+
+# -- secrecy at large K ------------------------------------------------------
+
+class TestSecrecyLargeK:
+    """The t map's scale has a floor, m_edge K^(eta/2) / 100, so that its
+    nodes reach the order statistic's peak at any K the CLI accepts."""
+
+    # (NOMA, OMA) at eta = 2, sigma2 = 0.01, before the floor existed
+    PINNED = {
+        ("imperfect", 2, 0.0): ("0x1.bb2c2d28d9efcp-8", "0x1.2900f27fe096bp-3"),
+        ("imperfect", 2, 10.0): ("0x1.52667447b934bp-2", "0x1.0707107542b2cp-1"),
+        ("imperfect", 2, 40.0): ("0x1.4bbe7073c2ec3p+1", "0x1.4e18b04214494p+0"),
+        ("imperfect", 8, 0.0): ("0x1.8fbc0bd908300p-28", "0x1.213332d2f2fffp-2"),
+        ("imperfect", 8, 30.0): ("0x1.76b9fd01c6c50p+0", "0x1.8ab4f24be31b1p-1"),
+        ("imperfect", 8, 40.0): ("0x1.89dd8ea4dcd41p+0", "0x1.8bebe0e5e3a2dp-1"),
+        ("sos", 2, 0.0): ("0x1.b04fa381c67d2p-8", "0x1.1222bb485c3e8p-3"),
+        ("sos", 2, 30.0): ("0x1.d8e429b73e776p+0", "0x1.e998616334841p-1"),
+        ("sos", 8, 10.0): ("0x1.6470a77019c0dp-6", "0x1.deedc59dca082p-2"),
+        ("sos", 8, 40.0): ("0x1.20d38ac3c8c6ep+0", "0x1.220e6a0c13918p-1"),
+    }
+    EVALUATORS = {
+        "imperfect": (analytic.secrecy_noma_imperfect, analytic.secrecy_oma_imperfect),
+        "sos": (analytic.secrecy_noma_sos, analytic.secrecy_oma_sos),
+    }
+
+    @staticmethod
+    def point(csi, K, rho_db, eta=2.0):
+        if csi == "sos":
+            return sos_cfg(K=K, rho_db=rho_db, eta=eta)
+        return cfg(K=K, rho_db=rho_db, eta=eta, sigma2=0.01 if eta == 2.0 else 0.005)
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_small_k_keeps_its_bits(self, key):
+        csi, K, rho_db = key
+        c = self.point(csi, K, rho_db)
+        got = tuple(fn(c).hex() for fn in self.EVALUATORS[csi])
+        assert got == self.PINNED[key]
+
+    @pytest.mark.parametrize("K", [1000, 4000, 20_000, 80_000])
+    @pytest.mark.parametrize("csi", ["imperfect", "sos"])
+    def test_order_doubling_converged(self, csi, K):
+        # without the floor the imperfect OMA value drifted 4.7e-3 at
+        # K = 4000 and 16x its value at K = 80000 (30 dB)
+        oma = self.EVALUATORS[csi][1]
+        for eta in (2.0, 3.0):
+            for rho_db in (0.0, 10.0, 30.0, 40.0):
+                c = self.point(csi, K, rho_db, eta)
+                doubled = replace(c, quad_orders=tuple(2 * o for o in c.quad_orders))
+                v1, v2 = oma(c), oma(doubled)
+                assert abs(v2 - v1) <= 1e-6 * abs(v2)
+
+    @pytest.mark.parametrize("csi", ["imperfect", "sos"])
+    def test_matches_high_order_reference_at_largest_k(self, csi):
+        # the OMA value approaches its K -> inf limit; before the floor the
+        # imperfect one read 0.0378 at 30 dB against a reference of 0.7214
+        for rho_db in (10.0, 30.0, 40.0):
+            c = self.point(csi, 80_000, rho_db)
+            ref = replace(c, quad_orders=(50, 800, 100, 100, 800))
+            for fn in self.EVALUATORS[csi]:
+                v, r = fn(c), fn(ref)
+                assert abs(v - r) <= 1e-6 * abs(r)

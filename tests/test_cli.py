@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from noma_perf import analytic, cli, montecarlo
-from noma_perf.channel import CSI_SOS, sample_batch
 from noma_perf.cli import CSV_COLUMNS, main, verify
 from noma_perf.config import ConfigError, Settings, parse_config, system_config
 from noma_perf.noma_core import multicast_rate, power_split
@@ -349,17 +348,16 @@ class TestVerify:
 
     def test_batches_bounded_at_large_k(self, tmp_path, monkeypatch):
         # only batch sizes are asserted: at 2000 trials a check may fail on noise
-        elements = {}
-        for module in (cli, montecarlo):
-            def recording_sample_batch(config, rng, size, name=module.__name__,
-                                       draw=module.sample_batch):
-                elements.setdefault(name, []).append(size * config.K)
-                return draw(config, rng, size)
-            monkeypatch.setattr(module, "sample_batch", recording_sample_batch)
+        elements = []
+        draw = montecarlo.sample_batch
+
+        def recording_sample_batch(config, rng, size):
+            elements.append(size * config.K)
+            return draw(config, rng, size)
+
+        monkeypatch.setattr(montecarlo, "sample_batch", recording_sample_batch)
         verify(parse_config(write_cfg(tmp_path, "k = 400\ntrials = 2000\n")))
-        assert sorted(elements) == ["noma_perf.cli", "noma_perf.montecarlo"]
-        for sizes in elements.values():
-            assert max(sizes) <= montecarlo.BATCH_ELEMENTS
+        assert elements and max(elements) <= montecarlo.BATCH_ELEMENTS
 
     def test_k_above_batch_elements_exits_before_any_draw(self, tmp_path, capsys, sample_calls):
         path = write_cfg(tmp_path, "k = 80001\ntrials = 2000\n")
@@ -378,32 +376,28 @@ class TestVerify:
 
 def scalar_power_split_line(settings):
     """verify's power-split-identity line from one power_split and one
-    multicast_rate call per non-outage draw: the array check must
-    reproduce it. A draw whose driving gain is below the multicast
-    threshold is skipped without a call."""
+    multicast_rate call per gain of its grid: 10 000 gains from the
+    multicast threshold eps/rho itself up to 1e12 times it. The array
+    check must reproduce it."""
     cfg = system_config(settings)
-    rng = np.random.default_rng(np.random.SeedSequence(settings.seed, spawn_key=(10 ** 6,)))
     threshold = (2.0 ** cfg.R_M - 1.0) / cfg.rho
+    grid = threshold * np.logspace(0.0, 12.0, 10_000)
     worst = 0.0
     theta_exact = True
-    collected = 0
-    for _ in range(200):
-        if collected >= 10_000:
-            break
-        for row in sample_batch(cfg, rng, min(2000, montecarlo.batch_rows(cfg.K)))[2].tolist():
-            driving = row[-1] if cfg.csi_mode == CSI_SOS else min(row)
-            if driving < threshold:
-                continue
-            split = power_split(driving, cfg.rho, cfg.R_M)
-            assert not split.outage
-            collected += 1
-            worst = max(worst, abs(multicast_rate(driving, split, cfg.rho) - cfg.R_M))
-            theta_exact &= (split.theta_M + split.theta_U) == 1.0
-            if collected >= 10_000:
-                break
-    ok = collected > 0 and worst < 1e-9 and theta_exact
-    return (f"power-split-identity: {'PASS' if ok else 'FAIL'} ({collected} non-outage draws, "
-            f"max rate error {worst:.3e}, theta sums exact: {theta_exact})")
+    outages = 0
+    for gain in grid.tolist():
+        split = power_split(gain, cfg.rho, cfg.R_M)
+        outages += split.outage
+        worst = max(worst, abs(multicast_rate(gain, split, cfg.rho) - cfg.R_M))
+        theta_exact &= (split.theta_M + split.theta_U) == 1.0
+    ok = outages == 0 and worst < 1e-9 and theta_exact
+    return (f"power-split-identity: {'PASS' if ok else 'FAIL'} (10000 gains from eps/rho "
+            f"to 1e12 eps/rho, {outages} in outage, max rate error {worst:.3e}, "
+            f"theta sums exact: {theta_exact})")
+
+
+def power_split_line(report):
+    return next(l for l in report.splitlines() if l.startswith("power-split-identity:"))
 
 
 class TestPowerSplitIdentity:
@@ -412,14 +406,36 @@ class TestPowerSplitIdentity:
         "csi = perfect\n",
         "csi = sos\nk = 2\n",
         "csi = sos\nk = 5\nrho_db = 15\nseed = 3\n",
-        "csi = imperfect\nrho_db = 10\n",  # about 5k draws from all 200 batches
-        "csi = imperfect\nrho_db = 0\nr_m = 2\n",  # every draw in outage
+        "csi = imperfect\nrho_db = 10\n",
+        "csi = imperfect\nrho_db = 0\nr_m = 2\n",  # every Monte Carlo draw in outage
     ])
     def test_array_check_matches_scalar_loop(self, tmp_path, text):
         settings = parse_config(write_cfg(tmp_path, text + "trials = 2000\n"))
         _, report = verify(settings)
-        line = next(l for l in report.splitlines() if l.startswith("power-split-identity:"))
-        assert line == scalar_power_split_line(settings)
+        assert power_split_line(report) == scalar_power_split_line(settings)
+
+    def test_passes_where_every_draw_is_in_outage(self, tmp_path):
+        # the grid starts on the threshold, so no draw has to clear it
+        settings = parse_config(write_cfg(tmp_path, "rho_db = 0\nr_m = 2\ntrials = 2000\n"))
+        _, report = verify(settings)
+        assert power_split_line(report).startswith("power-split-identity: PASS (")
+
+    def test_depends_only_on_rho_and_rate(self, tmp_path):
+        lines = set()
+        for text in ("csi = imperfect\nk = 8\n", "csi = perfect\nk = 3\nseed = 5\n",
+                     "csi = sos\nk = 2\nsigma2 = 0.02\n"):
+            path = write_cfg(tmp_path, text + "rho_db = 20\nr_m = 1.5\ntrials = 2000\n")
+            lines.add(power_split_line(verify(parse_config(path))[1]))
+        assert len(lines) == 1
+
+    def test_wrong_rate_is_caught(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "multicast_rate",
+                            lambda alpha, split, rho: multicast_rate(alpha, split, rho) + 1e-6)
+        path = write_cfg(tmp_path, "trials = 2000\n")
+        assert main(["verify", "--config", path]) == 1
+        out = capsys.readouterr().out
+        assert "power-split-identity: FAIL (" in out and "max rate error 1.000e-06" in out
+        assert "verify: FAILED" in out
 
 
 class TestExitCodes:
