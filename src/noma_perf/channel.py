@@ -2,9 +2,13 @@
 
 Users are dropped uniformly in a disk of radius D around the transmitter.
 Small-scale fading is Rayleigh, so fading power is Exp(1), and the
-effective gain of a user at distance d is fading * d^(-eta).
+effective gain of a user at distance d is fading * d^(-eta), computed as
+fading * u^(-eta/2) from the squared distance u = d^2 (1/u at eta = 2, a
+reciprocal in place of the general power).
 `sample_batch` draws snapshots in batches, as (size, K) arrays, and draws
-only what the scheduler reads in each flavor of channel knowledge:
+only what the scheduler reads in each flavor of channel knowledge. Each
+array is user-major, the transpose of a C-order (K, size) block, so one
+user's column is contiguous for the scorer's column loops:
 
 * "imperfect": the scheduler ranks users by MMSE channel estimates. Given
   the squared distance u = d^2, uniform on [0, D^2], an estimate is Exp
@@ -15,7 +19,9 @@ only what the scheduler reads in each flavor of channel knowledge:
   true gains.
 * "sos": only statistical knowledge; users are ranked by distance and no
   per-realization estimate exists. Distances and fading are drawn, and
-  each row is nearest-first.
+  each row is nearest-first: at K = 2 by an elementwise min/max of the two
+  users' uniforms, above it by a row sort of uniforms drawn (size, K) and
+  one transposing copy.
 
 Batch rows are the caller's choice; `montecarlo` asks for at most 10k rows
 and 80k gains per batch.
@@ -98,20 +104,41 @@ def sample_batch(config: SystemConfig, rng: np.random.Generator, size: int):
     perfect CSI, in draw order, and the true gains under statistical CSI,
     nearest-first. est_gains are the estimates, or None under statistical
     CSI; distances and fading_powers are None outside it.
+
+    Each array is the transpose of a C-order (K, size) array, so the
+    gains[:, j] of one user are contiguous.
     """
     K = config.K
-    u = rng.random((size, K))
     if config.csi_mode != CSI_SOS:
+        u = rng.random((K, size))
         u *= config.D ** 2  # squared distance
-        u **= -0.5 * config.eta  # mean path loss
+        _path_loss(u, config.eta)  # mean gain
         u -= config.sigma2_zeta  # mean estimate power
-        u *= rng.standard_exponential((size, K))
-        return None, None, u, u
+        u *= rng.standard_exponential((K, size))
+        est = u.T
+        return None, None, est, est
     # D sqrt(u) is monotone in u, so sorting the uniforms sorts the distances
     if K == 2:
-        u[:, 0], u[:, 1] = np.minimum(u[:, 0], u[:, 1]), np.maximum(u[:, 0], u[:, 1])
+        u = rng.random((2, size))
+        u[0], u[1] = np.minimum(u[0], u[1]), np.maximum(u[0], u[1])
     else:
+        # a row sort of (size, K) beats a column sort of (K, size); one
+        # transposing copy then makes each user's column contiguous
+        u = rng.random((size, K))
         u.sort(axis=1)
-    d = config.D * np.sqrt(u)
-    fading = rng.standard_exponential((size, K))
-    return d, fading, fading * d ** (-config.eta), None
+        u = np.ascontiguousarray(u.T)
+    u *= config.D ** 2  # squared distance
+    d = np.sqrt(u)
+    fading = rng.standard_exponential((K, size))
+    _path_loss(u, config.eta)
+    u *= fading
+    return d.T, fading.T, u.T, None
+
+
+def _path_loss(sq_dist: np.ndarray, eta: float) -> None:
+    """Overwrite squared distances u with u^(-eta/2); eta = 2 takes 1/u,
+    which is cheaper than the general power."""
+    if eta == 2.0:
+        np.reciprocal(sq_dist, out=sq_dist)
+    else:
+        sq_dist **= -0.5 * eta

@@ -191,10 +191,12 @@ def verify(settings: Settings):
                  f"{gains.size} gains from eps/rho to 1e12 eps/rho, {outages} in outage, "
                  f"max rate error {worst:.3e}, theta sums exact: {theta_exact}")
 
-    # repeated simulation with one seed must agree bit for bit
-    a1 = montecarlo.simulate(cfg, "noma", montecarlo.METRIC_OUTAGE, 20_000,
+    # repeated simulation with one seed must agree bit for bit; two batches,
+    # so the two-worker pool splits the work
+    trials = 2 * montecarlo.batch_rows(cfg.K)
+    a1 = montecarlo.simulate(cfg, "noma", montecarlo.METRIC_OUTAGE, trials,
                              settings.seed, workers=1)
-    a2 = montecarlo.simulate(cfg, "noma", montecarlo.METRIC_OUTAGE, 20_000,
+    a2 = montecarlo.simulate(cfg, "noma", montecarlo.METRIC_OUTAGE, trials,
                              settings.seed, workers=2)
     same = (a1.value, a1.half_width_95) == (a2.value, a2.half_width_95)
     ok &= _check(lines, "determinism", same,

@@ -9,7 +9,8 @@ across worker counts for a fixed seed and stream.
 
 Each batch draws only the gains the scheduler ranks (`channel.sample_batch`):
 estimates, in draw order, under imperfect and perfect CSI; true gains,
-nearest-first, under statistical CSI.
+nearest-first, under statistical CSI. The batch is user-major, so every
+column the scorer's loops read is contiguous.
 
 `simulate_many` scores several (scheme, metric) pairs from one shared
 sample: each batch is drawn once and every pair is reduced from it. The
@@ -22,6 +23,9 @@ Under estimate ranking the roles are the row minimum, maximum and second
 maximum, found by one column loop without ranking the rest. The
 per-trial values are the same bits as scoring each pair on its own, since
 row minima, maxima and order statistics are exact copies of gains.
+An outage comes back as a boolean mask and is reduced by counting (its sum
+and its sum of squares are both the count); the other per-trial values are
+reduced to np.sum(v) and np.dot(v, v), with no v * v temporary.
 
 Two secrecy metrics exist side by side:
 
@@ -34,7 +38,6 @@ Two secrecy metrics exist side by side:
   Under OMA there is no power split and the two metrics coincide.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +54,9 @@ METRIC_SECRECY = "secrecy_throughput"
 METRIC_SECRECY_SURROGATE = "secrecy_throughput_surrogate"
 METRIC_KINDS = (METRIC_OUTAGE, METRIC_SECRECY, METRIC_SECRECY_SURROGATE)
 
-BATCH_SIZE = 10_000  # rows of a batch up to K = 8
+# Rows of a batch up to K = 8. Above 10k, OpenBLAS would split np.dot over
+# its threads and the sums of squares would depend on the thread count.
+BATCH_SIZE = 10_000
 # Gains of a batch above it. Peak RSS of simulate_many, all six pairs, 3e4
 # trials, numpy 2.4: 10k-row batches 41.1 / 50.3 MB at K = 40 / 100
 # (imperfect) and 47.8 / 66.3 MB (sos); 80k-gain batches 36.3-38.2 MB at
@@ -131,10 +136,10 @@ def _score_batch(config: SystemConfig, pairs, gains: np.ndarray) -> dict:
 
     `gains` are the ranked gains of `sample_batch`: estimates in any order,
     or true gains nearest-first under statistical CSI. Returns
-    {pair: array}. The scheduler's roles (`schedule`), the NOMA outage
-    mask and the NOMA unicast share are computed once for all pairs; both
-    OMA secrecy pairs map to one array. Pairs are assumed valid
-    (`simulate_many` checks them).
+    {pair: array}, a boolean mask for an outage pair. The scheduler's roles
+    (`schedule`), the NOMA outage mask and the NOMA unicast share are
+    computed once for all pairs; both OMA secrecy pairs map to one array.
+    Pairs are assumed valid (`simulate_many` checks them).
     """
     rho = config.rho
     eps = config.eps_multicast
@@ -145,10 +150,9 @@ def _score_batch(config: SystemConfig, pairs, gains: np.ndarray) -> dict:
 
     values = {}
     if (SCHEME_NOMA, METRIC_OUTAGE) in wanted:
-        values[(SCHEME_NOMA, METRIC_OUTAGE)] = (~ok).astype(float)
+        values[(SCHEME_NOMA, METRIC_OUTAGE)] = ~ok
     if (SCHEME_OMA, METRIC_OUTAGE) in wanted:
-        oma_outage = weakest < config.eps_multicast_oma / rho
-        values[(SCHEME_OMA, METRIC_OUTAGE)] = oma_outage.astype(float)
+        values[(SCHEME_OMA, METRIC_OUTAGE)] = weakest < config.eps_multicast_oma / rho
 
     oma_pairs = wanted & {(SCHEME_OMA, METRIC_SECRECY), (SCHEME_OMA, METRIC_SECRECY_SURROGATE)}
     if oma_pairs:
@@ -179,7 +183,11 @@ def _run_batch(config, pairs, seed, stream, index, size):
     for pair in pairs:
         v = values[pair]
         if id(v) not in sums:
-            sums[id(v)] = (float(np.sum(v)), float(np.sum(v * v)))
+            if v.dtype == bool:  # an indicator's sum and sum of squares are its count
+                count = float(np.count_nonzero(v))
+                sums[id(v)] = (count, count)
+            else:
+                sums[id(v)] = (float(np.sum(v)), float(np.dot(v, v)))
     return [sums[id(values[pair])] for pair in pairs]
 
 
@@ -241,6 +249,10 @@ def simulate_many(config: SystemConfig, pairs, trials: int, seed: int,
     if workers == 1:
         parts = [job(i) for i in range(len(sizes))]
     else:
+        # imported here: concurrent.futures pulls in logging, about 6 ms of
+        # every one-worker start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(job, range(len(sizes))))
 

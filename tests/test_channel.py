@@ -106,22 +106,25 @@ class TestSampling:
 
     @pytest.mark.parametrize("kw", [
         dict(), dict(csi_mode=CSI_PERFECT, sigma2_zeta=0.0), dict(csi_mode=CSI_SOS),
+        dict(csi_mode=CSI_SOS, K=2),
     ])
     def test_sorted_draws_match_argsort_form(self, kw):
-        # reference: each mode's draw written out. Statistical CSI orders
-        # distances by a stable argsort, as first written; the estimate
-        # modes draw squared distances D^2 U and one Exp(1) per user, and
-        # neither sort nor keep distances
+        # reference: each mode's draw written out. Draws are user-major, one
+        # (K, rows) block per variate, except the uniforms of statistical
+        # CSI above K = 2, which are drawn row-major; distances are ordered
+        # by a stable argsort, as first written. The estimate modes draw
+        # squared distances D^2 U and one Exp(1) per user, and neither sort
+        # nor keep distances. eta = 2, so the path loss is 1/u
         cfg = make_config(**kw)
         rng = np.random.default_rng(77)
         if cfg.csi_mode == CSI_SOS:
-            d = cfg.D * np.sqrt(rng.random((500, cfg.K)))
-            d = np.take_along_axis(d, np.argsort(d, axis=1, kind="stable"), axis=1)
-            fading = rng.exponential(1.0, (500, cfg.K))
-            expected = (d, fading, fading * d ** (-cfg.eta), None)
+            u = rng.random((cfg.K, 500)).T if cfg.K == 2 else rng.random((500, cfg.K))
+            sq = cfg.D ** 2 * np.take_along_axis(u, np.argsort(u, axis=1, kind="stable"), axis=1)
+            fading = rng.exponential(1.0, (cfg.K, 500)).T
+            expected = (np.sqrt(sq), fading, fading * (1.0 / sq), None)
         else:
-            mean = (cfg.D ** 2 * rng.random((500, cfg.K))) ** (-cfg.eta / 2) - cfg.sigma2_zeta
-            est = rng.exponential(1.0, (500, cfg.K)) * mean
+            mean = 1.0 / (cfg.D ** 2 * rng.random((cfg.K, 500)).T) - cfg.sigma2_zeta
+            est = rng.exponential(1.0, (cfg.K, 500)).T * mean
             expected = (None, None, est, est)
         got = sample_batch(cfg, np.random.default_rng(77), 500)
         for a, b in zip(got, expected):
@@ -129,6 +132,38 @@ class TestSampling:
                 assert a is None
             else:
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kw", [
+        dict(), dict(csi_mode=CSI_PERFECT, sigma2_zeta=0.0), dict(csi_mode=CSI_SOS),
+        dict(csi_mode=CSI_SOS, K=2), dict(csi_mode=CSI_SOS, K=3),
+        dict(K=3, eta=3.0, sigma2_zeta=0.001),
+    ])
+    def test_each_user_is_contiguous(self, kw):
+        # the scorer reads gains column by column
+        cfg = make_config(**kw)
+        gains = sample_batch(cfg, np.random.default_rng(3), 100)[2]
+        assert gains.shape == (100, cfg.K)
+        for j in range(cfg.K):
+            assert gains[:, j].flags.c_contiguous
+
+    @pytest.mark.parametrize("kw", [
+        dict(), dict(csi_mode=CSI_PERFECT, sigma2_zeta=0.0), dict(csi_mode=CSI_SOS),
+        dict(csi_mode=CSI_SOS, K=2),
+    ])
+    def test_eta_two_reciprocal_matches_general_power(self, kw):
+        # eta = 2 takes 1/u; an array exponent runs numpy's general power
+        # on the squared distances (under sos, rebuilt from the distances)
+        cfg = make_config(**kw)
+        d, fading, gains, _ = sample_batch(cfg, np.random.default_rng(9), 2_000)
+        if cfg.csi_mode == CSI_SOS:
+            sq = d * d
+            expected = fading * np.power(sq, np.full_like(sq, -0.5 * cfg.eta))
+        else:
+            rng = np.random.default_rng(9)
+            sq = (cfg.D ** 2 * rng.random((cfg.K, 2_000))).T
+            mean = np.power(sq, np.full_like(sq, -0.5 * cfg.eta)) - cfg.sigma2_zeta
+            expected = rng.standard_exponential((cfg.K, 2_000)).T * mean
+        np.testing.assert_allclose(gains, expected, rtol=1e-15)
 
     def test_nearest_distance_mean(self):
         # E[min of two uniform-in-disk radii] = 8 D / 15

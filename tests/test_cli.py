@@ -2,12 +2,16 @@
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import noma_perf
 from noma_perf import analytic, cli, montecarlo
 from noma_perf.cli import CSV_COLUMNS, main, verify
 from noma_perf.config import ConfigError, Settings, parse_config, system_config
@@ -359,6 +363,22 @@ class TestVerify:
         verify(parse_config(write_cfg(tmp_path, "k = 400\ntrials = 2000\n")))
         assert elements and max(elements) <= montecarlo.BATCH_ELEMENTS
 
+    def test_determinism_check_runs_two_batches(self, tmp_path, monkeypatch):
+        # 2 * 200 trials at K = 400, not a fixed 20,000; still 20,000 at K <= 8
+        calls = []
+        simulate = montecarlo.simulate
+
+        def recording_simulate(config, scheme, metric_kind, trials, seed, workers=1, stream=0):
+            calls.append((trials, workers))
+            return simulate(config, scheme, metric_kind, trials, seed, workers=workers,
+                            stream=stream)
+
+        monkeypatch.setattr(montecarlo, "simulate", recording_simulate)
+        _, report = verify(parse_config(write_cfg(tmp_path, "k = 400\ntrials = 2000\n")))
+        assert calls == [(400, 1), (400, 2)]
+        assert "determinism: PASS" in report
+        assert 2 * montecarlo.batch_rows(8) == 20_000
+
     def test_k_above_batch_elements_exits_before_any_draw(self, tmp_path, capsys, sample_calls):
         path = write_cfg(tmp_path, "k = 80001\ntrials = 2000\n")
         assert main(["verify", "--config", path]) == 2
@@ -479,3 +499,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", path, "--axis", "distance"])
         assert exc.value.code == 2
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures, and the logging it imports, load only when a
+    # simulation runs more than one worker
+    src = os.path.dirname(os.path.dirname(noma_perf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, noma_perf.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
