@@ -3,8 +3,7 @@
 Users are dropped uniformly in a disk of radius D around the transmitter.
 Small-scale fading is Rayleigh, so fading power is Exp(1), and the
 effective gain of a user at distance d is fading * d^(-eta), computed as
-fading * u^(-eta/2) from the squared distance u = d^2 (1/u at eta = 2, a
-reciprocal in place of the general power).
+fading * u^(-eta/2) from the squared distance u = d^2.
 `sample_batch` draws snapshots in batches, as (size, K) arrays, and draws
 only what the scheduler reads in each flavor of channel knowledge. Each
 array is user-major, the transpose of a C-order (K, size) block, so one
@@ -19,9 +18,7 @@ user's column is contiguous for the scorer's column loops:
   true gains.
 * "sos": only statistical knowledge; users are ranked by distance and no
   per-realization estimate exists. Distances and fading are drawn, and
-  each row is nearest-first: at K = 2 by an elementwise min/max of the two
-  users' uniforms, above it by a row sort of uniforms drawn (size, K) and
-  one transposing copy.
+  each row is nearest-first.
 
 Batch rows are the caller's choice; `montecarlo` asks for at most 10k rows
 and 80k gains per batch.
@@ -104,9 +101,6 @@ def sample_batch(config: SystemConfig, rng: np.random.Generator, size: int):
     perfect CSI, in draw order, and the true gains under statistical CSI,
     nearest-first. est_gains are the estimates, or None under statistical
     CSI; distances and fading_powers are None outside it.
-
-    Each array is the transpose of a C-order (K, size) array, so the
-    gains[:, j] of one user are contiguous.
     """
     K = config.K
     if config.csi_mode != CSI_SOS:

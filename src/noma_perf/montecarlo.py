@@ -23,9 +23,6 @@ Under estimate ranking the roles are the row minimum, maximum and second
 maximum, found by one column loop without ranking the rest. The
 per-trial values are the same bits as scoring each pair on its own, since
 row minima, maxima and order statistics are exact copies of gains.
-An outage comes back as a boolean mask and is reduced by counting (its sum
-and its sum of squares are both the count); the other per-trial values are
-reduced to np.sum(v) and np.dot(v, v), with no v * v temporary.
 
 Two secrecy metrics exist side by side:
 
@@ -54,9 +51,7 @@ METRIC_SECRECY = "secrecy_throughput"
 METRIC_SECRECY_SURROGATE = "secrecy_throughput_surrogate"
 METRIC_KINDS = (METRIC_OUTAGE, METRIC_SECRECY, METRIC_SECRECY_SURROGATE)
 
-# Rows of a batch up to K = 8. Above 10k, OpenBLAS would split np.dot over
-# its threads and the sums of squares would depend on the thread count.
-BATCH_SIZE = 10_000
+BATCH_SIZE = 10_000  # rows of a batch up to K = 8
 # Gains of a batch above it. Peak RSS of simulate_many, all six pairs, 3e4
 # trials, numpy 2.4: 10k-row batches 41.1 / 50.3 MB at K = 40 / 100
 # (imperfect) and 47.8 / 66.3 MB (sos); 80k-gain batches 36.3-38.2 MB at
@@ -136,10 +131,10 @@ def _score_batch(config: SystemConfig, pairs, gains: np.ndarray) -> dict:
 
     `gains` are the ranked gains of `sample_batch`: estimates in any order,
     or true gains nearest-first under statistical CSI. Returns
-    {pair: array}, a boolean mask for an outage pair. The scheduler's roles
-    (`schedule`), the NOMA outage mask and the NOMA unicast share are
-    computed once for all pairs; both OMA secrecy pairs map to one array.
-    Pairs are assumed valid (`simulate_many` checks them).
+    {pair: array}. The scheduler's roles (`schedule`), the NOMA outage
+    mask and the NOMA unicast share are computed once for all pairs; both
+    OMA secrecy pairs map to one array. Pairs are assumed valid
+    (`simulate_many` checks them).
     """
     rho = config.rho
     eps = config.eps_multicast
@@ -150,9 +145,10 @@ def _score_batch(config: SystemConfig, pairs, gains: np.ndarray) -> dict:
 
     values = {}
     if (SCHEME_NOMA, METRIC_OUTAGE) in wanted:
-        values[(SCHEME_NOMA, METRIC_OUTAGE)] = ~ok
+        values[(SCHEME_NOMA, METRIC_OUTAGE)] = (~ok).astype(float)
     if (SCHEME_OMA, METRIC_OUTAGE) in wanted:
-        values[(SCHEME_OMA, METRIC_OUTAGE)] = weakest < config.eps_multicast_oma / rho
+        oma_outage = weakest < config.eps_multicast_oma / rho
+        values[(SCHEME_OMA, METRIC_OUTAGE)] = oma_outage.astype(float)
 
     oma_pairs = wanted & {(SCHEME_OMA, METRIC_SECRECY), (SCHEME_OMA, METRIC_SECRECY_SURROGATE)}
     if oma_pairs:
@@ -183,11 +179,7 @@ def _run_batch(config, pairs, seed, stream, index, size):
     for pair in pairs:
         v = values[pair]
         if id(v) not in sums:
-            if v.dtype == bool:  # an indicator's sum and sum of squares are its count
-                count = float(np.count_nonzero(v))
-                sums[id(v)] = (count, count)
-            else:
-                sums[id(v)] = (float(np.sum(v)), float(np.dot(v, v)))
+            sums[id(v)] = (float(np.sum(v)), float(np.sum(v * v)))
     return [sums[id(values[pair])] for pair in pairs]
 
 

@@ -106,7 +106,8 @@ class TestSampling:
 
     @pytest.mark.parametrize("kw", [
         dict(), dict(csi_mode=CSI_PERFECT, sigma2_zeta=0.0), dict(csi_mode=CSI_SOS),
-        dict(csi_mode=CSI_SOS, K=2),
+        dict(csi_mode=CSI_SOS, K=2), dict(eta=3.0, sigma2_zeta=0.001),
+        dict(csi_mode=CSI_SOS, eta=3.0),
     ])
     def test_sorted_draws_match_argsort_form(self, kw):
         # reference: each mode's draw written out. Draws are user-major, one
@@ -114,16 +115,16 @@ class TestSampling:
         # CSI above K = 2, which are drawn row-major; distances are ordered
         # by a stable argsort, as first written. The estimate modes draw
         # squared distances D^2 U and one Exp(1) per user, and neither sort
-        # nor keep distances. eta = 2, so the path loss is 1/u
+        # nor keep distances. The path loss is u^(-eta/2)
         cfg = make_config(**kw)
         rng = np.random.default_rng(77)
         if cfg.csi_mode == CSI_SOS:
             u = rng.random((cfg.K, 500)).T if cfg.K == 2 else rng.random((500, cfg.K))
             sq = cfg.D ** 2 * np.take_along_axis(u, np.argsort(u, axis=1, kind="stable"), axis=1)
             fading = rng.exponential(1.0, (cfg.K, 500)).T
-            expected = (np.sqrt(sq), fading, fading * (1.0 / sq), None)
+            expected = (np.sqrt(sq), fading, fading * sq ** (-cfg.eta / 2), None)
         else:
-            mean = 1.0 / (cfg.D ** 2 * rng.random((cfg.K, 500)).T) - cfg.sigma2_zeta
+            mean = (cfg.D ** 2 * rng.random((cfg.K, 500)).T) ** (-cfg.eta / 2) - cfg.sigma2_zeta
             est = rng.exponential(1.0, (cfg.K, 500)).T * mean
             expected = (None, None, est, est)
         got = sample_batch(cfg, np.random.default_rng(77), 500)

@@ -73,7 +73,7 @@ SOS_PINNED = {
         ("0x1.ff4933f5bf8e9p-1", "0x1.1332a9bcf2fd7p-11"),
         ("0x1.cb5d366cdabffp-8", "0x1.ea905a3f5c630p-10"),
         ("0x1.1495ec0a5a295p-3", "0x1.12788e1bc87ebp-8"),
-        ("0x1.0cb8b81ab0008p-8", "0x1.7841149956b26p-10"),
+        ("0x1.0cb8b81ab0008p-8", "0x1.7841149956b25p-10"),
         ("0x1.1495ec0a5a295p-3", "0x1.12788e1bc87ebp-8"),
     ],
     (2, 40.0): [
@@ -95,9 +95,9 @@ SOS_PINNED = {
     (3, 40.0): [
         ("0x1.e31b3faa505b3p-10", "0x1.3b000f90af786p-11"),
         ("0x1.1575b421d0becp-8", "0x1.d9733c99fa01fp-11"),
-        ("0x1.6eb72c50b555dp+0", "0x1.9ac3261027634p-6"),
+        ("0x1.6eb72c50b555dp+0", "0x1.9ac3261027633p-6"),
         ("0x1.6f90d70b32a1dp-1", "0x1.9b3d0f5b9b8fcp-7"),
-        ("0x1.6eaec231d392dp+0", "0x1.9ab46bc0b352dp-6"),
+        ("0x1.6eaec231d392dp+0", "0x1.9ab46bc0b352cp-6"),
         ("0x1.6f90d70b32a1dp-1", "0x1.9b3d0f5b9b8fcp-7"),
     ],
     (8, 0.0): [
@@ -113,7 +113,7 @@ SOS_PINNED = {
         ("0x1.361a23ad52b71p-7", "0x1.5fe7410880494p-10"),
         ("0x1.1fbe8037bb309p+0", "0x1.66382acd958a8p-6"),
         ("0x1.21216477c9d86p-1", "0x1.66f592ec4ec25p-7"),
-        ("0x1.1fbe55b1e09bbp+0", "0x1.663807003318fp-6"),
+        ("0x1.1fbe55b1e09bbp+0", "0x1.6638070033191p-6"),
         ("0x1.21216477c9d86p-1", "0x1.66f592ec4ec25p-7"),
     ],
 }
