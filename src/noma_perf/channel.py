@@ -6,8 +6,8 @@ effective gain of a user at distance d is fading * d^(-eta), computed as
 fading * u^(-eta/2) from the squared distance u = d^2.
 `sample_batch` draws snapshots in batches, as (size, K) arrays, and draws
 only what the scheduler reads in each flavor of channel knowledge. Each
-array is user-major, the transpose of a C-order (K, size) block, so one
-user's column is contiguous for the scorer's column loops:
+array is user-major, the transpose of a C-order (K, size) block, so each
+user's gains are contiguous for the scorer's reductions over users:
 
 * "imperfect": the scheduler ranks users by MMSE channel estimates. Given
   the squared distance u = d^2, uniform on [0, D^2], an estimate is Exp

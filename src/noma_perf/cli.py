@@ -206,26 +206,23 @@ def verify(settings: Settings):
 
 
 def _build_parser():
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", required=True)
+    shared.add_argument("--seed", type=int)
+    shared.add_argument("--trials", type=int)
+    shared.add_argument("--workers", type=int)
+
     parser = argparse.ArgumentParser(
         prog="noma-perf",
         description="Outage and secrecy throughput analysis for a mixed "
                     "multicast/unicast NOMA downlink",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep = sub.add_parser("sweep", help="tabulate analytic vs simulated metrics")
-    sweep.add_argument("--config", required=True)
+    sweep = sub.add_parser("sweep", parents=[shared],
+                           help="tabulate analytic vs simulated metrics")
     sweep.add_argument("--axis", choices=("snr", "sigma2", "k"), default="snr")
-    sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--trials", type=int)
-    sweep.add_argument("--workers", type=int)
     sweep.add_argument("--out")
-
-    ver = sub.add_parser("verify", help="run self-consistency checks")
-    ver.add_argument("--config", required=True)
-    ver.add_argument("--seed", type=int)
-    ver.add_argument("--trials", type=int)
-    ver.add_argument("--workers", type=int)
+    sub.add_parser("verify", parents=[shared], help="run self-consistency checks")
     return parser
 
 

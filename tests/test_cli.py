@@ -393,6 +393,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "secrecy-vs-mc-noma: PASS" in out and "secrecy-vs-mc-oma: PASS" in out
 
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_imperfect_general_path_loss_passes(self, tmp_path, capsys, k):
+        # eta = 3 runs the estimate draw's general power u ** (-eta/2), not
+        # the eta = 2 reciprocal, against the analytic forms end to end
+        path = write_cfg(tmp_path, f"eta = 3\nsigma2 = 0.001\nk = {k}\ntrials = 20000\n")
+        assert main(["verify", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "secrecy-vs-mc-noma: PASS" in out and "secrecy-vs-mc-oma: PASS" in out
+
 
 def scalar_power_split_line(settings):
     """verify's power-split-identity line from one power_split and one
