@@ -17,11 +17,12 @@ user's gains are contiguous for the scorer's reductions over users:
 * "perfect": the same draw with sigma2_zeta = 0, so the estimates are the
   true gains.
 * "sos": only statistical knowledge; users are ranked by distance and no
-  per-realization estimate exists. Distances and fading are drawn, and
-  each row is nearest-first.
+  per-realization estimate exists. Squared distances and fading are
+  drawn, and each row is nearest-first; no distance sqrt(u) is taken.
 
 Batch rows are the caller's choice; `montecarlo` asks for at most 10k rows
-and 80k gains per batch.
+and 80k gains per batch, and passes a workspace that every batch of a job
+is drawn into, so a draw allocates nothing.
 """
 
 import numpy as np
@@ -93,46 +94,56 @@ class SystemConfig:
         return 2.0 ** (2.0 * self.R_M) - 1.0
 
 
-def sample_batch(config: SystemConfig, rng: np.random.Generator, size: int):
+def sample_batch(config: SystemConfig, rng: np.random.Generator, size: int, workspace=None):
     """Draw `size` independent snapshots as (size, K) arrays.
 
-    Returns (distances, fading_powers, ranked_gains, est_gains). ranked_gains
-    are the gains the scheduler ranks: the estimates under imperfect and
-    perfect CSI, in draw order, and the true gains under statistical CSI,
-    nearest-first. est_gains are the estimates, or None under statistical
-    CSI; distances and fading_powers are None outside it.
+    Returns (squared_distances, fading_powers, ranked_gains, est_gains).
+    ranked_gains are the gains the scheduler ranks: the estimates under
+    imperfect and perfect CSI, in draw order, and the true gains under
+    statistical CSI, nearest-first. est_gains are the estimates, or None
+    under statistical CSI; squared_distances and fading_powers are None
+    outside it.
+
+    The arrays are views of `workspace`, a flat float64 array of at least
+    3 K size floats (allocated when None), valid until it is written again;
+    the ranked gains fill its first K size floats.
     """
     K = config.K
+    n = K * size
+    if workspace is None:
+        workspace = np.empty(3 * n)
+    gains, spare = workspace[:n].reshape(K, size), workspace[n:2 * n].reshape(K, size)
     if config.csi_mode != CSI_SOS:
-        u = rng.random((K, size))
+        u = rng.random(out=gains)
         u *= config.D ** 2  # squared distance
-        _path_loss(u, config.eta)  # mean gain
+        _path_loss(u, config.eta, out=u)  # mean gain
         u -= config.sigma2_zeta  # mean estimate power
-        u *= rng.standard_exponential((K, size))
+        u *= rng.standard_exponential(out=spare)
         est = u.T
         return None, None, est, est
     # D sqrt(u) is monotone in u, so sorting the uniforms sorts the distances
+    sq = workspace[2 * n:3 * n].reshape(K, size)
     if K == 2:
-        u = rng.random((2, size))
-        u[0], u[1] = np.minimum(u[0], u[1]), np.maximum(u[0], u[1])
+        u = rng.random(out=gains)
+        np.minimum(u[0], u[1], out=sq[0])
+        np.maximum(u[0], u[1], out=sq[1])
     else:
         # a row sort of (size, K) beats a column sort of (K, size); one
         # transposing copy then makes each user's column contiguous
-        u = rng.random((size, K))
+        u = rng.random(out=gains.reshape(size, K))
         u.sort(axis=1)
-        u = np.ascontiguousarray(u.T)
-    u *= config.D ** 2  # squared distance
-    d = np.sqrt(u)
-    fading = rng.standard_exponential((K, size))
-    _path_loss(u, config.eta)
-    u *= fading
-    return d.T, fading.T, u.T, None
+        np.copyto(sq, u.T)
+    sq *= config.D ** 2  # squared distance
+    fading = rng.standard_exponential(out=spare)
+    _path_loss(sq, config.eta, out=gains)
+    gains *= fading
+    return sq.T, fading.T, gains.T, None
 
 
-def _path_loss(sq_dist: np.ndarray, eta: float) -> None:
-    """Overwrite squared distances u with u^(-eta/2); eta = 2 takes 1/u,
-    which is cheaper than the general power."""
+def _path_loss(sq_dist: np.ndarray, eta: float, out: np.ndarray) -> None:
+    """Write sq_dist^(-eta/2) of squared distances into `out`; eta = 2
+    takes 1/u, which is cheaper than the general power."""
     if eta == 2.0:
-        np.reciprocal(sq_dist, out=sq_dist)
+        np.reciprocal(sq_dist, out=out)
     else:
-        sq_dist **= -0.5 * eta
+        np.power(sq_dist, -0.5 * eta, out=out)

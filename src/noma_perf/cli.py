@@ -170,11 +170,18 @@ def verify(settings: Settings):
             err = abs(a - est.value)
             ok &= _check(lines, f"outage-vs-mc-{scheme}", err <= bound,
                          f"|{a:.6g} - {est.value:.6g}| = {err:.3e}, bound {bound:.3e}")
-        else:  # analytic secrecy against its simulation surrogate
-            rel = abs(a - est.value) / abs(est.value) if est.value != 0 else float("inf")
+        elif est.value != 0:  # analytic secrecy against its simulation surrogate
+            rel = abs(a - est.value) / abs(est.value)
             ok &= _check(lines, f"secrecy-vs-mc-{scheme}", rel <= rel_bound,
                          f"analytic {a:.6g}, mc {est.value:.6g}, "
                          f"rel err {rel:.3e}, bound {rel_bound:g}")
+        else:
+            # no trial scored, so no relative error: by the rule of three the
+            # share of scoring trials is below 3/trials at 95%, and the
+            # analytic value must be as small
+            bound = 3.0 / est.trials
+            ok &= _check(lines, f"secrecy-vs-mc-{scheme}", abs(a) <= bound,
+                         f"analytic {a:.6g}, mc 0, abs err {abs(a):.3e}, bound {bound:.3g}")
     if all(metric == montecarlo.METRIC_OUTAGE for _, metric in rows):
         lines.append("secrecy-vs-mc: SKIP (secrecy needs K >= 2)")
 

@@ -7,6 +7,11 @@ SeedSequence(seed, spawn_key=(stream, i)), and batch results are reduced
 in batch order. The estimate is therefore bit-identical across runs and
 across worker counts for a fixed seed and stream.
 
+Each worker thread of a job draws and scores all of its batches in one
+workspace (`_workspace`) of at most 3 * BATCH_ELEMENTS floats, so no batch
+allocates an array; draws and ufuncs give the same bits into it as into new
+arrays.
+
 Each batch draws only the gains the scheduler ranks (`channel.sample_batch`):
 estimates, in draw order, under imperfect and perfect CSI; true gains,
 nearest-first, under statistical CSI. The batch is user-major, so each
@@ -35,6 +40,7 @@ Two secrecy metrics exist side by side:
   Under OMA there is no power split and the two metrics coincide.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,25 +82,25 @@ def batch_rows(K: int) -> int:
     return max(1, min(BATCH_SIZE, BATCH_ELEMENTS // K))
 
 
-def _top2(gains):
-    """(max, second max) of each row of a (trials, K >= 2) batch.
+def _top2(gains, top, second, spare):
+    """Write the (max, second max) of each row of a (trials, K >= 2) batch
+    into `top` and `second`; `spare` is scratch of the same length.
 
     One column loop; np.partition along the user axis costs 3x (K = 40)
     to 20x (K = 3) as much. Both are elements of their row, so the bits
     equal those of a full row sort.
     """
     a, b = gains[:, 0], gains[:, 1]
-    top, second = np.maximum(a, b), np.minimum(a, b)
-    spare = np.empty_like(top)
+    np.maximum(a, b, out=top)
+    np.minimum(a, b, out=second)
     for j in range(2, gains.shape[1]):
         col = gains[:, j]
         np.minimum(top, col, out=spare)  # a new top pushes the old one down
         np.maximum(second, spare, out=second)
         np.maximum(top, col, out=top)
-    return top, second
 
 
-def schedule(config: SystemConfig, gains: np.ndarray, secrecy: bool):
+def schedule(config: SystemConfig, gains: np.ndarray, secrecy: bool, scratch=None):
     """(weakest, driving, target, eavesdropper) gains of each row.
 
     The weakest is the row minimum under either ranking. Estimates: the
@@ -104,70 +110,139 @@ def schedule(config: SystemConfig, gains: np.ndarray, secrecy: bool):
     eavesdrops. Only the secrecy scores read the split, so driving, target
     and eavesdropper are None unless `secrecy` is set and K >= 2, and
     outage-only callers skip `_top2`.
+
+    Roles that are not columns of `gains` are written into row vectors 0
+    to 2 of the flat `scratch` (3 is `_top2`'s spare), allocated when None.
     """
-    weakest = gains.min(axis=1)
-    if not secrecy or gains.shape[1] < 2:
+    rows, K = gains.shape
+    if scratch is None:
+        scratch = np.empty(4 * rows)
+    weakest, top, second, spare = scratch[:4 * rows].reshape(4, rows)
+    gains.min(axis=1, out=weakest)
+    if not secrecy or K < 2:
         return weakest, None, None, None
     if config.csi_mode == CSI_SOS:
-        return weakest, gains[:, -1], gains[:, 0], gains[:, 1:].max(axis=1)
-    target, eave = _top2(gains)
-    return weakest, weakest, target, eave
+        return weakest, gains[:, -1], gains[:, 0], gains[:, 1:].max(axis=1, out=second)
+    _top2(gains, top, second, spare)
+    return weakest, weakest, top, second
 
 
-def _score_batch(config: SystemConfig, pairs, gains: np.ndarray) -> dict:
+# row vectors of `_score_batch`'s float scratch; the last holds the bytes
+# of four bool row vectors (the NOMA multicast decodes, each scheme's
+# outage and the power split's own outage flag)
+_VECTORS = 6
+
+
+def _score_batch(config: SystemConfig, pairs, gains: np.ndarray, scratch=None) -> dict:
     """Per-trial values of every (scheme, metric_kind) pair for one batch.
 
     `gains` are the ranked gains of `sample_batch`: estimates in any order,
     or true gains nearest-first under statistical CSI. Returns
-    {pair: array}. The scheduler's roles (`schedule`), the NOMA outage
-    mask and the NOMA unicast share are computed once for all pairs; both
-    OMA secrecy pairs map to one array. Pairs are assumed valid
-    (`simulate_many` checks them).
+    {pair: array}: bool flags for an outage pair, float scores for a
+    secrecy pair. The scheduler's roles (`schedule`), the NOMA outage mask
+    and rho times the target and the eavesdropper are computed once for all
+    pairs; both OMA secrecy pairs map to one array. Every array is a view
+    of the flat `scratch` of `_VECTORS` row vectors (allocated when None).
+    Pairs are assumed valid (`simulate_many` checks them).
     """
     rho = config.rho
     eps = config.eps_multicast
+    rows = gains.shape[0]
     wanted = set(pairs)
     secrecy = any(metric_kind != METRIC_OUTAGE for _, metric_kind in wanted)
-    weakest, driving, target, eave = schedule(config, gains, secrecy)
-    ok = weakest >= eps / rho  # every user decodes the NOMA multicast
+    if scratch is None:
+        scratch = np.empty(_VECTORS * rows)
+    _, top, _, spare, exact, flags = scratch[:_VECTORS * rows].reshape(_VECTORS, rows)
+    ok, noma_outage, oma_outage, split_outage = flags.view(bool)[:4 * rows].reshape(4, rows)
+    weakest, driving, target, eave = schedule(config, gains, secrecy, scratch)
+    np.greater_equal(weakest, eps / rho, out=ok)  # every user decodes the NOMA multicast
 
     values = {}
     if (SCHEME_NOMA, METRIC_OUTAGE) in wanted:
-        values[(SCHEME_NOMA, METRIC_OUTAGE)] = (~ok).astype(float)
+        values[(SCHEME_NOMA, METRIC_OUTAGE)] = np.logical_not(ok, out=noma_outage)
     if (SCHEME_OMA, METRIC_OUTAGE) in wanted:
-        oma_outage = weakest < config.eps_multicast_oma / rho
-        values[(SCHEME_OMA, METRIC_OUTAGE)] = oma_outage.astype(float)
-
-    oma_pairs = wanted & {(SCHEME_OMA, METRIC_SECRECY), (SCHEME_OMA, METRIC_SECRECY_SURROGATE)}
-    if oma_pairs:
-        # no power split under OMA, so surrogate and exact coincide
-        gap = 0.5 * (np.log2(1.0 + rho * target) - np.log2(1.0 + rho * eave))
-        oma = np.maximum(0.0, gap)
-        for pair in oma_pairs:
-            values[pair] = oma
-
-    if (SCHEME_NOMA, METRIC_SECRECY_SURROGATE) in wanted:
-        nu = 1.0 + eps
-        gap = np.log2((nu + rho * target) / (nu + rho * eave))
-        values[(SCHEME_NOMA, METRIC_SECRECY_SURROGATE)] = ok * np.maximum(0.0, gap)
+        values[(SCHEME_OMA, METRIC_OUTAGE)] = np.less(
+            weakest, config.eps_multicast_oma / rho, out=oma_outage)
 
     if (SCHEME_NOMA, METRIC_SECRECY) in wanted:
         # exact secrecy: realized split; a trial that is not ok scores 0
-        # whatever share the split gives it
-        theta_u = power_split(driving, rho, config.R_M).theta_U
-        gap = np.log2((1.0 + rho * theta_u * target) / (1.0 + rho * theta_u * eave))
-        values[(SCHEME_NOMA, METRIC_SECRECY)] = ok * np.maximum(0.0, gap)
+        # whatever share the split gives it. The split's theta_M lands in
+        # `exact`, which holds the score from then on
+        share = power_split(driving, rho, config.R_M, out=(exact, spare, split_outage)).theta_U
+        share *= rho
+        np.multiply(share, target, out=exact)
+        exact += 1.0
+        share *= eave
+        share += 1.0
+        exact /= share
+        values[(SCHEME_NOMA, METRIC_SECRECY)] = _secrecy_rate(exact, ok)
+
+    oma_pairs = wanted & {(SCHEME_OMA, METRIC_SECRECY), (SCHEME_OMA, METRIC_SECRECY_SURROGATE)}
+    surrogate_wanted = (SCHEME_NOMA, METRIC_SECRECY_SURROGATE) in wanted
+    if oma_pairs or surrogate_wanted:
+        # from here on nothing reads the weakest gain, the eavesdropper or
+        # an estimate-ranked target, so their vectors are overwritten
+        rho_target = np.multiply(target, rho, out=weakest)
+        rho_eave = np.multiply(eave, rho, out=eave)
+    if oma_pairs:
+        # no power split under OMA, so surrogate and exact coincide
+        oma = np.log2(np.add(rho_target, 1.0, out=top), out=top)
+        oma -= np.log2(np.add(rho_eave, 1.0, out=spare), out=spare)
+        oma *= 0.5
+        np.maximum(0.0, oma, out=oma)
+        for pair in oma_pairs:
+            values[pair] = oma
+    if surrogate_wanted:
+        nu = 1.0 + eps
+        rho_target += nu
+        rho_eave += nu
+        rho_target /= rho_eave
+        values[(SCHEME_NOMA, METRIC_SECRECY_SURROGATE)] = _secrecy_rate(rho_target, ok)
     return values
 
 
-def _run_batch(config, pairs, seed, stream, index, size):
+def _secrecy_rate(ratio, ok):
+    """Overwrite SINR ratios with ok * max(0, log2(ratio)), the secrecy rate
+    a trial scores (0 where the multicast is not decoded)."""
+    np.log2(ratio, out=ratio)
+    np.maximum(0.0, ratio, out=ratio)
+    ratio *= ok
+    return ratio
+
+
+def _workspace(config: SystemConfig, rows: int) -> np.ndarray:
+    """The flat float buffer a job's batches of up to `rows` rows are drawn
+    (gains in front) and scored (behind the gains) in.
+
+    Mapped from the OS, not taken from malloc: glibc raises its mmap
+    threshold when a block this large is freed, after which the next job's
+    workspace stayed resident in the heap (1 MB more peak RSS in `verify`
+    at K = 8, glibc 2.36).
+    """
+    import mmap  # 0.3 ms, paid by the first job only
+
+    floats = max(3 * config.K, config.K + _VECTORS) * rows
+    return np.frombuffer(mmap.mmap(-1, 8 * floats), dtype=float)
+
+
+def _run_batch(config, pairs, seed, stream, index, size, workspace):
+    """(sum, sum of squares) of each pair's per-trial values over batch
+    `index`, drawn and scored in `workspace` (`_workspace`)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, index)))
-    values = _score_batch(config, pairs, sample_batch(config, rng, size)[2])
+    gains = sample_batch(config, rng, size, workspace)[2]
+    values = _score_batch(config, pairs, gains, workspace[config.K * size:])
     sums = {}  # keyed by array identity: a shared array is reduced once
     for pair in pairs:
         v = values[pair]
-        if id(v) not in sums:
-            sums[id(v)] = (float(np.sum(v)), float(np.sum(v * v)))
+        if id(v) in sums:
+            continue
+        if v.dtype == bool:  # an indicator is its own square
+            count = float(np.count_nonzero(v))
+            sums[id(v)] = (count, count)
+        else:
+            total = float(np.sum(v))
+            v *= v  # the scores are read no more
+            sums[id(v)] = (total, float(np.sum(v)))
     return [sums[id(values[pair])] for pair in pairs]
 
 
@@ -223,8 +298,12 @@ def simulate_many(config: SystemConfig, pairs, trials: int, seed: int,
     if trials % rows:
         sizes.append(trials % rows)
 
+    local = threading.local()  # each thread's workspace, reused by its batches
+
     def job(i):
-        return _run_batch(config, pairs, seed, stream, i, sizes[i])
+        if not hasattr(local, "workspace"):
+            local.workspace = _workspace(config, sizes[0])
+        return _run_batch(config, pairs, seed, stream, i, sizes[i], local.workspace)
 
     if workers == 1:
         parts = [job(i) for i in range(len(sizes))]

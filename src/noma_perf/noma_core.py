@@ -21,26 +21,34 @@ class PowerSplit:
     outage: bool
 
 
-def power_split(alpha_weakest, rho: float, R_M: float) -> PowerSplit:
+def power_split(alpha_weakest, rho: float, R_M: float, out=None) -> PowerSplit:
     """Split total power so the weakest gain decodes R_M, rest to unicast.
 
     If even full power cannot support R_M (alpha_weakest < eps/rho) the slot
-    is in multicast outage and everything goes to multicast.
+    is in multicast outage and everything goes to multicast. `out`, if
+    given, is a (theta_M, theta_U, outage) triple of arrays shaped like the
+    gains that the split is written into, as a ufunc's outputs are.
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
     if not R_M > 0:
         raise ValueError("R_M must be positive")
     alpha = np.asarray(alpha_weakest, dtype=float)
-    if np.any(alpha < 0):
+    if alpha.min(initial=0.0) < 0:
         raise ValueError("alpha_weakest must be nonnegative")
     eps = 2.0 ** R_M - 1.0
-    outage = alpha < eps / rho
-    # the quotient is only formed where it is feasible, so a zero gain
-    # (always in outage) divides by nothing
-    theta_U = np.divide(alpha - eps / rho, alpha * (1.0 + eps),
-                        out=np.zeros_like(alpha), where=~outage)
-    theta_M = 1.0 - theta_U
+    if out is None:
+        out = np.empty_like(alpha), np.empty_like(alpha), np.empty(alpha.shape, dtype=bool)
+    theta_M, theta_U, outage = out
+    # theta_U = (a - eps/rho) / (a (1 + eps)) at a = max(alpha, eps/rho):
+    # alpha itself where feasible, and in outage the threshold, whose share
+    # is exactly 0, so a zero gain never divides by zero
+    np.maximum(alpha, eps / rho, out=theta_U)
+    np.multiply(theta_U, 1.0 + eps, out=theta_M)
+    theta_U -= eps / rho
+    theta_U /= theta_M
+    np.subtract(1.0, theta_U, out=theta_M)
+    np.less(alpha, eps / rho, out=outage)
     if alpha.ndim == 0:
         return PowerSplit(theta_M=float(theta_M), theta_U=float(theta_U), outage=bool(outage))
     return PowerSplit(theta_M=theta_M, theta_U=theta_U, outage=outage)

@@ -27,9 +27,9 @@ from noma_perf.noma_core import power_split
 def snapshot(config, rng):
     """One snapshot: row 0 of every array of a one-row `sample_batch` draw.
 
-    Returns (distances, fading_powers, ranked_gains, est_gains) as
+    Returns (squared_distances, fading_powers, ranked_gains, est_gains) as
     `sample_batch` does: ranked_gains are the estimates outside statistical
-    CSI, where distances and fading_powers are None, and the true gains,
+    CSI, where squared_distances and fading_powers are None, and the true gains,
     nearest-first, under it, where est_gains is None.
     """
     return tuple(None if a is None else a[0] for a in sample_batch(config, rng, 1))

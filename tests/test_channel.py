@@ -73,7 +73,8 @@ class TestSystemConfig:
 class TestSampling:
     def test_shapes_and_ordering(self):
         cfg = make_config(csi_mode=CSI_SOS)
-        d, fading, true_g, est_g = snapshot(cfg, np.random.default_rng(7))
+        sq, fading, true_g, est_g = snapshot(cfg, np.random.default_rng(7))
+        d = np.sqrt(sq)  # the draw keeps squared distances
         assert d.shape == (8,)
         assert np.all(np.diff(d) >= 0)
         assert np.all((d > 0) & (d < cfg.D))
@@ -105,6 +106,20 @@ class TestSampling:
                 assert (a is None and b is None) or np.array_equal(a, b)
 
     @pytest.mark.parametrize("kw", [
+        dict(), dict(csi_mode=CSI_SOS), dict(csi_mode=CSI_SOS, K=2), dict(K=1),
+    ])
+    def test_draw_into_a_used_workspace(self, kw):
+        # a workspace left full of an earlier batch's values gives the bits
+        # of a fresh draw, as views of the workspace with the gains in front
+        cfg = make_config(**kw)
+        workspace = np.full(3 * cfg.K * 50 + 7, np.nan)
+        got = sample_batch(cfg, np.random.default_rng(123), 50, workspace)
+        fresh = sample_batch(cfg, np.random.default_rng(123), 50)
+        for a, b in zip(got, fresh):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert np.shares_memory(got[2], workspace[:cfg.K * 50])
+
+    @pytest.mark.parametrize("kw", [
         dict(), dict(csi_mode=CSI_PERFECT, sigma2_zeta=0.0), dict(csi_mode=CSI_SOS),
         dict(csi_mode=CSI_SOS, K=2), dict(eta=3.0, sigma2_zeta=0.001),
         dict(csi_mode=CSI_SOS, eta=3.0),
@@ -112,8 +127,8 @@ class TestSampling:
     def test_sorted_draws_match_argsort_form(self, kw):
         # reference: each mode's draw written out. Draws are user-major, one
         # (K, rows) block per variate, except the uniforms of statistical
-        # CSI above K = 2, which are drawn row-major; distances are ordered
-        # by a stable argsort, as first written. The estimate modes draw
+        # CSI above K = 2, which are drawn row-major; squared distances are
+        # ordered by a stable argsort, as first written. The estimate modes draw
         # squared distances D^2 U and one Exp(1) per user, and neither sort
         # nor keep distances. The path loss is u^(-eta/2)
         cfg = make_config(**kw)
@@ -122,7 +137,7 @@ class TestSampling:
             u = rng.random((cfg.K, 500)).T if cfg.K == 2 else rng.random((500, cfg.K))
             sq = cfg.D ** 2 * np.take_along_axis(u, np.argsort(u, axis=1, kind="stable"), axis=1)
             fading = rng.exponential(1.0, (cfg.K, 500)).T
-            expected = (np.sqrt(sq), fading, fading * sq ** (-cfg.eta / 2), None)
+            expected = (sq, fading, fading * sq ** (-cfg.eta / 2), None)
         else:
             mean = (cfg.D ** 2 * rng.random((cfg.K, 500)).T) ** (-cfg.eta / 2) - cfg.sigma2_zeta
             est = rng.exponential(1.0, (cfg.K, 500)).T * mean
@@ -153,11 +168,10 @@ class TestSampling:
     ])
     def test_eta_two_reciprocal_matches_general_power(self, kw):
         # eta = 2 takes 1/u; an array exponent runs numpy's general power
-        # on the squared distances (under sos, rebuilt from the distances)
+        # on the squared distances (under sos, the ones the draw returns)
         cfg = make_config(**kw)
-        d, fading, gains, _ = sample_batch(cfg, np.random.default_rng(9), 2_000)
+        sq, fading, gains, _ = sample_batch(cfg, np.random.default_rng(9), 2_000)
         if cfg.csi_mode == CSI_SOS:
-            sq = d * d
             expected = fading * np.power(sq, np.full_like(sq, -0.5 * cfg.eta))
         else:
             rng = np.random.default_rng(9)
@@ -169,7 +183,7 @@ class TestSampling:
     def test_nearest_distance_mean(self):
         # E[min of two uniform-in-disk radii] = 8 D / 15
         cfg = make_config(K=2, csi_mode=CSI_SOS)
-        d, _, _, _ = sample_batch(cfg, np.random.default_rng(2024), 200_000)
+        d = np.sqrt(sample_batch(cfg, np.random.default_rng(2024), 200_000)[0])
         mean = d[:, 0].mean()
         se = d[:, 0].std() / np.sqrt(d.shape[0])
         assert abs(mean - 8.0 * cfg.D / 15.0) < 4 * se
@@ -197,7 +211,7 @@ class TestDistanceOrderPdf:
 
     def test_matches_sampled_mean(self):
         cfg = make_config(K=4, csi_mode=CSI_SOS)
-        d, _, _, _ = sample_batch(cfg, np.random.default_rng(11), 150_000)
+        d = np.sqrt(sample_batch(cfg, np.random.default_rng(11), 150_000)[0])
         for k in (1, 2, 4):
             ref = integrate.quad(
                 lambda x: x * distance_order_pdf(k, cfg.K, cfg.D, x), 0.0, cfg.D

@@ -137,9 +137,9 @@ def sample_calls(monkeypatch):
     calls = []
     sample_batch = montecarlo.sample_batch
 
-    def counting_sample_batch(config, rng, size):
+    def counting_sample_batch(config, rng, size, *workspace):
         calls.append(config.K)
-        return sample_batch(config, rng, size)
+        return sample_batch(config, rng, size, *workspace)
 
     monkeypatch.setattr(montecarlo, "sample_batch", counting_sample_batch)
     return calls
@@ -322,6 +322,33 @@ class TestVerify:
         assert "quadrature-selftest: FAIL" in out
         assert "verify: FAILED" in out
 
+    def test_secrecy_with_no_scored_trial_checks_absolute_error(self, tmp_path, capsys):
+        # at 0 dB (K = 8) every trial of 2000 is in multicast outage, so the
+        # NOMA surrogate scores 0 and has no relative error; the analytic
+        # value, 5.8e-9, is far below the rule-of-three floor 3 / 2000
+        path = write_cfg(tmp_path, "rho_db = 0\ntrials = 2000\n")
+        assert main(["verify", "--config", path]) == 0
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines() if l.startswith("secrecy-vs-mc-noma:"))
+        assert re.fullmatch(r"secrecy-vs-mc-noma: PASS \(analytic (\S+), mc 0, "
+                            r"abs err (\S+), bound 0\.0015\)", line)
+        assert "verify: OK" in out
+
+    def test_no_scored_trial_fails_a_large_analytic_value(self, tmp_path, monkeypatch):
+        # the floor is 3 / trials: an analytic value above it still fails
+        simulate_many = montecarlo.simulate_many
+
+        def scores_nothing(config, pairs, trials, seed, workers=1, stream=0):
+            return {pair: replace(est, value=0.0) if pair[1] != montecarlo.METRIC_OUTAGE
+                    else est for pair, est in simulate_many(config, pairs, trials, seed,
+                                                            workers, stream).items()}
+
+        monkeypatch.setattr(montecarlo, "simulate_many", scores_nothing)
+        ok, report = verify(parse_config(write_cfg(tmp_path, "k = 3\ntrials = 2000\n")))
+        assert not ok
+        assert re.search(r"^secrecy-vs-mc-noma: FAIL \(analytic \S+, mc 0, abs err \S+, "
+                         r"bound 0\.0015\)$", report, re.M)
+
     def test_distance_ranked_without_pair_skips_secrecy(self, tmp_path):
         path = write_cfg(tmp_path, "csi = sos\nk = 1\ntrials = 20000\n")
         ok, report = verify(parse_config(path))
@@ -355,9 +382,9 @@ class TestVerify:
         elements = []
         draw = montecarlo.sample_batch
 
-        def recording_sample_batch(config, rng, size):
+        def recording_sample_batch(config, rng, size, *workspace):
             elements.append(size * config.K)
-            return draw(config, rng, size)
+            return draw(config, rng, size, *workspace)
 
         monkeypatch.setattr(montecarlo, "sample_batch", recording_sample_batch)
         verify(parse_config(write_cfg(tmp_path, "k = 400\ntrials = 2000\n")))

@@ -1,5 +1,7 @@
 """Simulation oracle: determinism, interval quality, reference equivalence."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -136,9 +138,9 @@ class TestStreams:
     def test_large_k_batches_hold_bounded_elements(self, monkeypatch):
         elements = []
 
-        def recording_sample_batch(config, rng, size):
+        def recording_sample_batch(config, rng, size, *workspace):
             elements.append(size * config.K)
-            return sample_batch(config, rng, size)
+            return sample_batch(config, rng, size, *workspace)
 
         monkeypatch.setattr(montecarlo, "sample_batch", recording_sample_batch)
         c = cfg(K=40)
@@ -223,6 +225,48 @@ class TestSharedSample:
 def valid_pairs(c):
     """The pairs simulate_many accepts for config c."""
     return ALL_PAIRS[:2] if c.K < 2 else ALL_PAIRS
+
+
+class TestWorkspace:
+    """One workspace serves every batch of a job and carries nothing over."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 8, 40])
+    @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
+    def test_reuse_leaks_no_state(self, csi, K):
+        c = cfg(K=K, rho_db=20.0, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
+        rows = batch_rows(K)
+        workspace = montecarlo._workspace(c, rows)
+        # a full batch, then the partial one of rows + 137 trials; all
+        # pairs, then the outage pairs alone, then all pairs again
+        for pairs in (valid_pairs(c), ALL_PAIRS[:2], valid_pairs(c)):
+            for index, size in ((0, rows), (1, 137)):
+                reused = montecarlo._run_batch(c, pairs, 28, 1, index, size, workspace)
+                fresh = montecarlo._run_batch(c, pairs, 28, 1, index, size,
+                                              montecarlo._workspace(c, size))
+                assert [(s.hex(), s2.hex()) for s, s2 in reused] == \
+                    [(s.hex(), s2.hex()) for s, s2 in fresh]
+
+    def test_scoring_leaves_gains_alone(self):
+        c = cfg(K=3, csi="sos")
+        gains = sample_batch(c, np.random.default_rng(8), 1_000)[2]
+        before = gains.copy()
+        _score_batch(c, ALL_PAIRS, gains)
+        assert np.array_equal(gains, before)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page faults are counted as Linux counts them")
+    @pytest.mark.parametrize("csi,K", [("sos", 2), ("imperfect", 8)])
+    def test_batches_fault_no_pages_in(self, csi, K):
+        # a batch that allocated its arrays afresh faulted 200-340 pages in
+        import resource
+
+        c = cfg(K=K, csi=csi)
+        batches = 40
+        simulate_many(c, ALL_PAIRS, batches * batch_rows(K), seed=29)  # warm-up
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        simulate_many(c, ALL_PAIRS, batches * batch_rows(K), seed=30)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / batches < 20
 
 
 class TestSchedule:

@@ -90,6 +90,38 @@ class TestPowerSplit:
         # 0, 1e-300 and 0.5 eps/rho are in outage, eps/rho is not
         assert list(split.outage[:5]) == [True, True, True, True, False]
 
+    @pytest.mark.parametrize("rho,R_M", [(100.0, 1.0), (50.0, 0.75), (1e9, 1.2), (0.5, 3.0)])
+    def test_matches_masked_quotient(self, rho, R_M):
+        # reference: (alpha - eps/rho) / (alpha (1 + eps)), formed only where
+        # feasible and 0 elsewhere, as first written
+        eps = 2.0 ** R_M - 1.0
+        alpha = np.concatenate([gain_grid(rho, R_M),
+                                eps / rho * np.logspace(-3.0, 12.0, 2_001)])
+        feasible = alpha >= eps / rho
+        expected = np.divide(alpha - eps / rho, alpha * (1.0 + eps),
+                             out=np.zeros_like(alpha), where=feasible)
+        split = power_split(alpha, rho, R_M)
+        assert_bitwise_equal(split.theta_U, expected)
+        assert np.array_equal(split.outage, ~feasible)
+
+    def test_zero_gain_has_zero_share_without_warning(self):
+        with np.errstate(all="raise"):
+            split = power_split(np.array([0.0, 1e-300, 0.0]), 100.0, 1.0)
+            scalar = power_split(0.0, 100.0, 1.0)
+        assert_bitwise_equal(split.theta_U, [0.0, 0.0, 0.0])  # +0, not -0
+        assert split.outage.all() and scalar.outage
+        assert scalar.theta_U == 0.0 and scalar.theta_M == 1.0
+
+    def test_out_receives_the_split(self):
+        alpha = gain_grid(100.0, 1.0)
+        out = np.empty_like(alpha), np.empty_like(alpha), np.empty(alpha.shape, dtype=bool)
+        split = power_split(alpha, 100.0, 1.0, out=out)
+        assert split.theta_M is out[0] and split.theta_U is out[1] and split.outage is out[2]
+        fresh = power_split(alpha, 100.0, 1.0)
+        assert_bitwise_equal(split.theta_M, fresh.theta_M)
+        assert_bitwise_equal(split.theta_U, fresh.theta_U)
+        assert np.array_equal(split.outage, fresh.outage)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             power_split(-1.0, 100.0, 1.0)
