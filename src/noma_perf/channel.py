@@ -42,6 +42,9 @@ CSI_MODES = (CSI_IMPERFECT, CSI_PERFECT, CSI_SOS)
 # of 9.9e-10). No config key sets them.
 DEFAULT_QUAD_ORDERS = (50, 44, 17, 24, 48)
 
+# (K, size) float64 blocks a `sample_batch` workspace holds
+SAMPLE_BLOCKS = 3
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -105,13 +108,13 @@ def sample_batch(config: SystemConfig, rng: np.random.Generator, size: int, work
     outside it.
 
     The arrays are views of `workspace`, a flat float64 array of at least
-    3 K size floats (allocated when None), valid until it is written again;
-    the ranked gains fill its first K size floats.
+    SAMPLE_BLOCKS * K * size floats (allocated when None), valid until it
+    is written again; the ranked gains fill its first K size floats.
     """
     K = config.K
     n = K * size
     if workspace is None:
-        workspace = np.empty(3 * n)
+        workspace = np.empty(SAMPLE_BLOCKS * n)
     gains, spare = workspace[:n].reshape(K, size), workspace[n:2 * n].reshape(K, size)
     if config.csi_mode != CSI_SOS:
         u = rng.random(out=gains)

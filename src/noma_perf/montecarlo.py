@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CSI_SOS, SystemConfig, sample_batch
+from .channel import CSI_SOS, SAMPLE_BLOCKS, SystemConfig, sample_batch
 from .noma_core import power_split
 
 SCHEME_NOMA = "noma"
@@ -100,7 +100,7 @@ def _top2(gains, top, second, spare):
         np.maximum(top, col, out=top)
 
 
-def schedule(config: SystemConfig, gains: np.ndarray, secrecy: bool, scratch=None):
+def schedule(config: SystemConfig, gains: np.ndarray, secrecy: bool, out=None):
     """(weakest, driving, target, eavesdropper) gains of each row.
 
     The weakest is the row minimum under either ranking. Estimates: the
@@ -111,13 +111,14 @@ def schedule(config: SystemConfig, gains: np.ndarray, secrecy: bool, scratch=Non
     and eavesdropper are None unless `secrecy` is set and K >= 2, and
     outage-only callers skip `_top2`.
 
-    Roles that are not columns of `gains` are written into row vectors 0
-    to 2 of the flat `scratch` (3 is `_top2`'s spare), allocated when None.
+    Roles that are not columns of `gains` are written into `out`, the row
+    vectors (weakest, top, second, spare), allocated when None; `spare` is
+    `_top2`'s scratch.
     """
     rows, K = gains.shape
-    if scratch is None:
-        scratch = np.empty(4 * rows)
-    weakest, top, second, spare = scratch[:4 * rows].reshape(4, rows)
+    if out is None:
+        out = np.empty((4, rows))
+    weakest, top, second, spare = out
     gains.min(axis=1, out=weakest)
     if not secrecy or K < 2:
         return weakest, None, None, None
@@ -152,9 +153,10 @@ def _score_batch(config: SystemConfig, pairs, gains: np.ndarray, scratch=None) -
     secrecy = any(metric_kind != METRIC_OUTAGE for _, metric_kind in wanted)
     if scratch is None:
         scratch = np.empty(_VECTORS * rows)
-    _, top, _, spare, exact, flags = scratch[:_VECTORS * rows].reshape(_VECTORS, rows)
+    weakest, top, second, spare, exact, flags = scratch[:_VECTORS * rows].reshape(_VECTORS, rows)
     ok, noma_outage, oma_outage, split_outage = flags.view(bool)[:4 * rows].reshape(4, rows)
-    weakest, driving, target, eave = schedule(config, gains, secrecy, scratch)
+    weakest, driving, target, eave = schedule(config, gains, secrecy,
+                                              out=(weakest, top, second, spare))
     np.greater_equal(weakest, eps / rho, out=ok)  # every user decodes the NOMA multicast
 
     values = {}
@@ -215,13 +217,15 @@ def _workspace(config: SystemConfig, rows: int) -> np.ndarray:
     (gains in front) and scored (behind the gains) in.
 
     Mapped from the OS, not taken from malloc: glibc raises its mmap
-    threshold when a block this large is freed, after which the next job's
-    workspace stayed resident in the heap (1 MB more peak RSS in `verify`
-    at K = 8, glibc 2.36).
+    threshold when it frees a block this large, and later jobs' workspaces
+    then come from the heap and stay resident. In alternating perfbench
+    pairs (BENCH_15.json) an `np.empty` workspace read about 1 MB more
+    peak RSS on `verify-csi3` in four of five pairs, and 0.04-0.06 MB less
+    on the sweeps.
     """
     import mmap  # 0.3 ms, paid by the first job only
 
-    floats = max(3 * config.K, config.K + _VECTORS) * rows
+    floats = max(SAMPLE_BLOCKS * config.K, config.K + _VECTORS) * rows
     return np.frombuffer(mmap.mmap(-1, 8 * floats), dtype=float)
 
 
@@ -236,13 +240,9 @@ def _run_batch(config, pairs, seed, stream, index, size, workspace):
         v = values[pair]
         if id(v) in sums:
             continue
-        if v.dtype == bool:  # an indicator is its own square
-            count = float(np.count_nonzero(v))
-            sums[id(v)] = (count, count)
-        else:
-            total = float(np.sum(v))
-            v *= v  # the scores are read no more
-            sums[id(v)] = (total, float(np.sum(v)))
+        total = float(np.sum(v))  # a count for bool flags, exact
+        v *= v  # read no more; a bool flag squares to itself
+        sums[id(v)] = (total, float(np.sum(v)))
     return [sums[id(values[pair])] for pair in pairs]
 
 
