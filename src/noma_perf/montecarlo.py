@@ -17,17 +17,16 @@ estimates, in draw order, under imperfect and perfect CSI; true gains,
 nearest-first, under statistical CSI. The batch is user-major, so each
 user's gains are contiguous for the scorer's reductions over users.
 
-`simulate_many` scores several (scheme, metric) pairs from one shared
-sample: each batch is drawn once and every pair is reduced from it. The
-sample does not depend on which pairs are scored, so each estimate equals
-the one `simulate` gives for that pair on the same stream, bit for bit.
-One kernel (`_score_batch`) scores all pairs of a batch from the roles
-`schedule` gives each row (weakest decision gain, the gain driving the
-power split, target, eavesdropper).
-Under estimate ranking the target and eavesdropper are the row maximum
-and second maximum, found by one column loop without ranking the rest. The
-per-trial values are the same bits as scoring each pair on its own, since
-row minima, maxima and order statistics are exact copies of gains.
+Every batch scores every metric: one straight-line kernel (`_score_batch`)
+gives each valid (scheme, metric) pair its per-trial values, from the
+roles `schedule` gives each row (weakest decision gain, the gain driving
+the power split, target, eavesdropper). The pairs passed to
+`simulate_many` only choose which of those values are reduced, so each
+estimate equals the one `simulate` gives for that pair on the same
+stream, bit for bit. Under estimate ranking the target and eavesdropper
+are the row maximum and second maximum, found by one column loop without
+ranking the rest; they are exact copies of gains, so the values are the
+bits of scoring each pair on its own after a full sort.
 
 Two secrecy metrics exist side by side:
 
@@ -100,27 +99,22 @@ def _top2(gains, top, second, spare):
         np.maximum(top, col, out=top)
 
 
-def schedule(config: SystemConfig, gains: np.ndarray, secrecy: bool, out=None):
+def schedule(config: SystemConfig, gains: np.ndarray, out):
     """(weakest, driving, target, eavesdropper) gains of each row.
 
     The weakest is the row minimum under either ranking. Estimates: the
     weakest drives the power split, the strongest is the target and the
     runner-up eavesdrops. Statistical CSI (rows nearest-first): the
     farthest drives, the nearest is the target and the best of the rest
-    eavesdrops. Only the secrecy scores read the split, so driving, target
-    and eavesdropper are None unless `secrecy` is set and K >= 2, and
-    outage-only callers skip `_top2`.
+    eavesdrops. At K = 1 there is no eavesdropper, and driving, target and
+    eavesdropper are None.
 
     Roles that are not columns of `gains` are written into `out`, the row
-    vectors (weakest, top, second, spare), allocated when None; `spare` is
-    `_top2`'s scratch.
+    vectors (weakest, top, second, spare); `spare` is `_top2`'s scratch.
     """
-    rows, K = gains.shape
-    if out is None:
-        out = np.empty((4, rows))
     weakest, top, second, spare = out
     gains.min(axis=1, out=weakest)
-    if not secrecy or K < 2:
+    if gains.shape[1] < 2:
         return weakest, None, None, None
     if config.csi_mode == CSI_SOS:
         return weakest, gains[:, -1], gains[:, 0], gains[:, 1:].max(axis=1, out=second)
@@ -134,72 +128,60 @@ def schedule(config: SystemConfig, gains: np.ndarray, secrecy: bool, out=None):
 _VECTORS = 6
 
 
-def _score_batch(config: SystemConfig, pairs, gains: np.ndarray, scratch=None) -> dict:
-    """Per-trial values of every (scheme, metric_kind) pair for one batch.
+def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -> dict:
+    """Per-trial values of every valid (scheme, metric_kind) pair for one batch.
 
     `gains` are the ranked gains of `sample_batch`: estimates in any order,
     or true gains nearest-first under statistical CSI. Returns
-    {pair: array}: bool flags for an outage pair, float scores for a
-    secrecy pair. The scheduler's roles (`schedule`), the NOMA outage mask
-    and rho times the target and the eavesdropper are computed once for all
-    pairs; both OMA secrecy pairs map to one array. Every array is a view
-    of the flat `scratch` of `_VECTORS` row vectors (allocated when None).
-    Pairs are assumed valid (`simulate_many` checks them).
+    {pair: array}: bool flags for the two outage pairs and, at K >= 2,
+    float scores for the four secrecy pairs, both OMA ones one array. The
+    scheduler's roles (`schedule`), the NOMA outage mask and rho times the
+    target and the eavesdropper are computed once for all pairs. Every
+    array is a view of the flat `scratch` of `_VECTORS` row vectors.
     """
     rho = config.rho
     eps = config.eps_multicast
     rows = gains.shape[0]
-    wanted = set(pairs)
-    secrecy = any(metric_kind != METRIC_OUTAGE for _, metric_kind in wanted)
-    if scratch is None:
-        scratch = np.empty(_VECTORS * rows)
     weakest, top, second, spare, exact, flags = scratch[:_VECTORS * rows].reshape(_VECTORS, rows)
     ok, noma_outage, oma_outage, split_outage = flags.view(bool)[:4 * rows].reshape(4, rows)
-    weakest, driving, target, eave = schedule(config, gains, secrecy,
-                                              out=(weakest, top, second, spare))
+    weakest, driving, target, eave = schedule(config, gains, (weakest, top, second, spare))
     np.greater_equal(weakest, eps / rho, out=ok)  # every user decodes the NOMA multicast
+    values = {
+        (SCHEME_NOMA, METRIC_OUTAGE): np.logical_not(ok, out=noma_outage),
+        (SCHEME_OMA, METRIC_OUTAGE): np.less(weakest, config.eps_multicast_oma / rho,
+                                             out=oma_outage),
+    }
+    if driving is None:  # K = 1: no eavesdropper, so no secrecy score
+        return values
 
-    values = {}
-    if (SCHEME_NOMA, METRIC_OUTAGE) in wanted:
-        values[(SCHEME_NOMA, METRIC_OUTAGE)] = np.logical_not(ok, out=noma_outage)
-    if (SCHEME_OMA, METRIC_OUTAGE) in wanted:
-        values[(SCHEME_OMA, METRIC_OUTAGE)] = np.less(
-            weakest, config.eps_multicast_oma / rho, out=oma_outage)
+    # exact secrecy: realized split; a trial that is not ok scores 0
+    # whatever share the split gives it. The split's theta_M lands in
+    # `exact`, which holds the score from then on
+    share = power_split(driving, rho, config.R_M, out=(exact, spare, split_outage)).theta_U
+    share *= rho
+    np.multiply(share, target, out=exact)
+    exact += 1.0
+    share *= eave
+    share += 1.0
+    exact /= share
+    values[(SCHEME_NOMA, METRIC_SECRECY)] = _secrecy_rate(exact, ok)
 
-    if (SCHEME_NOMA, METRIC_SECRECY) in wanted:
-        # exact secrecy: realized split; a trial that is not ok scores 0
-        # whatever share the split gives it. The split's theta_M lands in
-        # `exact`, which holds the score from then on
-        share = power_split(driving, rho, config.R_M, out=(exact, spare, split_outage)).theta_U
-        share *= rho
-        np.multiply(share, target, out=exact)
-        exact += 1.0
-        share *= eave
-        share += 1.0
-        exact /= share
-        values[(SCHEME_NOMA, METRIC_SECRECY)] = _secrecy_rate(exact, ok)
+    # from here on nothing reads the weakest gain, the eavesdropper or an
+    # estimate-ranked target, so their vectors are overwritten
+    rho_target = np.multiply(target, rho, out=weakest)
+    rho_eave = np.multiply(eave, rho, out=eave)
+    # no power split under OMA, so surrogate and exact coincide
+    oma = np.log2(np.add(rho_target, 1.0, out=top), out=top)
+    oma -= np.log2(np.add(rho_eave, 1.0, out=spare), out=spare)
+    oma *= 0.5
+    np.maximum(0.0, oma, out=oma)
+    values[(SCHEME_OMA, METRIC_SECRECY)] = values[(SCHEME_OMA, METRIC_SECRECY_SURROGATE)] = oma
 
-    oma_pairs = wanted & {(SCHEME_OMA, METRIC_SECRECY), (SCHEME_OMA, METRIC_SECRECY_SURROGATE)}
-    surrogate_wanted = (SCHEME_NOMA, METRIC_SECRECY_SURROGATE) in wanted
-    if oma_pairs or surrogate_wanted:
-        # from here on nothing reads the weakest gain, the eavesdropper or
-        # an estimate-ranked target, so their vectors are overwritten
-        rho_target = np.multiply(target, rho, out=weakest)
-        rho_eave = np.multiply(eave, rho, out=eave)
-    if oma_pairs:
-        # no power split under OMA, so surrogate and exact coincide
-        oma = np.log2(np.add(rho_target, 1.0, out=top), out=top)
-        oma -= np.log2(np.add(rho_eave, 1.0, out=spare), out=spare)
-        oma *= 0.5
-        np.maximum(0.0, oma, out=oma)
-        for pair in oma_pairs:
-            values[pair] = oma
-    if surrogate_wanted:
-        nu = 1.0 + eps
-        rho_target += nu
-        rho_eave += nu
-        rho_target /= rho_eave
-        values[(SCHEME_NOMA, METRIC_SECRECY_SURROGATE)] = _secrecy_rate(rho_target, ok)
+    nu = 1.0 + eps
+    rho_target += nu
+    rho_eave += nu
+    rho_target /= rho_eave
+    values[(SCHEME_NOMA, METRIC_SECRECY_SURROGATE)] = _secrecy_rate(rho_target, ok)
     return values
 
 
@@ -231,10 +213,11 @@ def _workspace(config: SystemConfig, rows: int) -> np.ndarray:
 
 def _run_batch(config, pairs, seed, stream, index, size, workspace):
     """(sum, sum of squares) of each pair's per-trial values over batch
-    `index`, drawn and scored in `workspace` (`_workspace`)."""
+    `index`, drawn and scored in `workspace` (`_workspace`). The batch is
+    scored for every pair; only those in `pairs` are reduced."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, index)))
     gains = sample_batch(config, rng, size, workspace)[2]
-    values = _score_batch(config, pairs, gains, workspace[config.K * size:])
+    values = _score_batch(config, gains, workspace[config.K * size:])
     sums = {}  # keyed by array identity: a shared array is reduced once
     for pair in pairs:
         v = values[pair]

@@ -28,6 +28,7 @@ ids, fixed batch size, deterministic reduction order.
 
 import math
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -289,7 +290,7 @@ def test_08_determinism(capsys, tmp_path):
         rc = main(["sweep", "--config", str(cfg_path), "--axis", "k",
                    "--out", out] + extra)
         assert rc == 0
-    blobs = [open(p, "rb").read() for p in outs]
+    blobs = [Path(p).read_bytes() for p in outs]
     sweep_ok = blobs[0] == blobs[1] == blobs[2] and len(blobs[0]) > 100
 
     reports = []

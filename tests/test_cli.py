@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ class TestSweep:
         main(["sweep", "--config", path, "--axis", "k", "--out", outs[1]])
         main(["sweep", "--config", path, "--axis", "k", "--out", outs[2],
               "--workers", "3"])
-        blobs = [open(p, "rb").read() for p in outs]
+        blobs = [Path(p).read_bytes() for p in outs]
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_one_sampling_pass_per_axis_point(self, tmp_path, sample_calls):

@@ -227,6 +227,11 @@ def valid_pairs(c):
     return ALL_PAIRS[:2] if c.K < 2 else ALL_PAIRS
 
 
+def score(c, gains):
+    """_score_batch of a (rows, K) batch in a scratch of its own."""
+    return _score_batch(c, gains, np.empty(montecarlo._VECTORS * len(gains)))
+
+
 class TestWorkspace:
     """One workspace serves every batch of a job and carries nothing over."""
 
@@ -250,7 +255,7 @@ class TestWorkspace:
         c = cfg(K=3, csi="sos")
         gains = sample_batch(c, np.random.default_rng(8), 1_000)[2]
         before = gains.copy()
-        _score_batch(c, ALL_PAIRS, gains)
+        score(c, gains)
         assert np.array_equal(gains, before)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -272,36 +277,40 @@ class TestWorkspace:
 class TestSchedule:
     """montecarlo.schedule against the sorted roles in tests/pair_scoring.py."""
 
-    @pytest.mark.parametrize("secrecy", [False, True])
+    @staticmethod
+    def buffers(rows, dirty):
+        """schedule's `out`; dirty ones hold NaN, as a reused workspace holds
+        stale values, so a role element left unwritten or read before it is
+        written shows."""
+        return np.full((4, rows), np.nan) if dirty else np.zeros((4, rows))
+
+    @pytest.mark.parametrize("dirty", [False, True])
     @pytest.mark.parametrize("K", [1, 2, 3, 8, 40])
     @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
-    def test_bit_identical_to_sorted_roles(self, csi, K, secrecy):
+    def test_bit_identical_to_sorted_roles(self, csi, K, dirty):
         c = cfg(K=K, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
         gains = sample_batch(c, np.random.default_rng(K), 3_000)[2]
-        weakest, driving, target, eave = schedule(c, gains, secrecy)
+        weakest, driving, target, eave = schedule(c, gains, self.buffers(len(gains), dirty))
         ref_weakest, ref_driving, ref_target, ref_eave = roles(c, gains)
         assert np.array_equal(weakest, ref_weakest)
-        if secrecy and K >= 2:
+        if K >= 2:
             assert np.array_equal(driving, ref_driving)
             assert np.array_equal(target, ref_target)
             assert np.array_equal(eave, ref_eave)
             if csi == "sos":
                 # the farthest user often fades less than a nearer one
                 assert np.any(driving > weakest)
-        else:  # only the secrecy scores read the split
+        else:  # no eavesdropper, so no secrecy roles
             assert driving is None and target is None and eave is None
 
-    @pytest.mark.parametrize("secrecy", [False, True])
-    def test_farthest_user_drives_the_split_under_sos(self, secrecy):
+    @pytest.mark.parametrize("dirty", [False, True])
+    def test_farthest_user_drives_the_split_under_sos(self, dirty):
         c = cfg(K=3, csi="sos")
         gains = np.array([[2.0, 0.5, 1.0], [3.0, 1.5, 0.7]])  # nearest-first
-        weakest, driving, target, eave = schedule(c, gains, secrecy)
+        weakest, driving, target, eave = schedule(c, gains, self.buffers(2, dirty))
         assert weakest.tolist() == [0.5, 0.7]
-        if secrecy:
-            assert driving.tolist() == [1.0, 0.7]
-            assert target.tolist() == [2.0, 3.0] and eave.tolist() == [1.0, 1.5]
-        else:
-            assert driving is None
+        assert driving.tolist() == [1.0, 0.7]
+        assert target.tolist() == [2.0, 3.0] and eave.tolist() == [1.0, 1.5]
 
 
 class TestScoreKernel:
@@ -313,22 +322,17 @@ class TestScoreKernel:
     def test_bit_identical_to_per_pair_oracle(self, csi, K, rho_db):
         c = cfg(K=K, rho_db=rho_db, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
         gains = sample_batch(c, np.random.default_rng(K), 3_000)[2]
-        pairs = valid_pairs(c)
-        together = _score_batch(c, pairs, gains)
-        assert set(together) == set(pairs)
-        for pair in pairs:
-            expected = metric_values(c, *pair, gains)
-            assert np.array_equal(together[pair], expected)
-            # scored alone the kernel takes other paths (no shared ranking)
-            alone = _score_batch(c, [pair], gains)
-            assert np.array_equal(alone[pair], expected)
+        values = score(c, gains)
+        assert set(values) == set(valid_pairs(c))  # every valid pair, every batch
+        for pair, v in values.items():
+            assert np.array_equal(v, metric_values(c, *pair, gains))
 
     @pytest.mark.parametrize("csi,K", [("imperfect", 8), ("sos", 3)])
     def test_oma_secrecy_pairs_share_one_array(self, csi, K):
         c = cfg(K=K, csi=csi)
         oma = [(SCHEME_OMA, METRIC_SECRECY), (SCHEME_OMA, METRIC_SECRECY_SURROGATE)]
         gains = sample_batch(c, np.random.default_rng(5), 1_000)[2]
-        values = _score_batch(c, oma, gains)
+        values = score(c, gains)
         assert values[oma[0]] is values[oma[1]]
         many = simulate_many(c, valid_pairs(c), BATCH_SIZE + 11, seed=26)
         exact, surrogate = many[oma[0]], many[oma[1]]
@@ -379,8 +383,7 @@ class TestReferenceEquivalence:
         for _ in range(300):
             _, _, gains, est_g = snapshot(c, rng)
             ref = secrecy_throughput_noma(gains, est_g, c)
-            got = _score_batch(c, [(SCHEME_NOMA, METRIC_SECRECY)],
-                               gains[None, :])[(SCHEME_NOMA, METRIC_SECRECY)][0]
+            got = score(c, gains[None, :])[(SCHEME_NOMA, METRIC_SECRECY)][0]
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("csi,K", [("imperfect", 4), ("sos", 3)])
@@ -390,8 +393,7 @@ class TestReferenceEquivalence:
         for _ in range(300):
             _, _, gains, est_g = snapshot(c, rng)
             _, ref = oma_rates(gains, est_g, c)
-            got = _score_batch(c, [(SCHEME_OMA, METRIC_SECRECY)],
-                               gains[None, :])[(SCHEME_OMA, METRIC_SECRECY)][0]
+            got = score(c, gains[None, :])[(SCHEME_OMA, METRIC_SECRECY)][0]
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_outage_indicator_definition(self):
@@ -399,8 +401,7 @@ class TestReferenceEquivalence:
         rng = np.random.default_rng(999)
         for _ in range(200):
             _, _, gains, est_g = snapshot(c, rng)
-            got = _score_batch(c, [(SCHEME_NOMA, METRIC_OUTAGE)],
-                               gains[None, :])[(SCHEME_NOMA, METRIC_OUTAGE)][0]
+            got = score(c, gains[None, :])[(SCHEME_NOMA, METRIC_OUTAGE)][0]
             expected = float(np.min(est_g) < c.eps_multicast / c.rho)
             assert got == expected
 
