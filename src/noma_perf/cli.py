@@ -5,7 +5,6 @@ configuration.
 """
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 
@@ -104,6 +103,8 @@ def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
     all of its rows from that sample. Secrecy rows need K >= 2. The output
     file is opened once every axis entry is checked, before any point runs.
     """
+    import csv  # 1 ms of start-up, so only a sweep pays it
+
     points = _axis_points(settings, axis)
     try:
         fh = open(out_path, "w", newline="")
@@ -201,7 +202,7 @@ def verify(settings: Settings):
                  f"max rate error {worst:.3e}, theta sums exact: {theta_exact}")
 
     # repeated simulation with one seed must agree bit for bit; two batches,
-    # so the two-worker pool splits the work
+    # so two worker threads split the work
     trials = 2 * montecarlo.batch_rows(cfg.K)
     a1 = montecarlo.simulate(cfg, "noma", montecarlo.METRIC_OUTAGE, trials,
                              settings.seed, workers=1)

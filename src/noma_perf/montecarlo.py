@@ -223,9 +223,12 @@ def _run_batch(config, pairs, seed, stream, index, size, workspace):
         v = values[pair]
         if id(v) in sums:
             continue
-        total = float(np.sum(v))  # a count for bool flags, exact
-        v *= v  # read no more; a bool flag squares to itself
-        sums[id(v)] = (total, float(np.sum(v)))
+        total = float(np.add.reduce(v))  # a count for bool flags, exact
+        if v.dtype == bool:  # a flag squares to itself
+            sums[id(v)] = (total, total)
+            continue
+        v *= v  # read no more
+        sums[id(v)] = (total, float(np.add.reduce(v)))
     return [sums[id(values[pair])] for pair in pairs]
 
 
@@ -281,22 +284,30 @@ def simulate_many(config: SystemConfig, pairs, trials: int, seed: int,
     if trials % rows:
         sizes.append(trials % rows)
 
-    local = threading.local()  # each thread's workspace, reused by its batches
+    # worker w runs batches w, w + workers, ... in one workspace; the
+    # caller's thread is worker 0, and no worker is left without a batch
+    workers = min(workers, len(sizes))
+    parts = [None] * len(sizes)
+    errors = []
 
-    def job(i):
-        if not hasattr(local, "workspace"):
-            local.workspace = _workspace(config, sizes[0])
-        return _run_batch(config, pairs, seed, stream, i, sizes[i], local.workspace)
+    def work(w):
+        try:
+            workspace = _workspace(config, sizes[0])
+            for i in range(w, len(sizes), workers):
+                if errors:  # another worker failed; stop early
+                    return
+                parts[i] = _run_batch(config, pairs, seed, stream, i, sizes[i], workspace)
+        except BaseException as exc:  # raised again in the caller below
+            errors.append(exc)
 
-    if workers == 1:
-        parts = [job(i) for i in range(len(sizes))]
-    else:
-        # imported here: concurrent.futures pulls in logging, about 6 ms of
-        # every one-worker start-up
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, range(len(sizes))))
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
     totals = [[0.0, 0.0] for _ in pairs]
     for part in parts:  # fixed reduction order, independent of workers

@@ -8,13 +8,12 @@ elementwise on arrays of gains (the Monte Carlo kernel and `verify` pass
 whole batches) and return plain floats and a bool for a scalar gain.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PowerSplit:
+class PowerSplit(NamedTuple):
     """Power shares and the outage flag; arrays when the gain was an array."""
     theta_M: float
     theta_U: float

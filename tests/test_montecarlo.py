@@ -1,6 +1,7 @@
 """Simulation oracle: determinism, interval quality, reference equivalence."""
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -272,6 +273,63 @@ class TestWorkspace:
         simulate_many(c, ALL_PAIRS, batches * batch_rows(K), seed=30)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / batches < 20
+
+
+def record_threads(monkeypatch):
+    """The threads simulate_many starts from here on, in start order."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(montecarlo.threading, "Thread", Recorded)
+    return started
+
+
+class TestWorkerThreads:
+    """The caller's thread is worker 0; batch i runs on worker i mod workers."""
+
+    @pytest.mark.parametrize("failing", [3, 4])  # worker 0 (the caller), worker 1
+    def test_batch_exception_reaches_caller_after_every_join(self, monkeypatch, failing):
+        run_batch = montecarlo._run_batch
+
+        def run(config, pairs, seed, stream, index, *rest):
+            if index == failing:
+                raise RuntimeError(f"batch {index} failed")
+            return run_batch(config, pairs, seed, stream, index, *rest)
+
+        monkeypatch.setattr(montecarlo, "_run_batch", run)
+        started = record_threads(monkeypatch)
+        with pytest.raises(RuntimeError, match=f"batch {failing} failed"):
+            simulate_many(cfg(K=2), ALL_PAIRS, 6 * BATCH_SIZE, seed=31, workers=3)
+        assert len(started) == 2
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_no_thread_without_a_batch(self, monkeypatch):
+        c = cfg(K=2)
+        serial = simulate_many(c, ALL_PAIRS, 3 * BATCH_SIZE, seed=32)
+        started = record_threads(monkeypatch)
+        assert simulate_many(c, ALL_PAIRS, 3 * BATCH_SIZE, seed=32, workers=8) == serial
+        assert len(started) <= 2
+
+    def test_worker_count_keeps_every_bit(self):
+        c = cfg(K=8)
+        trials = 3 * BATCH_SIZE + 137  # a partial last batch
+
+        def bits(workers):
+            many = simulate_many(c, ALL_PAIRS, trials, seed=33, workers=workers)
+            return [(e.value.hex(), e.half_width_95.hex()) for e in many.values()]
+
+        serial = bits(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: a lost part would show
+        try:
+            for workers in (2, 3, 4):
+                assert bits(workers) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSchedule:

@@ -16,6 +16,7 @@ from scipy import integrate
 
 from noma_perf.specfun import (
     QuadratureRule,
+    _leggauss,
     chebyshev_rule,
     expint_e1_scaled,
     expint_ei,
@@ -126,6 +127,16 @@ class TestGaussLegendreRule:
         for order, upper in ((0, 1.0), (2.5, 1.0), (10, 0.0), (10, -2.0)):
             with pytest.raises(ValueError):
                 gauss_legendre_rule(order, upper)
+
+    def test_nodes_and_weights_are_numpys_bits(self):
+        # the rule is built without numpy.polynomial but must keep its bits,
+        # sign of zero included, up to order 800, the highest the suite builds
+        from numpy.polynomial.legendre import leggauss
+
+        for order in (*range(1, 257), 800):
+            for ours, ref in zip(_leggauss(order), leggauss(order)):
+                assert ours.dtype == ref.dtype and ours.shape == ref.shape
+                assert ours.tobytes() == ref.tobytes(), order
 
 
 class TestLowerIncompleteGamma:
