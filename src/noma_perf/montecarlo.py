@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CSI_SOS, SAMPLE_BLOCKS, SystemConfig, sample_batch
-from .noma_core import power_split
+from .noma_core import _unicast_share
 
 SCHEME_NOMA = "noma"
 SCHEME_OMA = "oma"
@@ -123,8 +123,8 @@ def schedule(config: SystemConfig, gains: np.ndarray, out):
 
 
 # row vectors of `_score_batch`'s float scratch; the last holds the bytes
-# of four bool row vectors (the NOMA multicast decodes, each scheme's
-# outage and the power split's own outage flag)
+# of three bool row vectors (the NOMA multicast decodes and each scheme's
+# outage)
 _VECTORS = 6
 
 
@@ -143,7 +143,7 @@ def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -
     eps = config.eps_multicast
     rows = gains.shape[0]
     weakest, top, second, spare, exact, flags = scratch[:_VECTORS * rows].reshape(_VECTORS, rows)
-    ok, noma_outage, oma_outage, split_outage = flags.view(bool)[:4 * rows].reshape(4, rows)
+    ok, noma_outage, oma_outage = flags.view(bool)[:3 * rows].reshape(3, rows)
     weakest, driving, target, eave = schedule(config, gains, (weakest, top, second, spare))
     np.greater_equal(weakest, eps / rho, out=ok)  # every user decodes the NOMA multicast
     values = {
@@ -154,10 +154,10 @@ def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -
     if driving is None:  # K = 1: no eavesdropper, so no secrecy score
         return values
 
-    # exact secrecy: realized split; a trial that is not ok scores 0
-    # whatever share the split gives it. The split's theta_M lands in
-    # `exact`, which holds the score from then on
-    share = power_split(driving, rho, config.R_M, out=(exact, spare, split_outage)).theta_U
+    # exact secrecy: the realized split's unicast share; a trial that is
+    # not ok scores 0 whatever share the split gives it. `exact` is the
+    # share's scratch, and holds the score from then on
+    share = _unicast_share(driving, eps, rho, spare, exact)
     share *= rho
     np.multiply(share, target, out=exact)
     exact += 1.0
@@ -223,10 +223,11 @@ def _run_batch(config, pairs, seed, stream, index, size, workspace):
         v = values[pair]
         if id(v) in sums:
             continue
-        total = float(np.add.reduce(v))  # a count for bool flags, exact
-        if v.dtype == bool:  # a flag squares to itself
+        if v.dtype == bool:  # an exact count, and a flag squares to itself
+            total = float(np.count_nonzero(v))
             sums[id(v)] = (total, total)
             continue
+        total = float(np.add.reduce(v))
         v *= v  # read no more
         sums[id(v)] = (total, float(np.add.reduce(v)))
     return [sums[id(values[pair])] for pair in pairs]

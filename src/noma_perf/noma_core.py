@@ -33,19 +33,13 @@ def power_split(alpha_weakest, rho: float, R_M: float, out=None) -> PowerSplit:
     if not R_M > 0:
         raise ValueError("R_M must be positive")
     alpha = np.asarray(alpha_weakest, dtype=float)
-    if alpha.min(initial=0.0) < 0:
-        raise ValueError("alpha_weakest must be nonnegative")
+    if not alpha.min(initial=0.0) >= 0:  # NaN fails this as well
+        raise ValueError("alpha_weakest must be nonnegative and not NaN")
     eps = 2.0 ** R_M - 1.0
     if out is None:
         out = np.empty_like(alpha), np.empty_like(alpha), np.empty(alpha.shape, dtype=bool)
     theta_M, theta_U, outage = out
-    # theta_U = (a - eps/rho) / (a (1 + eps)) at a = max(alpha, eps/rho):
-    # alpha itself where feasible, and in outage the threshold, whose share
-    # is exactly 0, so a zero gain never divides by zero
-    np.maximum(alpha, eps / rho, out=theta_U)
-    np.multiply(theta_U, 1.0 + eps, out=theta_M)
-    theta_U -= eps / rho
-    theta_U /= theta_M
+    _unicast_share(alpha, eps, rho, theta_U, theta_M)
     np.subtract(1.0, theta_U, out=theta_M)
     np.less(alpha, eps / rho, out=outage)
     if alpha.ndim == 0:
@@ -53,10 +47,26 @@ def power_split(alpha_weakest, rho: float, R_M: float, out=None) -> PowerSplit:
     return PowerSplit(theta_M=theta_M, theta_U=theta_U, outage=outage)
 
 
+def _unicast_share(alpha, eps: float, rho: float, out, scratch):
+    """Write power_split's theta_U for gains `alpha` into `out`, unchecked;
+    `scratch` is an array of the same shape. The Monte Carlo scorer calls
+    it directly, since it reads neither theta_M nor the outage flag.
+
+    theta_U = (a - eps/rho) / (a (1 + eps)) at a = max(alpha, eps/rho):
+    alpha itself where feasible, and in outage the threshold, whose share
+    is exactly 0, so a zero gain never divides by zero.
+    """
+    np.maximum(alpha, eps / rho, out=out)
+    np.multiply(out, 1.0 + eps, out=scratch)
+    out -= eps / rho
+    out /= scratch
+    return out
+
+
 def multicast_rate(alpha, split: PowerSplit, rho: float):
     """Multicast rate seen by a gain alpha, with unicast power as interference."""
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha < 0):
-        raise ValueError("alpha must be nonnegative")
+    if not alpha.min(initial=0.0) >= 0:  # NaN fails this as well
+        raise ValueError("alpha must be nonnegative and not NaN")
     rate = np.log2(1.0 + split.theta_M * alpha / (split.theta_U * alpha + 1.0 / rho))
     return float(rate) if rate.ndim == 0 else rate

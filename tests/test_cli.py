@@ -542,20 +542,25 @@ def test_runs_leave_slow_imports_unloaded(tmp_path):
     # numpy.polynomial, concurrent.futures and the logging it imports each
     # cost milliseconds of every start-up, and nothing needs them; checked
     # in a fresh interpreter, since pytest itself imports logging. The
-    # sweep's 20 001 trials are three batches, so two worker threads run
+    # sweep's 20 001 trials are three batches, so two worker threads run.
+    # main, not the import, freezes the heap it starts with, so shutdown's
+    # full collections skip numpy's objects
     src = os.path.dirname(os.path.dirname(noma_perf.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     cfg = write_cfg(tmp_path, "k = 3\nsnr_db = 30\n")
     code = (
-        "import sys\n"
+        "import gc, sys\n"
         "from noma_perf.cli import main\n"
+        "frozen_by_import = gc.get_freeze_count()\n"
+        "tracked = len(gc.get_objects())\n"
         f"codes = [main(['verify', '--config', {cfg!r}, '--trials', '2000']),\n"
         f"         main(['sweep', '--config', {cfg!r}, '--trials', '20001', '--workers', '2',\n"
         f"               '--out', {str(tmp_path / 'out.csv')!r}])]\n"
         "print(codes, [m for m in ('numpy.polynomial', 'concurrent.futures', 'logging')\n"
         "              if m in sys.modules])\n"
+        "print(frozen_by_import, gc.get_freeze_count() >= tracked > 10_000)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
-    assert out.splitlines()[-1] == "[0, 0] []"
+    assert out.splitlines()[-2:] == ["[0, 0] []", "0 True"]

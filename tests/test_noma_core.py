@@ -132,6 +132,13 @@ class TestPowerSplit:
         with pytest.raises(ValueError):
             power_split(1.0, 100.0, 0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.array([1.0, np.nan, 0.0])])
+    def test_rejects_nan_gain(self, alpha):
+        # a NaN gain fails both alpha < 0 and alpha >= 0, and used to come
+        # back as a NaN split with outage False
+        with pytest.raises(ValueError, match="NaN"):
+            power_split(alpha, 100.0, 0.5)
+
 
 class TestRates:
     def test_unicast_rate_formula(self):
@@ -157,6 +164,9 @@ class TestRates:
             multicast_rate(-0.1, split, 10.0)
         with pytest.raises(ValueError):
             multicast_rate(np.array([0.1, -0.1]), split, 10.0)
+        for alpha in (np.nan, np.array([0.1, np.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                multicast_rate(alpha, split, 10.0)
         with pytest.raises(ValueError):
             unicast_rate(-0.1, 0.5, 10.0)
         with pytest.raises(ValueError):
