@@ -25,8 +25,9 @@ and 80k gains per batch, and passes a workspace that every batch of a job
 is drawn into, so a draw allocates nothing.
 """
 
+from typing import NamedTuple
+
 import numpy as np
-from dataclasses import dataclass
 
 CSI_IMPERFECT = "imperfect"
 CSI_PERFECT = "perfect"
@@ -46,8 +47,7 @@ DEFAULT_QUAD_ORDERS = (50, 44, 17, 24, 48)
 SAMPLE_BLOCKS = 3
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class _SystemFields(NamedTuple):
     K: int = 8
     D: float = 5.0
     eta: float = 2.0
@@ -57,7 +57,24 @@ class SystemConfig:
     csi_mode: str = CSI_IMPERFECT
     quad_orders: tuple = DEFAULT_QUAD_ORDERS
 
-    def __post_init__(self):
+
+class SystemConfig(_SystemFields):
+    """The fields above as an immutable, hashable tuple; an invalid field raises
+    ValueError however it is built (calling it, `replace`, `_make`, unpickling)."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's own, which `_replace` calls, skips __new__
+        return cls(*iterable)
+
+    replace = _SystemFields._replace  # a copy with the given fields changed, checked
+
+    def _check(self):
         if isinstance(self.K, bool) or not isinstance(self.K, (int, np.integer)) or self.K < 1:
             raise ValueError("K must be a positive integer")
         for name in ("D", "eta", "rho", "R_M", "sigma2_zeta"):

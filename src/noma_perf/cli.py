@@ -4,10 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input or
 configuration.
 """
 
-import argparse
 import gc
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -159,7 +157,7 @@ def verify(settings: Settings):
                                   montecarlo.METRIC_SECRECY_SURROGATE), 0)
 
     # doubling every quadrature order must not move any checked value
-    doubled = replace(cfg, quad_orders=tuple(2 * o for o in cfg.quad_orders))
+    doubled = cfg.replace(quad_orders=tuple(2 * o for o in cfg.quad_orders))
     drift = max(abs(a - _EVALUATORS[(scheme, cfg.csi_mode, metric)](doubled))
                 for (scheme, metric), (a, _) in rows.items())
     ok &= _check(lines, "quadrature-convergence", drift < 1e-3,
@@ -216,35 +214,53 @@ def verify(settings: Settings):
     return ok, "\n".join(lines)
 
 
-def _build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", required=True)
-    shared.add_argument("--seed", type=int)
-    shared.add_argument("--trials", type=int)
-    shared.add_argument("--workers", type=int)
-
-    parser = argparse.ArgumentParser(
-        prog="noma-perf",
-        description="Outage and secrecy throughput analysis for a mixed "
-                    "multicast/unicast NOMA downlink",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sweep = sub.add_parser("sweep", parents=[shared],
-                           help="tabulate analytic vs simulated metrics")
-    sweep.add_argument("--axis", choices=("snr", "sigma2", "k"), default="snr")
-    sweep.add_argument("--out")
-    sub.add_parser("verify", parents=[shared], help="run self-consistency checks")
-    return parser
+_USAGE = """\
+usage: noma-perf sweep --config FILE [--axis {snr,sigma2,k}] [--out FILE]
+                       [--seed N] [--trials N] [--workers N]
+       noma-perf verify --config FILE [--seed N] [--trials N] [--workers N]
+"""
+_INT_OPTIONS = ("seed", "trials", "workers")
+_OPTIONS = {"sweep": ("config", *_INT_OPTIONS, "axis", "out"),
+            "verify": ("config", *_INT_OPTIONS)}
 
 
-def _apply_overrides(settings: Settings, args) -> Settings:
-    for attr in ("seed", "trials", "workers"):
-        value = getattr(args, attr)
-        if value is not None:
-            setattr(settings, attr, value)
-    if getattr(args, "out", None):
-        settings.out = args.out
-    return settings
+def _usage_error(message):
+    sys.stderr.write(f"{_USAGE}noma-perf: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _parse_args(argv):
+    """(command, {option: value}) from the words of `_USAGE`, as `--opt value`
+    or `--opt=value`; --axis defaults to snr. -h or --help prints the usage
+    and exits 0; any other word exits 2 with the usage, argparse's convention."""
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_USAGE + "\nsweep tabulates analytic vs Monte Carlo metrics; "
+                         "verify runs self-consistency checks.\n")
+        raise SystemExit(0)
+    if not argv or argv[0] not in _OPTIONS:
+        _usage_error("the first argument must be sweep or verify")
+    command, words, opts = argv[0], list(argv[1:]), {"axis": "snr"}
+    while words:
+        name, eq, value = words.pop(0).partition("=")
+        key = name[2:]
+        if not name.startswith("--") or key not in _OPTIONS[command]:
+            _usage_error(f"unrecognized argument: {name}")
+        if not eq:
+            if not words or words[0].startswith("--"):
+                _usage_error(f"argument {name}: expected one argument")
+            value = words.pop(0)
+        if key in _INT_OPTIONS:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {name}: invalid int value: '{value}'")
+        if key == "axis" and value not in _AXES:
+            _usage_error(f"argument --axis: invalid choice: '{value}' "
+                         f"(choose from {', '.join(_AXES)})")
+        opts[key] = value
+    if "config" not in opts:
+        _usage_error("the following arguments are required: --config")
+    return command, opts
 
 
 def main(argv=None) -> int:
@@ -263,13 +279,17 @@ def main(argv=None) -> int:
     # Freezing at import would take over a library user's collector, and
     # collecting first would cost most of the saving.
     gc.freeze()
-    args = _build_parser().parse_args(argv)
+    command, opts = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        settings = _apply_overrides(parse_config(args.config), args)
+        settings = parse_config(opts["config"])
+        for key in _INT_OPTIONS:
+            if key in opts:
+                setattr(settings, key, opts[key])
+        settings.out = opts.get("out") or settings.out
         if settings.trials < 2 or settings.seed < 0 or settings.workers < 1:
             raise ConfigError("need trials >= 2, seed >= 0, workers >= 1")
-        if args.command == "sweep":
-            n = run_sweep(settings, args.axis, settings.out)
+        if command == "sweep":
+            n = run_sweep(settings, opts["axis"], settings.out)
             print(f"wrote {settings.out}: {n} rows")
             return 0
         ok, report = verify(settings)

@@ -6,8 +6,7 @@ rejected. Axis values keep their original tokens so sweep output echoes
 exactly what was configured.
 """
 
-from dataclasses import dataclass, field, fields
-from typing import List
+from types import SimpleNamespace
 
 from .channel import CSI_MODES, SystemConfig
 from .montecarlo import BATCH_ELEMENTS
@@ -15,30 +14,30 @@ from .montecarlo import BATCH_ELEMENTS
 DEFAULT_SEED = 1234567
 
 # list key -> the type every entry must parse as; every other key parses as
-# the type of its Settings default
+# the type of its default
 LIST_KEYS = {"snr_db": float, "sigma2_values": float, "k_values": int}
+
+# every config key and its default; a list key's default is its text in a file
+_DEFAULTS = {
+    "d": 5.0, "eta": 2.0, "k": 8, "r_m": 0.5, "sigma2": 0.01, "csi": "imperfect", "rho_db": 30.0,
+    "snr_db": "0,5,10,15,20,25,30,35,40",
+    "sigma2_values": "0,0.005,0.01,0.02", "k_values": "2,4,6,8",
+    "trials": 100_000, "seed": DEFAULT_SEED, "workers": 1, "out": "sweep.csv",
+}
 
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass
-class Settings:
-    d: float = 5.0
-    eta: float = 2.0
-    k: int = 8
-    r_m: float = 0.5
-    sigma2: float = 0.01
-    csi: str = "imperfect"
-    rho_db: float = 30.0
-    snr_db: List[str] = field(default_factory=lambda: "0,5,10,15,20,25,30,35,40".split(","))
-    sigma2_values: List[str] = field(default_factory=lambda: "0,0.005,0.01,0.02".split(","))
-    k_values: List[str] = field(default_factory=lambda: "2,4,6,8".split(","))
-    trials: int = 100_000
-    seed: int = DEFAULT_SEED
-    workers: int = 1
-    out: str = "sweep.csv"
+class Settings(SimpleNamespace):
+    """One attribute per config key, its default unless given; a list key
+    holds its raw tokens in a list of its own. Compares by value."""
+
+    def __init__(self, **values):
+        super().__init__(**{key: value.split(",") if key in LIST_KEYS else value
+                            for key, value in _DEFAULTS.items()})
+        vars(self).update(values)
 
 
 def parse_config(path: str) -> Settings:
@@ -49,7 +48,6 @@ def parse_config(path: str) -> Settings:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
-    types = {f.name: type(f.default) for f in fields(Settings)}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -59,7 +57,7 @@ def parse_config(path: str) -> Settings:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in types:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for '{key}'")
@@ -72,7 +70,7 @@ def parse_config(path: str) -> Settings:
                     LIST_KEYS[key](t)
                 setattr(settings, key, tokens)
             else:
-                setattr(settings, key, types[key](value))
+                setattr(settings, key, type(_DEFAULTS[key])(value))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
 

@@ -40,7 +40,7 @@ Two secrecy metrics exist side by side:
 """
 
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ BATCH_ELEMENTS = 80_000
 _Z95 = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class MetricEstimate:
+class MetricEstimate(NamedTuple):
     value: float
     half_width_95: float
     trials: int

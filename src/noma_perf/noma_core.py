@@ -20,6 +20,14 @@ class PowerSplit(NamedTuple):
     outage: bool
 
 
+def _gains(alpha, name: str) -> np.ndarray:
+    """`alpha` as a float array; a negative, NaN or infinite gain is a ValueError."""
+    alpha = np.asarray(alpha, dtype=float)
+    if not (alpha.min(initial=0.0) >= 0 and alpha.max(initial=0.0) < np.inf):  # NaN fails too
+        raise ValueError(f"{name} must be nonnegative and finite, not NaN")
+    return alpha
+
+
 def power_split(alpha_weakest, rho: float, R_M: float, out=None) -> PowerSplit:
     """Split total power so the weakest gain decodes R_M, rest to unicast.
 
@@ -32,9 +40,7 @@ def power_split(alpha_weakest, rho: float, R_M: float, out=None) -> PowerSplit:
         raise ValueError("rho must be positive")
     if not R_M > 0:
         raise ValueError("R_M must be positive")
-    alpha = np.asarray(alpha_weakest, dtype=float)
-    if not alpha.min(initial=0.0) >= 0:  # NaN fails this as well
-        raise ValueError("alpha_weakest must be nonnegative and not NaN")
+    alpha = _gains(alpha_weakest, "alpha_weakest")
     eps = 2.0 ** R_M - 1.0
     if out is None:
         out = np.empty_like(alpha), np.empty_like(alpha), np.empty(alpha.shape, dtype=bool)
@@ -65,8 +71,6 @@ def _unicast_share(alpha, eps: float, rho: float, out, scratch):
 
 def multicast_rate(alpha, split: PowerSplit, rho: float):
     """Multicast rate seen by a gain alpha, with unicast power as interference."""
-    alpha = np.asarray(alpha, dtype=float)
-    if not alpha.min(initial=0.0) >= 0:  # NaN fails this as well
-        raise ValueError("alpha must be nonnegative and not NaN")
+    alpha = _gains(alpha, "alpha")
     rate = np.log2(1.0 + split.theta_M * alpha / (split.theta_U * alpha + 1.0 / rho))
     return float(rate) if rate.ndim == 0 else rate

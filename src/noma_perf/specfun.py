@@ -64,7 +64,7 @@ def chebyshev_rule(order: int, upper_limit: float) -> QuadratureRule:
 
 def _legendre_series(x, c):
     """sum_k c[k] P_k(x) by Clenshaw recursion, step for step as numpy's
-    `legval`, so the bits are the same."""
+    `legval`, so the bits are the same; c[k] may broadcast against x."""
     c0, c1 = (c[-2], c[-1]) if len(c) > 1 else (c[0], 0)
     for nd in range(len(c) - 1, 1, -1):
         c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
@@ -87,12 +87,14 @@ def _leggauss(n):
     mat.reshape(-1)[1::n + 1] = off
     mat.reshape(-1)[n::n + 1] = off
     x = np.linalg.eigvalsh(mat)
-    p_n = np.zeros(n + 1)
-    p_n[n] = 1.0
-    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
-    df = _legendre_series(x, (2.0 * k + 1) * ((n - 1 - k) % 2 == 0))
-    x -= _legendre_series(x, p_n) / df
-    fm = _legendre_series(x, p_n[1:])  # P_{n-1}
+    # P_n' (sum of (2k + 1) P_k over k = n - 1, n - 3, ..., padded by a zero
+    # that leaves its bits alone) and P_n in one Clenshaw pass
+    c = np.zeros((n + 1, 2, 1))
+    c[:n, 0, 0] = (2.0 * k + 1) * ((n - 1 - k) % 2 == 0)
+    c[n, 1, 0] = 1.0
+    df, p = _legendre_series(x, c)
+    x -= p / df
+    fm = _legendre_series(x, c[1:, 1, 0])  # P_{n-1}
     fm /= np.abs(fm).max()
     df /= np.abs(df).max()
     w = 1 / (fm * df)

@@ -5,7 +5,6 @@ geometry plus exponential fading), so they share no code path with the
 evaluators under test. Monte Carlo agreement lives in the acceptance suite.
 """
 
-from dataclasses import replace
 from math import comb, exp, log2
 
 import numpy as np
@@ -123,7 +122,7 @@ class TestOutage:
         # outage does not depend on the ranking, so the distance-ranked
         # form is the exact weakest-gain outage
         c = cfg(K=8, rho_db=30.0, csi="sos")
-        exact = analytic.outage_noma_perfect(replace(c, sigma2_zeta=0.0))
+        exact = analytic.outage_noma_perfect(c.replace(sigma2_zeta=0.0))
         assert abs(analytic.outage_noma_sos(c) - exact) < 5e-3
 
     def test_oma_uses_doubled_rate_threshold(self):
@@ -285,7 +284,7 @@ class TestSecrecyEstRanked:
         points += [system_config(s, k=int(k)) for k in s.k_values]
         for c in points:
             m, n = c.quad_orders[1:3]
-            doubled = replace(c, quad_orders=(c.quad_orders[0], 2 * m, 2 * n) + c.quad_orders[3:])
+            doubled = c.replace(quad_orders=(c.quad_orders[0], 2 * m, 2 * n) + c.quad_orders[3:])
             for fn in (analytic.secrecy_noma_imperfect, analytic.secrecy_oma_imperfect):
                 v1, v2 = fn(c), fn(doubled)
                 assert abs(v2 - v1) < 1e-9 * abs(v2)
@@ -331,7 +330,7 @@ class TestSecrecyEstRanked:
 # -- secrecy, distance-ranked ----------------------------------------------
 
 def sos_cfg(K=2, rho_db=30.0, eta=2.0, **kw):
-    return replace(cfg(K=K, rho_db=rho_db, csi="sos", **kw), eta=eta)
+    return cfg(K=K, rho_db=rho_db, csi="sos", **kw).replace(eta=eta)
 
 
 class TestSecrecyDistanceRanked:
@@ -432,7 +431,7 @@ class TestSecrecyDistanceRanked:
         points += [system_config(s, k=int(k)) for k in s.k_values]
         for c in points:
             l, q = c.quad_orders[3:]
-            doubled = replace(c, quad_orders=c.quad_orders[:3] + (2 * l, 2 * q))
+            doubled = c.replace(quad_orders=c.quad_orders[:3] + (2 * l, 2 * q))
             for fn in (analytic.secrecy_noma_sos, analytic.secrecy_oma_sos):
                 v1, v2 = fn(c), fn(doubled)
                 assert abs(v2 - v1) < 1e-9 * abs(v2)
@@ -484,7 +483,7 @@ class TestSecrecyLargeK:
         for eta in (2.0, 3.0):
             for rho_db in (0.0, 10.0, 30.0, 40.0):
                 c = self.point(csi, K, rho_db, eta)
-                doubled = replace(c, quad_orders=tuple(2 * o for o in c.quad_orders))
+                doubled = c.replace(quad_orders=tuple(2 * o for o in c.quad_orders))
                 v1, v2 = oma(c), oma(doubled)
                 assert abs(v2 - v1) <= 1e-6 * abs(v2)
 
@@ -494,7 +493,7 @@ class TestSecrecyLargeK:
         # imperfect one read 0.0378 at 30 dB against a reference of 0.7214
         for rho_db in (10.0, 30.0, 40.0):
             c = self.point(csi, 80_000, rho_db)
-            ref = replace(c, quad_orders=(50, 800, 100, 100, 800))
+            ref = c.replace(quad_orders=(50, 800, 100, 100, 800))
             for fn in self.EVALUATORS[csi]:
                 v, r = fn(c), fn(ref)
                 assert abs(v - r) <= 1e-6 * abs(r)

@@ -1,5 +1,7 @@
 """Configuration invariants and sampling statistics."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,20 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             make_config(csi_mode=CSI_PERFECT, sigma2_zeta=0.01)
         make_config(csi_mode=CSI_PERFECT, sigma2_zeta=0.0)
+
+    def test_every_way_of_building_checks(self):
+        cfg = SystemConfig()
+        assert cfg.replace(K=3) == make_config(K=3) != cfg
+        assert hash(cfg.replace(K=8)) == hash(cfg)
+        with pytest.raises(ValueError, match="K must be"):
+            cfg.replace(K=0)
+        with pytest.raises(ValueError, match="K must be"):
+            cfg._replace(K=0)
+        with pytest.raises(ValueError, match="quad_orders"):
+            SystemConfig._make((*cfg[:-1], (50, 44)))
+        with pytest.raises(AttributeError):
+            cfg.K = 3
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 class TestSampling:

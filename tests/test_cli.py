@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +104,14 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(str(tmp_path / "absent.cfg"))
+
+    def test_settings_do_not_share_lists(self):
+        a, b = Settings(), Settings()
+        assert a == b
+        for key in ("snr_db", "sigma2_values", "k_values"):
+            assert getattr(a, key) is not getattr(b, key)
+        a.snr_db.append("50")
+        assert a != b and b == Settings()
 
 
 class TestSystemConfigBridge:
@@ -314,7 +321,7 @@ class TestVerify:
     def test_broken_quadrature_is_caught(self, tmp_path, capsys, monkeypatch):
         def order_two(settings, **point):
             cfg = system_config(settings, **point)
-            return replace(cfg, quad_orders=(2,) + cfg.quad_orders[1:])
+            return cfg.replace(quad_orders=(2,) + cfg.quad_orders[1:])
 
         monkeypatch.setattr(cli, "system_config", order_two)
         path = write_cfg(tmp_path, "trials = 20000\n")
@@ -340,7 +347,7 @@ class TestVerify:
         simulate_many = montecarlo.simulate_many
 
         def scores_nothing(config, pairs, trials, seed, workers=1, stream=0):
-            return {pair: replace(est, value=0.0) if pair[1] != montecarlo.METRIC_OUTAGE
+            return {pair: est._replace(value=0.0) if pair[1] != montecarlo.METRIC_OUTAGE
                     else est for pair, est in simulate_many(config, pairs, trials, seed,
                                                             workers, stream).items()}
 
@@ -538,9 +545,61 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+class TestArguments:
+    def test_equals_form_matches_space_form(self, tmp_path):
+        path = write_cfg(tmp_path, "k_values = 2,3\ntrials = 500\n")
+        outs = [tmp_path / "space.csv", tmp_path / "equals.csv"]
+        assert main(["sweep", "--config", path, "--axis", "k", "--seed", "7",
+                     "--workers", "2", "--out", str(outs[0])]) == 0
+        assert main(["sweep", f"--config={path}", "--axis=k", "--seed=7", "--workers=2",
+                     f"--out={outs[1]}"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert read_rows(outs[0])[1][9] == "7"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--config", "{cfg}", "--bogus", "1"], "unrecognized argument: --bogus"),
+        (["sweep", "--config", "{cfg}", "extra"], "unrecognized argument: extra"),
+        (["sweep", "--config"], "argument --config: expected one argument"),
+        (["sweep", "--config", "{cfg}", "--trials", "--seed", "3"],
+         "argument --trials: expected one argument"),
+        (["sweep", "--trials", "500"], "the following arguments are required: --config"),
+        (["verify", "--config", "{cfg}", "--axis", "k"], "unrecognized argument: --axis"),
+        (["verify", "--config", "{cfg}", "--out=x.csv"], "unrecognized argument: --out"),
+        (["sweep", "--config", "{cfg}", "--seed=1.5"], "argument --seed: invalid int value"),
+        (["sweep", "--config", "{cfg}", "--axis=distance"], "argument --axis: invalid choice"),
+        (["plot", "--config", "{cfg}"], "the first argument must be sweep or verify"),
+        ([], "the first argument must be sweep or verify"),
+    ], ids=["unknown-option", "positional", "missing-value-at-end", "missing-value-before-option",
+            "missing-config", "verify-axis", "verify-out", "bad-int", "bad-axis",
+            "unknown-command", "empty"])
+    def test_bad_arguments_exit_2_with_usage(self, tmp_path, capsys, sample_calls, argv,
+                                             message):
+        cfg = write_cfg(tmp_path, "trials = 500\n")
+        with pytest.raises(SystemExit) as exc:
+            main([word.replace("{cfg}", cfg) for word in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: noma-perf ")
+        assert f"noma-perf: error: {message}" in captured.err
+        assert sample_calls == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["sweep", "--help"],
+                                      ["verify", "--config", "x.cfg", "-h"]])
+    def test_help_prints_usage_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: noma-perf sweep --config FILE")
+        assert "noma-perf verify --config FILE" in captured.out
+        assert captured.err == ""
+
+
 def test_runs_leave_slow_imports_unloaded(tmp_path):
-    # numpy.polynomial, concurrent.futures and the logging it imports each
-    # cost milliseconds of every start-up, and nothing needs them; checked
+    # numpy.polynomial, concurrent.futures and the logging it imports,
+    # argparse with the gettext and locale it loads, and dataclasses with
+    # copy each cost milliseconds of every start-up, and nothing needs them; checked
     # in a fresh interpreter, since pytest itself imports logging. The
     # sweep's 20 001 trials are three batches, so two worker threads run.
     # main, not the import, freezes the heap it starts with, so shutdown's
@@ -557,7 +616,8 @@ def test_runs_leave_slow_imports_unloaded(tmp_path):
         f"codes = [main(['verify', '--config', {cfg!r}, '--trials', '2000']),\n"
         f"         main(['sweep', '--config', {cfg!r}, '--trials', '20001', '--workers', '2',\n"
         f"               '--out', {str(tmp_path / 'out.csv')!r}])]\n"
-        "print(codes, [m for m in ('numpy.polynomial', 'concurrent.futures', 'logging')\n"
+        "print(codes, [m for m in ('numpy.polynomial', 'concurrent.futures', 'logging',\n"
+        "                          'argparse', 'gettext', 'locale', 'dataclasses', 'copy')\n"
         "              if m in sys.modules])\n"
         "print(frozen_by_import, gc.get_freeze_count() >= tracked > 10_000)\n"
     )

@@ -139,6 +139,16 @@ class TestPowerSplit:
         with pytest.raises(ValueError, match="NaN"):
             power_split(alpha, 100.0, 0.5)
 
+    @pytest.mark.parametrize("alpha", [np.inf, np.array([1.0, np.inf, 0.0])],
+                             ids=["scalar", "array"])
+    def test_rejects_infinite_gain(self, alpha):
+        # inf / inf in the unicast share used to give a NaN split with
+        # outage False, and a NaN multicast rate
+        with pytest.raises(ValueError, match="finite"):
+            power_split(alpha, 100.0, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            multicast_rate(alpha, PowerSplit(1.0, 0.0, False), 10.0)
+
 
 class TestRates:
     def test_unicast_rate_formula(self):
