@@ -31,13 +31,12 @@ class ConfigError(Exception):
 
 
 class Settings(SimpleNamespace):
-    """One attribute per config key, its default unless given; a list key
-    holds its raw tokens in a list of its own. Compares by value."""
+    """One attribute per config key, set to its default; a list key holds
+    its raw tokens in a list of its own. Compares by value."""
 
-    def __init__(self, **values):
+    def __init__(self):
         super().__init__(**{key: value.split(",") if key in LIST_KEYS else value
                             for key, value in _DEFAULTS.items()})
-        vars(self).update(values)
 
 
 def parse_config(path: str) -> Settings:

@@ -20,13 +20,12 @@ user's gains are contiguous for the scorer's reductions over users.
 Every batch scores every metric: one straight-line kernel (`_score_batch`)
 gives each valid (scheme, metric) pair its per-trial values, from the
 roles `schedule` gives each row (weakest decision gain, the gain driving
-the power split, target, eavesdropper). The pairs passed to
-`simulate_many` only choose which of those values are reduced, so each
-estimate equals the one `simulate` gives for that pair on the same
-stream, bit for bit. Under estimate ranking the target and eavesdropper
-are the row maximum and second maximum, found by one column loop without
-ranking the rest; they are exact copies of gains, so the values are the
-bits of scoring each pair on its own after a full sort.
+the power split, target, eavesdropper). `simulate_many` reduces all of
+them and returns every pair; `simulate` returns one of those estimates.
+Under estimate ranking the target and eavesdropper are the row maximum
+and second maximum, found by one column loop without ranking the rest;
+they are exact copies of gains, so the values are the bits of scoring
+each pair on its own after a full sort.
 
 Two secrecy metrics exist side by side:
 
@@ -70,9 +69,6 @@ class MetricEstimate(NamedTuple):
     value: float
     half_width_95: float
     trials: int
-    metric_kind: str
-    scheme: str
-    csi_mode: str
 
 
 def batch_rows(K: int) -> int:
@@ -132,8 +128,9 @@ def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -
 
     `gains` are the ranked gains of `sample_batch`: estimates in any order,
     or true gains nearest-first under statistical CSI. Returns
-    {pair: array}: bool flags for the two outage pairs and, at K >= 2,
-    float scores for the four secrecy pairs, both OMA ones one array. The
+    {pair: array}, in a sweep's row order: bool flags for the two outage
+    pairs and, at K >= 2, float scores for the four secrecy pairs
+    (surrogate, then exact; NOMA before OMA), both OMA ones one array. The
     scheduler's roles (`schedule`), the NOMA outage mask and rho times the
     target and the eavesdropper are computed once for all pairs. Every
     array is a view of the flat `scratch` of `_VECTORS` row vectors.
@@ -163,7 +160,7 @@ def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -
     share *= eave
     share += 1.0
     exact /= share
-    values[(SCHEME_NOMA, METRIC_SECRECY)] = _secrecy_rate(exact, ok)
+    noma_exact = _secrecy_rate(exact, ok)
 
     # from here on nothing reads the weakest gain, the eavesdropper or an
     # estimate-ranked target, so their vectors are overwritten
@@ -174,13 +171,15 @@ def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -
     oma -= np.log2(np.add(rho_eave, 1.0, out=spare), out=spare)
     oma *= 0.5
     np.maximum(0.0, oma, out=oma)
-    values[(SCHEME_OMA, METRIC_SECRECY)] = values[(SCHEME_OMA, METRIC_SECRECY_SURROGATE)] = oma
 
     nu = 1.0 + eps
     rho_target += nu
     rho_eave += nu
     rho_target /= rho_eave
     values[(SCHEME_NOMA, METRIC_SECRECY_SURROGATE)] = _secrecy_rate(rho_target, ok)
+    values[(SCHEME_OMA, METRIC_SECRECY_SURROGATE)] = oma
+    values[(SCHEME_NOMA, METRIC_SECRECY)] = noma_exact
+    values[(SCHEME_OMA, METRIC_SECRECY)] = oma
     return values
 
 
@@ -210,16 +209,14 @@ def _workspace(config: SystemConfig, rows: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * floats), dtype=float)
 
 
-def _run_batch(config, pairs, seed, stream, index, size, workspace):
-    """(sum, sum of squares) of each pair's per-trial values over batch
-    `index`, drawn and scored in `workspace` (`_workspace`). The batch is
-    scored for every pair; only those in `pairs` are reduced."""
+def _run_batch(config, seed, stream, index, size, workspace):
+    """{pair: (sum, sum of squares)} of every pair's per-trial values over
+    batch `index`, drawn and scored in `workspace` (`_workspace`)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, index)))
     gains = sample_batch(config, rng, size, workspace)[2]
     values = _score_batch(config, gains, workspace[config.K * size:])
     sums = {}  # keyed by array identity: a shared array is reduced once
-    for pair in pairs:
-        v = values[pair]
+    for v in values.values():
         if id(v) in sums:
             continue
         if v.dtype == bool:  # an exact count, and a flag squares to itself
@@ -229,7 +226,7 @@ def _run_batch(config, pairs, seed, stream, index, size, workspace):
         total = float(np.add.reduce(v))
         v *= v  # read no more
         sums[id(v)] = (total, float(np.add.reduce(v)))
-    return [sums[id(values[pair])] for pair in pairs]
+    return {pair: sums[id(v)] for pair, v in values.items()}
 
 
 def _wilson_half_width(successes: float, n: int) -> float:
@@ -245,31 +242,28 @@ def simulate(config: SystemConfig, scheme: str, metric_kind: str, trials: int,
 
     Outage probabilities get a Wilson interval (stays informative when the
     empirical rate hits 0 or 1); throughputs get the normal approximation.
-    `stream` selects an independent substream under the same seed.
+    `stream` selects an independent substream under the same seed. This is
+    the (scheme, metric_kind) entry of `simulate_many`; an unknown pair, or
+    secrecy at K < 2, is refused before any draw.
     """
-    pair = (scheme, metric_kind)
-    return simulate_many(config, [pair], trials, seed, workers=workers, stream=stream)[pair]
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}")
+    if metric_kind not in METRIC_KINDS:
+        raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
+    if metric_kind != METRIC_OUTAGE and config.K < 2:
+        raise ValueError("secrecy throughput needs K >= 2")
+    return simulate_many(config, trials, seed, workers, stream)[(scheme, metric_kind)]
 
 
-def simulate_many(config: SystemConfig, pairs, trials: int, seed: int,
+def simulate_many(config: SystemConfig, trials: int, seed: int,
                   workers: int = 1, stream: int = 0) -> dict:
-    """Estimate every (scheme, metric_kind) pair in `pairs` from one sample.
+    """Estimate every (scheme, metric_kind) pair from one sample.
 
-    Returns {(scheme, metric_kind): MetricEstimate}. Each batch is drawn
-    once and scored for every pair, so a sweep can draw one stream per
-    axis point; each entry is bit-identical to `simulate` for that pair on
-    the same seed and stream.
+    Returns {(scheme, metric_kind): MetricEstimate} for the two outage
+    pairs and, at K >= 2, the four secrecy pairs, in `_score_batch`'s
+    order. Each batch is drawn once and scored for every pair, so a sweep
+    draws one stream per axis point.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("pairs must name at least one (scheme, metric_kind)")
-    for scheme, metric_kind in pairs:
-        if scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        if metric_kind not in METRIC_KINDS:
-            raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
-        if metric_kind != METRIC_OUTAGE and config.K < 2:
-            raise ValueError("secrecy throughput needs K >= 2")
     if config.K > BATCH_ELEMENTS:  # one row of K gains must fit a batch
         raise ValueError(f"K must be at most {BATCH_ELEMENTS}")
     for name, value, low, message in (("trials", trials, 2, "an integer >= 2"),
@@ -296,7 +290,7 @@ def simulate_many(config: SystemConfig, pairs, trials: int, seed: int,
             for i in range(w, len(sizes), workers):
                 if errors:  # another worker failed; stop early
                     return
-                parts[i] = _run_batch(config, pairs, seed, stream, i, sizes[i], workspace)
+                parts[i] = _run_batch(config, seed, stream, i, sizes[i], workspace)
         except BaseException as exc:  # raised again in the caller below
             errors.append(exc)
 
@@ -309,26 +303,20 @@ def simulate_many(config: SystemConfig, pairs, trials: int, seed: int,
     if errors:
         raise errors[0]
 
-    totals = [[0.0, 0.0] for _ in pairs]
+    totals = {pair: [0.0, 0.0] for pair in parts[0]}
     for part in parts:  # fixed reduction order, independent of workers
-        for acc, (s, s2) in zip(totals, part):
+        for pair, (s, s2) in part.items():
+            acc = totals[pair]
             acc[0] += s
             acc[1] += s2
 
     n = trials
     estimates = {}
-    for (scheme, metric_kind), (total, total_sq) in zip(pairs, totals):
+    for (scheme, metric_kind), (total, total_sq) in totals.items():
         if metric_kind == METRIC_OUTAGE:
             hw = _wilson_half_width(total, n)
         else:
             var = max(0.0, (total_sq - total * total / n) / (n - 1))
             hw = _Z95 * np.sqrt(var / n)
-        estimates[(scheme, metric_kind)] = MetricEstimate(
-            value=float(total / n),
-            half_width_95=float(hw),
-            trials=n,
-            metric_kind=metric_kind,
-            scheme=scheme,
-            csi_mode=config.csi_mode,
-        )
+        estimates[(scheme, metric_kind)] = MetricEstimate(float(total / n), float(hw), n)
     return estimates

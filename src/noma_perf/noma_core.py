@@ -28,13 +28,11 @@ def _gains(alpha, name: str) -> np.ndarray:
     return alpha
 
 
-def power_split(alpha_weakest, rho: float, R_M: float, out=None) -> PowerSplit:
+def power_split(alpha_weakest, rho: float, R_M: float) -> PowerSplit:
     """Split total power so the weakest gain decodes R_M, rest to unicast.
 
     If even full power cannot support R_M (alpha_weakest < eps/rho) the slot
-    is in multicast outage and everything goes to multicast. `out`, if
-    given, is a (theta_M, theta_U, outage) triple of arrays shaped like the
-    gains that the split is written into, as a ufunc's outputs are.
+    is in multicast outage and everything goes to multicast.
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
@@ -42,12 +40,9 @@ def power_split(alpha_weakest, rho: float, R_M: float, out=None) -> PowerSplit:
         raise ValueError("R_M must be positive")
     alpha = _gains(alpha_weakest, "alpha_weakest")
     eps = 2.0 ** R_M - 1.0
-    if out is None:
-        out = np.empty_like(alpha), np.empty_like(alpha), np.empty(alpha.shape, dtype=bool)
-    theta_M, theta_U, outage = out
-    _unicast_share(alpha, eps, rho, theta_U, theta_M)
-    np.subtract(1.0, theta_U, out=theta_M)
-    np.less(alpha, eps / rho, out=outage)
+    theta_U = _unicast_share(alpha, eps, rho, np.empty_like(alpha), np.empty_like(alpha))
+    theta_M = 1.0 - theta_U
+    outage = alpha < eps / rho
     if alpha.ndim == 0:
         return PowerSplit(theta_M=float(theta_M), theta_U=float(theta_U), outage=bool(outage))
     return PowerSplit(theta_M=theta_M, theta_U=theta_U, outage=outage)

@@ -368,8 +368,7 @@ class TestSecrecyDistanceRanked:
                  ("oma", montecarlo.METRIC_SECRECY_SURROGATE)]
         for rho_db in (10.0, 30.0):
             c = sos_cfg(K=K, rho_db=rho_db, eta=eta)
-            many = montecarlo.simulate_many(c, pairs, 200_000, 1234567,
-                                            stream=910 + K + int(rho_db))
+            many = montecarlo.simulate_many(c, 200_000, 1234567, stream=910 + K + int(rho_db))
             for pair, fn in zip(pairs, (analytic.secrecy_noma_sos, analytic.secrecy_oma_sos)):
                 est = many[pair]
                 assert abs(fn(c) - est.value) <= 3.0 * est.half_width_95

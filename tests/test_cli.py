@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import noma_perf
-from noma_perf import analytic, cli, montecarlo
+from noma_perf import SystemConfig, analytic, cli, montecarlo
 from noma_perf.cli import CSV_COLUMNS, main, verify
 from noma_perf.config import ConfigError, Settings, parse_config, system_config
 from noma_perf.noma_core import multicast_rate, power_split
@@ -115,6 +115,10 @@ class TestParseConfig:
 
 
 class TestSystemConfigBridge:
+    def test_default_settings_are_the_default_operating_point(self):
+        # config's defaults table and SystemConfig's field defaults name one point
+        assert system_config(Settings()) == SystemConfig()
+
     def test_db_to_linear(self):
         s = Settings()
         s.rho_db = 30.0
@@ -346,9 +350,9 @@ class TestVerify:
         # the floor is 3 / trials: an analytic value above it still fails
         simulate_many = montecarlo.simulate_many
 
-        def scores_nothing(config, pairs, trials, seed, workers=1, stream=0):
+        def scores_nothing(config, trials, seed, workers=1, stream=0):
             return {pair: est._replace(value=0.0) if pair[1] != montecarlo.METRIC_OUTAGE
-                    else est for pair, est in simulate_many(config, pairs, trials, seed,
+                    else est for pair, est in simulate_many(config, trials, seed,
                                                             workers, stream).items()}
 
         monkeypatch.setattr(montecarlo, "simulate_many", scores_nothing)
@@ -401,16 +405,16 @@ class TestVerify:
     def test_determinism_check_runs_two_batches(self, tmp_path, monkeypatch):
         # 2 * 200 trials at K = 400, not a fixed 20,000; still 20,000 at K <= 8
         calls = []
-        simulate = montecarlo.simulate
+        simulate_many = montecarlo.simulate_many
 
-        def recording_simulate(config, scheme, metric_kind, trials, seed, workers=1, stream=0):
+        def recording_simulate_many(config, trials, seed, workers=1, stream=0):
             calls.append((trials, workers))
-            return simulate(config, scheme, metric_kind, trials, seed, workers=workers,
-                            stream=stream)
+            return simulate_many(config, trials, seed, workers=workers, stream=stream)
 
-        monkeypatch.setattr(montecarlo, "simulate", recording_simulate)
+        monkeypatch.setattr(montecarlo, "simulate_many", recording_simulate_many)
         _, report = verify(parse_config(write_cfg(tmp_path, "k = 400\ntrials = 2000\n")))
-        assert calls == [(400, 1), (400, 2)]
+        # the point's shared sample, then the determinism check's two runs
+        assert calls == [(2000, 1), (400, 1), (400, 2)]
         assert "determinism: PASS" in report
         assert 2 * montecarlo.batch_rows(8) == 20_000
 
@@ -598,8 +602,8 @@ class TestArguments:
 
 def test_runs_leave_slow_imports_unloaded(tmp_path):
     # numpy.polynomial, concurrent.futures and the logging it imports,
-    # argparse with the gettext and locale it loads, and dataclasses with
-    # copy each cost milliseconds of every start-up, and nothing needs them; checked
+    # argparse with the gettext and locale it loads, dataclasses with copy,
+    # and csv each cost milliseconds of every start-up, and nothing needs them; checked
     # in a fresh interpreter, since pytest itself imports logging. The
     # sweep's 20 001 trials are three batches, so two worker threads run.
     # main, not the import, freezes the heap it starts with, so shutdown's
@@ -617,7 +621,8 @@ def test_runs_leave_slow_imports_unloaded(tmp_path):
         f"         main(['sweep', '--config', {cfg!r}, '--trials', '20001', '--workers', '2',\n"
         f"               '--out', {str(tmp_path / 'out.csv')!r}])]\n"
         "print(codes, [m for m in ('numpy.polynomial', 'concurrent.futures', 'logging',\n"
-        "                          'argparse', 'gettext', 'locale', 'dataclasses', 'copy')\n"
+        "                          'argparse', 'gettext', 'locale', 'dataclasses', 'copy',\n"
+        "                          'csv')\n"
         "              if m in sys.modules])\n"
         "print(frozen_by_import, gc.get_freeze_count() >= tracked > 10_000)\n"
     )

@@ -8,7 +8,7 @@ import pytest
 
 from noma_perf import analytic
 from noma_perf import montecarlo
-from noma_perf.channel import CSI_SOS, SystemConfig, sample_batch
+from noma_perf.channel import SystemConfig, sample_batch
 from noma_perf.montecarlo import (
     BATCH_ELEMENTS,
     BATCH_SIZE,
@@ -67,7 +67,7 @@ ALL_PAIRS = [(scheme, metric)
              for scheme in (SCHEME_NOMA, SCHEME_OMA)]
 
 
-# simulate_many(cfg(K, rho_db, csi="sos"), ALL_PAIRS, 20_077, seed=31, stream=2)
+# simulate_many(cfg(K, rho_db, csi="sos"), 20_077, seed=31, stream=2)
 # as (value, half_width_95) float hex per pair in ALL_PAIRS order, recorded
 # when batches were first drawn user-major, with 1/u path loss at eta = 2
 SOS_PINNED = {
@@ -127,8 +127,7 @@ class TestStreams:
 
     @pytest.mark.parametrize("K,rho_db", sorted(SOS_PINNED))
     def test_distance_ranked_bits_pinned(self, K, rho_db):
-        many = simulate_many(cfg(K=K, rho_db=rho_db, csi="sos"), ALL_PAIRS, 20_077,
-                             seed=31, stream=2)
+        many = simulate_many(cfg(K=K, rho_db=rho_db, csi="sos"), 20_077, seed=31, stream=2)
         got = [(many[p].value.hex(), many[p].half_width_95.hex()) for p in ALL_PAIRS]
         assert got == [tuple(x) for x in SOS_PINNED[(K, rho_db)]]
 
@@ -145,10 +144,10 @@ class TestStreams:
 
         monkeypatch.setattr(montecarlo, "sample_batch", recording_sample_batch)
         c = cfg(K=40)
-        serial = simulate_many(c, ALL_PAIRS, 12_345, seed=27)
+        serial = simulate_many(c, 12_345, seed=27)
         assert max(elements) <= BATCH_ELEMENTS
         assert sum(elements) == 12_345 * 40
-        assert simulate_many(c, ALL_PAIRS, 12_345, seed=27, workers=2) == serial
+        assert simulate_many(c, 12_345, seed=27, workers=2) == serial
 
     def test_k_above_batch_elements_refused_before_any_draw(self, monkeypatch):
         # one row of K gains would not fit a batch; never draw at such a K
@@ -156,7 +155,7 @@ class TestStreams:
         monkeypatch.setattr(montecarlo, "sample_batch",
                             lambda *args: draws.append(args) or sample_batch(*args))
         with pytest.raises(ValueError, match=f"K must be at most {BATCH_ELEMENTS}"):
-            simulate_many(cfg(K=BATCH_ELEMENTS + 1), [(SCHEME_NOMA, METRIC_OUTAGE)], 1000, seed=0)
+            simulate_many(cfg(K=BATCH_ELEMENTS + 1), 1000, seed=0)
         assert draws == []
 
 class TestSharedSample:
@@ -166,7 +165,7 @@ class TestSharedSample:
     def test_each_entry_equals_simulate(self, csi, K):
         c = cfg(K=K, rho_db=20.0, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
         trials = 2 * BATCH_SIZE + 77
-        many = simulate_many(c, ALL_PAIRS, trials, seed=21, stream=3)
+        many = simulate_many(c, trials, seed=21, stream=3)
         assert list(many) == ALL_PAIRS
         for scheme, metric in ALL_PAIRS:
             assert many[(scheme, metric)] == simulate(c, scheme, metric, trials,
@@ -174,23 +173,24 @@ class TestSharedSample:
 
     def test_worker_count_does_not_change_bits(self):
         c = cfg(K=4)
-        serial = simulate_many(c, ALL_PAIRS, 3 * BATCH_SIZE + 5, seed=22)
-        assert simulate_many(c, ALL_PAIRS, 3 * BATCH_SIZE + 5, seed=22, workers=2) == serial
+        serial = simulate_many(c, 3 * BATCH_SIZE + 5, seed=22)
+        assert simulate_many(c, 3 * BATCH_SIZE + 5, seed=22, workers=2) == serial
 
     def test_distance_ranked_outage_only_for_any_k(self):
-        c = cfg(K=3, csi="sos")
         pairs = [(SCHEME_NOMA, METRIC_OUTAGE), (SCHEME_OMA, METRIC_OUTAGE)]
-        many = simulate_many(c, pairs, 5_000, seed=23)
-        assert set(many) == set(pairs)
-        for scheme, metric in pairs:
-            assert many[(scheme, metric)] == simulate(c, scheme, metric, 5_000, seed=23)
+        for K in (1, 3):
+            c = cfg(K=K, csi="sos")
+            many = simulate_many(c, 5_000, seed=23)
+            assert set(many) == set(valid_pairs(c))  # the outage pairs alone at K = 1
+            for scheme, metric in pairs:
+                assert many[(scheme, metric)] == simulate(c, scheme, metric, 5_000, seed=23)
 
     def test_distance_ranked_surrogate_needs_two_users(self):
         with pytest.raises(ValueError, match="needs K >= 2"):
-            simulate_many(cfg(K=1, csi="sos"), ALL_PAIRS, 5_000, seed=24)
+            simulate(cfg(K=1, csi="sos"), SCHEME_NOMA, METRIC_SECRECY_SURROGATE, 5_000, seed=24)
         # any K >= 2 scores every pair
         c = cfg(K=3, csi="sos")
-        many = simulate_many(c, ALL_PAIRS, 5_000, seed=24)
+        many = simulate_many(c, 5_000, seed=24)
         for scheme, metric in ALL_PAIRS:
             assert many[(scheme, metric)] == simulate(c, scheme, metric, 5_000, seed=24)
 
@@ -204,27 +204,25 @@ class TestSharedSample:
         draws = []
         monkeypatch.setattr(montecarlo, "sample_batch",
                             lambda *args: draws.append(args) or sample_batch(*args))
-        pairs = [(SCHEME_NOMA, METRIC_OUTAGE), pair]
         with pytest.raises(ValueError, match=message):
-            simulate_many(cfg(K=K, csi=csi), pairs, 3 * BATCH_SIZE, seed=25, workers=workers)
+            simulate(cfg(K=K, csi=csi), *pair, 3 * BATCH_SIZE, seed=25, workers=workers)
         assert draws == []
 
     @pytest.mark.parametrize("workers", [True, 1.5, 0, "2", None])
     def test_rejects_non_integer_workers(self, workers):
         with pytest.raises(ValueError, match="workers"):
-            simulate_many(cfg(), [(SCHEME_NOMA, METRIC_OUTAGE)], 1000, seed=0, workers=workers)
+            simulate_many(cfg(), 1000, seed=0, workers=workers)
 
-    @pytest.mark.parametrize("pairs", [
-        [], [("tdma", METRIC_OUTAGE)], [(SCHEME_NOMA, "throughput")],
-        [(SCHEME_NOMA, METRIC_OUTAGE), (SCHEME_OMA, "throughput")],
+    @pytest.mark.parametrize("pair", [
+        ("tdma", METRIC_OUTAGE), (SCHEME_NOMA, "throughput"), (SCHEME_OMA, "throughput"),
     ])
-    def test_rejects_bad_pairs(self, pairs):
+    def test_rejects_bad_pairs(self, pair):
         with pytest.raises(ValueError):
-            simulate_many(cfg(), pairs, 1000, seed=0)
+            simulate(cfg(), *pair, 1000, seed=0)
 
 
 def valid_pairs(c):
-    """The pairs simulate_many accepts for config c."""
+    """The pairs simulate_many returns for config c."""
     return ALL_PAIRS[:2] if c.K < 2 else ALL_PAIRS
 
 
@@ -242,13 +240,12 @@ class TestWorkspace:
         c = cfg(K=K, rho_db=20.0, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
         rows = batch_rows(K)
         workspace = montecarlo._workspace(c, rows)
-        # a full batch, then the partial one of rows + 137 trials; all
-        # pairs, then the outage pairs alone, then all pairs again
-        for pairs in (valid_pairs(c), ALL_PAIRS[:2], valid_pairs(c)):
+        # a full batch, then the partial one of rows + 137 trials, three times
+        for _ in range(3):
             for index, size in ((0, rows), (1, 137)):
-                reused = montecarlo._run_batch(c, pairs, 28, 1, index, size, workspace)
-                fresh = montecarlo._run_batch(c, pairs, 28, 1, index, size,
-                                              montecarlo._workspace(c, size))
+                reused = montecarlo._run_batch(c, 28, 1, index, size, workspace).values()
+                fresh = montecarlo._run_batch(c, 28, 1, index, size,
+                                              montecarlo._workspace(c, size)).values()
                 assert [(s.hex(), s2.hex()) for s, s2 in reused] == \
                     [(s.hex(), s2.hex()) for s, s2 in fresh]
 
@@ -268,9 +265,9 @@ class TestWorkspace:
 
         c = cfg(K=K, csi=csi)
         batches = 40
-        simulate_many(c, ALL_PAIRS, batches * batch_rows(K), seed=29)  # warm-up
+        simulate_many(c, batches * batch_rows(K), seed=29)  # warm-up
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        simulate_many(c, ALL_PAIRS, batches * batch_rows(K), seed=30)
+        simulate_many(c, batches * batch_rows(K), seed=30)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / batches < 20
 
@@ -295,23 +292,23 @@ class TestWorkerThreads:
     def test_batch_exception_reaches_caller_after_every_join(self, monkeypatch, failing):
         run_batch = montecarlo._run_batch
 
-        def run(config, pairs, seed, stream, index, *rest):
+        def run(config, seed, stream, index, *rest):
             if index == failing:
                 raise RuntimeError(f"batch {index} failed")
-            return run_batch(config, pairs, seed, stream, index, *rest)
+            return run_batch(config, seed, stream, index, *rest)
 
         monkeypatch.setattr(montecarlo, "_run_batch", run)
         started = record_threads(monkeypatch)
         with pytest.raises(RuntimeError, match=f"batch {failing} failed"):
-            simulate_many(cfg(K=2), ALL_PAIRS, 6 * BATCH_SIZE, seed=31, workers=3)
+            simulate_many(cfg(K=2), 6 * BATCH_SIZE, seed=31, workers=3)
         assert len(started) == 2
         assert not any(thread.is_alive() for thread in started)
 
     def test_no_thread_without_a_batch(self, monkeypatch):
         c = cfg(K=2)
-        serial = simulate_many(c, ALL_PAIRS, 3 * BATCH_SIZE, seed=32)
+        serial = simulate_many(c, 3 * BATCH_SIZE, seed=32)
         started = record_threads(monkeypatch)
-        assert simulate_many(c, ALL_PAIRS, 3 * BATCH_SIZE, seed=32, workers=8) == serial
+        assert simulate_many(c, 3 * BATCH_SIZE, seed=32, workers=8) == serial
         assert len(started) <= 2
 
     def test_worker_count_keeps_every_bit(self):
@@ -319,7 +316,7 @@ class TestWorkerThreads:
         trials = 3 * BATCH_SIZE + 137  # a partial last batch
 
         def bits(workers):
-            many = simulate_many(c, ALL_PAIRS, trials, seed=33, workers=workers)
+            many = simulate_many(c, trials, seed=33, workers=workers)
             return [(e.value.hex(), e.half_width_95.hex()) for e in many.values()]
 
         serial = bits(1)
@@ -392,7 +389,7 @@ class TestScoreKernel:
         gains = sample_batch(c, np.random.default_rng(5), 1_000)[2]
         values = score(c, gains)
         assert values[oma[0]] is values[oma[1]]
-        many = simulate_many(c, valid_pairs(c), BATCH_SIZE + 11, seed=26)
+        many = simulate_many(c, BATCH_SIZE + 11, seed=26)
         exact, surrogate = many[oma[0]], many[oma[1]]
         assert (exact.value, exact.half_width_95) == (surrogate.value, surrogate.half_width_95)
 
@@ -427,7 +424,6 @@ class TestIntervals:
         est = simulate(c, SCHEME_OMA, METRIC_SECRECY, 5_000, seed=6)
         assert est == MetricEstimate(
             value=est.value, half_width_95=est.half_width_95, trials=5_000,
-            metric_kind=METRIC_SECRECY, scheme=SCHEME_OMA, csi_mode=CSI_SOS,
         )
 
 
@@ -521,7 +517,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="seed must be"):
             simulate(c, SCHEME_NOMA, METRIC_OUTAGE, 1000, seed=True)
         with pytest.raises(ValueError, match="stream must be"):
-            simulate_many(c, [(SCHEME_NOMA, METRIC_OUTAGE)], 1000, seed=0, stream=True)
+            simulate_many(c, 1000, seed=0, stream=True)
 
     def test_surrogate_distance_ranked_needs_two_users(self):
         with pytest.raises(ValueError, match="needs K >= 2"):

@@ -112,16 +112,6 @@ class TestPowerSplit:
         assert split.outage.all() and scalar.outage
         assert scalar.theta_U == 0.0 and scalar.theta_M == 1.0
 
-    def test_out_receives_the_split(self):
-        alpha = gain_grid(100.0, 1.0)
-        out = np.empty_like(alpha), np.empty_like(alpha), np.empty(alpha.shape, dtype=bool)
-        split = power_split(alpha, 100.0, 1.0, out=out)
-        assert split.theta_M is out[0] and split.theta_U is out[1] and split.outage is out[2]
-        fresh = power_split(alpha, 100.0, 1.0)
-        assert_bitwise_equal(split.theta_M, fresh.theta_M)
-        assert_bitwise_equal(split.theta_U, fresh.theta_U)
-        assert np.array_equal(split.outage, fresh.outage)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             power_split(-1.0, 100.0, 1.0)
