@@ -150,17 +150,19 @@ def _order_statistic_mean(config: SystemConfig, z: float, s: float, scale: float
 
     survivals(t) returns (S_1(t) times the outer weights, S(z), S(t)),
     broadcastable to (len(t), outer). The t axis is mapped from v in [0, 1)
-    by t = z + c v / (1 - v)^q with q = max(1, eta/2), which makes the
-    t^(-1-2/eta) tail smooth in v; c is the geometric mean of the rate knee
-    s, the cell-edge mean gain m_edge and m_edge K^(eta/2), where S falls to
-    about 1/K. c is at least m_edge K^(eta/2) / 100: at large K the
-    (1 - S)^(K-1) mass sits near m_edge K^(eta/2), which the geometric
-    mean alone maps beyond the last node. m is the order on v.
+    by t = z + c v / (1 - v)^q. The t^(-1-2/eta) tail then behaves as
+    (1 - v)^(2q/eta - 1) in v, a whole power with q = eta below eta = 2 and
+    q = eta/2 from 2 up (q = 1 below 2 leaves the power 2/eta - 1, on which
+    Gauss-Legendre converges only algebraically). c is the geometric mean of
+    the rate knee s, the cell-edge mean gain m_edge and m_edge K^(eta/2),
+    where S falls to about 1/K. c is at least m_edge K^(eta/2) / 100: at
+    large K the (1 - S)^(K-1) mass sits near m_edge K^(eta/2), which the
+    geometric mean alone maps beyond the last node. m is the order on v.
     """
     K, eta = config.K, config.eta
     if K < 2:
         raise ValueError("secrecy throughput needs K >= 2")
-    q = max(1.0, eta / 2.0)
+    q = eta if eta < 2.0 else eta / 2.0
     c = max((s * m_edge * m_edge * K ** (eta / 2.0)) ** (1.0 / 3.0),
             m_edge * K ** (eta / 2.0) / 100.0)
     rule = gauss_legendre_rule(m, 1.0)

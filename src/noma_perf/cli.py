@@ -19,28 +19,17 @@ CSV_COLUMNS = (
     "analytic_value", "mc_value", "mc_halfwidth", "trials", "seed",
 )
 
-# (scheme, csi_mode, Monte Carlo metric) -> analytic evaluator. Secrecy has
+# (scheme, csi_mode) -> (outage evaluator, secrecy evaluator). Secrecy has
 # one estimate-ranked evaluator: perfect CSI is imperfect CSI with sigma2 = 0.
-# A secrecy_throughput row reads the surrogate evaluator (README, Caveats).
+# Both secrecy metrics read the secrecy evaluator, the surrogate's closed
+# form (README, Caveats), so a row's column is `metric != METRIC_OUTAGE`.
 _EVALUATORS = {
-    ("noma", "imperfect", "outage_prob"): analytic.outage_noma_imperfect,
-    ("noma", "perfect", "outage_prob"): analytic.outage_noma_perfect,
-    ("noma", "sos", "outage_prob"): analytic.outage_noma_sos,
-    ("oma", "imperfect", "outage_prob"): analytic.outage_oma_imperfect,
-    ("oma", "perfect", "outage_prob"): analytic.outage_oma_perfect,
-    ("oma", "sos", "outage_prob"): analytic.outage_oma_sos,
-    ("noma", "imperfect", "secrecy_throughput_surrogate"): analytic.secrecy_noma_imperfect,
-    ("noma", "perfect", "secrecy_throughput_surrogate"): analytic.secrecy_noma_imperfect,
-    ("noma", "sos", "secrecy_throughput_surrogate"): analytic.secrecy_noma_sos,
-    ("oma", "imperfect", "secrecy_throughput_surrogate"): analytic.secrecy_oma_imperfect,
-    ("oma", "perfect", "secrecy_throughput_surrogate"): analytic.secrecy_oma_imperfect,
-    ("oma", "sos", "secrecy_throughput_surrogate"): analytic.secrecy_oma_sos,
-    ("noma", "imperfect", "secrecy_throughput"): analytic.secrecy_noma_imperfect,
-    ("noma", "perfect", "secrecy_throughput"): analytic.secrecy_noma_imperfect,
-    ("noma", "sos", "secrecy_throughput"): analytic.secrecy_noma_sos,
-    ("oma", "imperfect", "secrecy_throughput"): analytic.secrecy_oma_imperfect,
-    ("oma", "perfect", "secrecy_throughput"): analytic.secrecy_oma_imperfect,
-    ("oma", "sos", "secrecy_throughput"): analytic.secrecy_oma_sos,
+    ("noma", "imperfect"): (analytic.outage_noma_imperfect, analytic.secrecy_noma_imperfect),
+    ("noma", "perfect"): (analytic.outage_noma_perfect, analytic.secrecy_noma_imperfect),
+    ("noma", "sos"): (analytic.outage_noma_sos, analytic.secrecy_noma_sos),
+    ("oma", "imperfect"): (analytic.outage_oma_imperfect, analytic.secrecy_oma_imperfect),
+    ("oma", "perfect"): (analytic.outage_oma_perfect, analytic.secrecy_oma_imperfect),
+    ("oma", "sos"): (analytic.outage_oma_sos, analytic.secrecy_oma_sos),
 }
 # the metrics of a sweep, in CSV order
 _SWEEP_METRICS = (montecarlo.METRIC_OUTAGE, montecarlo.METRIC_SECRECY_SURROGATE,
@@ -77,20 +66,19 @@ def _point(settings: Settings, cfg, metrics, stream: int) -> dict:
 
     Rows run metric by metric, NOMA before OMA, and every estimate is
     scored from one Monte Carlo stream. A row of `metrics` that the stream
-    does not score (secrecy at K < 2) is left out. An evaluator that two
-    metrics share runs once.
+    does not score (secrecy at K < 2) is left out.
     """
     estimates = montecarlo.simulate_many(
         cfg, settings.trials, settings.seed, workers=settings.workers, stream=stream,
     )
-    values, rows = {}, {}
-    for scheme, metric in [(s, m) for m in metrics for s in montecarlo.SCHEMES
-                           if (s, m) in estimates]:
-        evaluator = _EVALUATORS[(scheme, cfg.csi_mode, metric)]
-        if evaluator not in values:
-            values[evaluator] = evaluator(cfg)
-        rows[(scheme, metric)] = values[evaluator], estimates[(scheme, metric)]
-    return rows
+    # each closed form once per scheme: outage, then secrecy if it is scored
+    columns = 1 + ((montecarlo.SCHEME_NOMA, montecarlo.METRIC_SECRECY) in estimates)
+    values = [[_EVALUATORS[(scheme, cfg.csi_mode)][column](cfg) for scheme in montecarlo.SCHEMES]
+              for column in range(columns)]
+    return {(scheme, metric): (values[metric != montecarlo.METRIC_OUTAGE][i],
+                               estimates[(scheme, metric)])
+            for metric in metrics for i, scheme in enumerate(montecarlo.SCHEMES)
+            if (scheme, metric) in estimates}
 
 
 def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
@@ -154,8 +142,8 @@ def verify(settings: Settings):
 
     # doubling every quadrature order must not move any checked value
     doubled = cfg.replace(quad_orders=tuple(2 * o for o in cfg.quad_orders))
-    drift = max(abs(a - _EVALUATORS[(scheme, cfg.csi_mode, metric)](doubled))
-                for (scheme, metric), (a, _) in rows.items())
+    drift = max(abs(a - _EVALUATORS[(s, cfg.csi_mode)][m != montecarlo.METRIC_OUTAGE](doubled))
+                for (s, m), (a, _) in rows.items())
     ok &= _check(lines, "quadrature-convergence", drift < 1e-3,
                  f"all-order doubling drift {drift:.3e} over {len(rows)} values, bound 1e-3")
 

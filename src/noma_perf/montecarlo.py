@@ -18,10 +18,10 @@ nearest-first, under statistical CSI. The batch is user-major, so each
 user's gains are contiguous for the scorer's reductions over users.
 
 Every batch scores every metric: one straight-line kernel (`_score_batch`)
-gives each valid (scheme, metric) pair its per-trial values, from the
-roles `schedule` gives each row (weakest decision gain, the gain driving
-the power split, target, eavesdropper). `simulate_many` reduces all of
-them and returns every pair; `simulate` returns one of those estimates.
+gives each distinct per-trial array once, from the roles `schedule` gives
+each row (weakest decision gain, the gain driving the power split, target,
+eavesdropper). `simulate_many` reduces all of them and returns every valid
+(scheme, metric) pair; `simulate` returns one of those estimates.
 Under estimate ranking the target and eavesdropper are the row maximum
 and second maximum, found by one column loop without ranking the rest;
 they are exact copies of gains, so the values are the bits of scoring
@@ -35,7 +35,9 @@ Two secrecy metrics exist side by side:
 * "secrecy_throughput_surrogate" scores the high-SNR surrogate the analytic
   forms actually approximate (SNR-free split, rate gap of the target over
   the best other user clamped at zero, outage indicator inside the mean).
-  Under OMA there is no power split and the two metrics coincide.
+  Under OMA there is no power split and the two metrics coincide: the
+  scorer gives OMA the surrogate only, and `simulate_many` returns its
+  estimate under both names.
 """
 
 import threading
@@ -124,13 +126,13 @@ _VECTORS = 6
 
 
 def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -> dict:
-    """Per-trial values of every valid (scheme, metric_kind) pair for one batch.
+    """Per-trial values of every distinct (scheme, metric_kind) array for one batch.
 
     `gains` are the ranked gains of `sample_batch`: estimates in any order,
     or true gains nearest-first under statistical CSI. Returns
     {pair: array}, in a sweep's row order: bool flags for the two outage
-    pairs and, at K >= 2, float scores for the four secrecy pairs
-    (surrogate, then exact; NOMA before OMA), both OMA ones one array. The
+    pairs and, at K >= 2, float scores for the NOMA and OMA surrogates and
+    the NOMA exact secrecy; OMA's exact secrecy is its surrogate. The
     scheduler's roles (`schedule`), the NOMA outage mask and rho times the
     target and the eavesdropper are computed once for all pairs. Every
     array is a view of the flat `scratch` of `_VECTORS` row vectors.
@@ -166,7 +168,6 @@ def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -
     # estimate-ranked target, so their vectors are overwritten
     rho_target = np.multiply(target, rho, out=weakest)
     rho_eave = np.multiply(eave, rho, out=eave)
-    # no power split under OMA, so surrogate and exact coincide
     oma = np.log2(np.add(rho_target, 1.0, out=top), out=top)
     oma -= np.log2(np.add(rho_eave, 1.0, out=spare), out=spare)
     oma *= 0.5
@@ -179,7 +180,6 @@ def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -
     values[(SCHEME_NOMA, METRIC_SECRECY_SURROGATE)] = _secrecy_rate(rho_target, ok)
     values[(SCHEME_OMA, METRIC_SECRECY_SURROGATE)] = oma
     values[(SCHEME_NOMA, METRIC_SECRECY)] = noma_exact
-    values[(SCHEME_OMA, METRIC_SECRECY)] = oma
     return values
 
 
@@ -215,18 +215,16 @@ def _run_batch(config, seed, stream, index, size, workspace):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, index)))
     gains = sample_batch(config, rng, size, workspace)[2]
     values = _score_batch(config, gains, workspace[config.K * size:])
-    sums = {}  # keyed by array identity: a shared array is reduced once
-    for v in values.values():
-        if id(v) in sums:
-            continue
+    sums = {}
+    for pair, v in values.items():
         if v.dtype == bool:  # an exact count, and a flag squares to itself
             total = float(np.count_nonzero(v))
-            sums[id(v)] = (total, total)
+            sums[pair] = (total, total)
             continue
         total = float(np.add.reduce(v))
         v *= v  # read no more
-        sums[id(v)] = (total, float(np.add.reduce(v)))
-    return {pair: sums[id(v)] for pair, v in values.items()}
+        sums[pair] = (total, float(np.add.reduce(v)))
+    return sums
 
 
 def _wilson_half_width(successes: float, n: int) -> float:
@@ -260,9 +258,9 @@ def simulate_many(config: SystemConfig, trials: int, seed: int,
     """Estimate every (scheme, metric_kind) pair from one sample.
 
     Returns {(scheme, metric_kind): MetricEstimate} for the two outage
-    pairs and, at K >= 2, the four secrecy pairs, in `_score_batch`'s
-    order. Each batch is drawn once and scored for every pair, so a sweep
-    draws one stream per axis point.
+    pairs and, at K >= 2, the four secrecy pairs: `_score_batch`'s order,
+    then OMA's exact secrecy. Each batch is drawn once and scored for
+    every pair, so a sweep draws one stream per axis point.
     """
     if config.K > BATCH_ELEMENTS:  # one row of K gains must fit a batch
         raise ValueError(f"K must be at most {BATCH_ELEMENTS}")
@@ -319,4 +317,6 @@ def simulate_many(config: SystemConfig, trials: int, seed: int,
             var = max(0.0, (total_sq - total * total / n) / (n - 1))
             hw = _Z95 * np.sqrt(var / n)
         estimates[(scheme, metric_kind)] = MetricEstimate(float(total / n), float(hw), n)
+    if config.K >= 2:  # no power split under OMA, so its exact secrecy is its surrogate
+        estimates[(SCHEME_OMA, METRIC_SECRECY)] = estimates[(SCHEME_OMA, METRIC_SECRECY_SURROGATE)]
     return estimates

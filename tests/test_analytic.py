@@ -289,6 +289,19 @@ class TestSecrecyEstRanked:
                 v1, v2 = fn(c), fn(doubled)
                 assert abs(v2 - v1) < 1e-9 * abs(v2)
 
+    @pytest.mark.parametrize("eta", [1.2, 1.5, 1.8])
+    def test_order_quadrupling_converged_below_eta_two(self, eta):
+        # the t map's q = eta below eta = 2; q = 1 drifted up to 3.4e-3
+        # (OMA, eta = 1.8, K = 64, 40 dB, sigma2 = 0.4 D^-eta)
+        for K in (2, 8, 64):
+            for sigma2 in (0.0, 0.4 * 5.0 ** -eta):
+                for rho_db in (0.0, 10.0, 20.0, 30.0, 40.0):
+                    c = cfg(K=K, rho_db=rho_db, sigma2=sigma2, eta=eta)
+                    fine = c.replace(quad_orders=tuple(4 * o for o in c.quad_orders))
+                    for fn in (analytic.secrecy_noma_imperfect, analytic.secrecy_oma_imperfect):
+                        v1, v4 = fn(c), fn(fine)
+                        assert abs(v4 - v1) <= 1e-4 * abs(v4), (K, sigma2, rho_db, fn.__name__)
+
     def test_large_k_matches_surrogate_mc(self):
         c = cfg(K=40)
         for scheme, fn in (("noma", analytic.secrecy_noma_imperfect),
@@ -409,8 +422,9 @@ class TestSecrecyDistanceRanked:
 
     def test_order_doubling_bounded_and_shrinking(self):
         # the mapped nearest-distance axis keeps the drift small at every
-        # path-loss exponent, including the non-even ones
-        for eta in (2.0, 2.5, 3.0, 4.0):
+        # path-loss exponent, including the non-even ones; below eta = 2
+        # the t map's q = eta does (q = 1 drifted 1.4e-4 at eta = 1.5, K = 8)
+        for eta in (1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0):
             for K in (2, 8):
                 for rho_db in (0.0, 30.0):
                     for fn in (analytic.secrecy_noma_sos, analytic.secrecy_oma_sos):

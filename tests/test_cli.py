@@ -13,6 +13,7 @@ import pytest
 
 import noma_perf
 from noma_perf import SystemConfig, analytic, cli, montecarlo
+from noma_perf.channel import DEFAULT_QUAD_ORDERS
 from noma_perf.cli import CSV_COLUMNS, main, verify
 from noma_perf.config import ConfigError, Settings, parse_config, system_config
 from noma_perf.noma_core import multicast_rate, power_split
@@ -440,6 +441,52 @@ class TestVerify:
         assert main(["verify", "--config", path]) == 0
         out = capsys.readouterr().out
         assert "secrecy-vs-mc-noma: PASS" in out and "secrecy-vs-mc-oma: PASS" in out
+
+
+@pytest.fixture
+def evaluator_calls(monkeypatch):
+    """(scheme, column, quad_orders) of every call through cli._EVALUATORS,
+    in call order; column 0 is outage and column 1 secrecy."""
+    calls = []
+
+    def counting(scheme, column, evaluator):
+        def call(config):
+            calls.append((scheme, column, config.quad_orders))
+            return evaluator(config)
+        return call
+
+    monkeypatch.setattr(cli, "_EVALUATORS", {
+        (scheme, csi): tuple(counting(scheme, column, f) for column, f in enumerate(pair))
+        for (scheme, csi), pair in cli._EVALUATORS.items()})
+    return calls
+
+
+class TestClosedFormCalls:
+    """sweep and verify run each closed form once per scheme at a point:
+    both secrecy metrics read one secrecy value."""
+
+    @staticmethod
+    def once(k, orders=DEFAULT_QUAD_ORDERS):
+        """Outage for NOMA then OMA, then secrecy for both at K >= 2."""
+        return [(scheme, column, orders) for column in range(1 if k == 1 else 2)
+                for scheme in ("noma", "oma")]
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
+    def test_one_point_sweep(self, tmp_path, evaluator_calls, csi, k):
+        path = write_cfg(tmp_path, f"csi = {csi}\nk_values = {k}\ntrials = 2000\n")
+        out = str(tmp_path / "k.csv")
+        assert main(["sweep", "--config", path, "--axis", "k", "--out", out]) == 0
+        assert evaluator_calls == self.once(k)
+        assert len(read_rows(out)) == 1 + (2 if k == 1 else 6)
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
+    def test_verify(self, tmp_path, evaluator_calls, csi, k):
+        # once at the configured orders, once more at doubled orders
+        verify(parse_config(write_cfg(tmp_path, f"csi = {csi}\nk = {k}\ntrials = 2000\n")))
+        doubled = tuple(2 * o for o in DEFAULT_QUAD_ORDERS)
+        assert evaluator_calls == self.once(k) + self.once(k, doubled)
 
 
 def scalar_power_split_line(settings):

@@ -65,6 +65,9 @@ class TestDeterminism:
 ALL_PAIRS = [(scheme, metric)
              for metric in (METRIC_OUTAGE, METRIC_SECRECY_SURROGATE, METRIC_SECRECY)
              for scheme in (SCHEME_NOMA, SCHEME_OMA)]
+# OMA has no power split, so the scorer gives it the surrogate array only
+OMA_EXACT = (SCHEME_OMA, METRIC_SECRECY)
+OMA_SURROGATE = (SCHEME_OMA, METRIC_SECRECY_SURROGATE)
 
 
 # simulate_many(cfg(K, rho_db, csi="sos"), 20_077, seed=31, stream=2)
@@ -249,8 +252,10 @@ class TestWorkspace:
                 assert [(s.hex(), s2.hex()) for s, s2 in reused] == \
                     [(s.hex(), s2.hex()) for s, s2 in fresh]
 
-    def test_scoring_leaves_gains_alone(self):
-        c = cfg(K=3, csi="sos")
+    @pytest.mark.parametrize("K", [1, 2, 3, 8, 40])
+    @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
+    def test_scoring_leaves_gains_alone(self, csi, K):
+        c = cfg(K=K, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
         gains = sample_batch(c, np.random.default_rng(8), 1_000)[2]
         before = gains.copy()
         score(c, gains)
@@ -378,20 +383,21 @@ class TestScoreKernel:
         c = cfg(K=K, rho_db=rho_db, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
         gains = sample_batch(c, np.random.default_rng(K), 3_000)[2]
         values = score(c, gains)
-        assert set(values) == set(valid_pairs(c))  # every valid pair, every batch
-        for pair, v in values.items():
+        # every valid pair but OMA's exact secrecy, every batch
+        assert set(values) == set(valid_pairs(c)) - {OMA_EXACT}
+        for pair in valid_pairs(c):
+            v = values[OMA_SURROGATE if pair == OMA_EXACT else pair]
             assert np.array_equal(v, metric_values(c, *pair, gains))
 
     @pytest.mark.parametrize("csi,K", [("imperfect", 8), ("sos", 3)])
     def test_oma_secrecy_pairs_share_one_array(self, csi, K):
         c = cfg(K=K, csi=csi)
-        oma = [(SCHEME_OMA, METRIC_SECRECY), (SCHEME_OMA, METRIC_SECRECY_SURROGATE)]
         gains = sample_batch(c, np.random.default_rng(5), 1_000)[2]
         values = score(c, gains)
-        assert values[oma[0]] is values[oma[1]]
+        assert OMA_EXACT not in values and OMA_SURROGATE in values
         many = simulate_many(c, BATCH_SIZE + 11, seed=26)
-        exact, surrogate = many[oma[0]], many[oma[1]]
-        assert (exact.value, exact.half_width_95) == (surrogate.value, surrogate.half_width_95)
+        assert list(many) == ALL_PAIRS  # the alias comes last, in sweep order
+        assert many[OMA_EXACT] == many[OMA_SURROGATE]
 
 
 class TestIntervals:
@@ -447,7 +453,7 @@ class TestReferenceEquivalence:
         for _ in range(300):
             _, _, gains, est_g = snapshot(c, rng)
             _, ref = oma_rates(gains, est_g, c)
-            got = score(c, gains[None, :])[(SCHEME_OMA, METRIC_SECRECY)][0]
+            got = score(c, gains[None, :])[OMA_SURROGATE][0]
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_outage_indicator_definition(self):
