@@ -97,15 +97,10 @@ def outage_noma_imperfect(config: SystemConfig) -> float:
     return _outage_est_ranked(config, config.eps_multicast)
 
 
-def outage_noma_perfect(config: SystemConfig) -> float:
-    """Exact multicast outage probability under perfect CSI."""
-    if config.sigma2_zeta != 0.0:
-        raise ValueError("perfect-CSI outage requires sigma2_zeta = 0")
-    return _outage_exact(config, config.eps_multicast)
-
-
 def outage_noma_sos(config: SystemConfig) -> float:
-    """Exact multicast outage probability when users are ranked by distance only."""
+    """Exact multicast outage probability for every decision made on true
+    gains, under perfect and statistical CSI alike: some user's true gain
+    falls below eps/rho whatever the ranking. sigma2_zeta is not read."""
     return _outage_exact(config, config.eps_multicast)
 
 
@@ -114,16 +109,15 @@ def outage_oma_imperfect(config: SystemConfig) -> float:
     return _outage_est_ranked(config, config.eps_multicast_oma)
 
 
-def outage_oma_perfect(config: SystemConfig) -> float:
-    """OMA benchmark of outage_noma_perfect."""
-    if config.sigma2_zeta != 0.0:
-        raise ValueError("perfect-CSI outage requires sigma2_zeta = 0")
-    return _outage_exact(config, config.eps_multicast_oma)
-
-
 def outage_oma_sos(config: SystemConfig) -> float:
-    """OMA benchmark of outage_noma_sos."""
+    """OMA benchmark of outage_noma_sos (half slot, doubled threshold), exact
+    under perfect and statistical CSI alike."""
     return _outage_exact(config, config.eps_multicast_oma)
+
+
+# perfect-CSI outage is the same true-gain event
+outage_noma_perfect = outage_noma_sos
+outage_oma_perfect = outage_oma_sos
 
 
 # ---------------------------------------------------------------------------

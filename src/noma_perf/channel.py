@@ -46,6 +46,13 @@ DEFAULT_QUAD_ORDERS = (50, 44, 17, 24, 48)
 # (K, size) float64 blocks a `sample_batch` workspace holds
 SAMPLE_BLOCKS = 3
 
+# smallest path-loss exponent the analytic quadrature resolves: at the
+# default point (K = 8, imperfect CSI, 30 dB) verify's all-order doubling
+# drift is 5.9e-9 at eta = 1, but 5.0e-6 at 0.9, 2.7e-4 at 0.6 and 4.6e-3
+# (a FAIL) at 0.5; further down the secrecy forms read nan or miss Monte
+# Carlo by orders of magnitude
+_ETA_FLOOR = 1.0
+
 
 class _SystemFields(NamedTuple):
     K: int = 8
@@ -82,8 +89,9 @@ class SystemConfig(_SystemFields):
                 raise ValueError(f"{name} must be finite")
         if not self.D > 0:
             raise ValueError("D must be positive")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if not self.eta >= _ETA_FLOOR:
+            raise ValueError(f"eta must be at least {_ETA_FLOOR:g}: below it the analytic "
+                             "quadrature cannot resolve the closed forms")
         if not self.rho > 0:
             raise ValueError("rho must be positive (linear SNR)")
         if not self.R_M > 0:

@@ -19,8 +19,9 @@ CSV_COLUMNS = (
     "analytic_value", "mc_value", "mc_halfwidth", "trials", "seed",
 )
 
-# (scheme, csi_mode) -> (outage evaluator, secrecy evaluator). Secrecy has
-# one estimate-ranked evaluator: perfect CSI is imperfect CSI with sigma2 = 0.
+# (scheme, csi_mode) -> (outage evaluator, secrecy evaluator). Perfect CSI
+# shares the true-gain outage form with sos (its names are aliases) and the
+# estimate-ranked secrecy form with imperfect CSI, at sigma2 = 0.
 # Both secrecy metrics read the secrecy evaluator, the surrogate's closed
 # form (README, Caveats), so a row's column is `metric != METRIC_OUTAGE`.
 _EVALUATORS = {
@@ -265,7 +266,7 @@ def main(argv=None) -> int:
         for key in _INT_OPTIONS:
             if key in opts:
                 setattr(settings, key, opts[key])
-        settings.out = opts.get("out") or settings.out
+        settings.out = opts.get("out", settings.out)
         if settings.trials < 2 or settings.seed < 0 or settings.workers < 1:
             raise ConfigError("need trials >= 2, seed >= 0, workers >= 1")
         if command == "sweep":

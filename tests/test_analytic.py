@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from noma_perf import analytic, montecarlo
-from noma_perf.channel import DEFAULT_QUAD_ORDERS, SystemConfig
+from noma_perf.channel import _ETA_FLOOR, DEFAULT_QUAD_ORDERS, SystemConfig
 from noma_perf.config import Settings, system_config
 from paper_form import distance_order_pdf, paper_gap_mean, paper_sos_k2, weak_compositions
 
@@ -162,11 +162,22 @@ class TestOutage:
             clean = analytic.outage_noma_imperfect(cfg(rho_db=rho_db, sigma2=0.0))
             assert noisy > clean
 
-    def test_perfect_rejects_nonzero_error(self):
-        with pytest.raises(ValueError):
-            analytic.outage_noma_perfect(cfg(sigma2=0.01))
-        with pytest.raises(ValueError):
-            analytic.outage_oma_perfect(cfg(sigma2=0.01))
+    def test_perfect_is_the_sos_form(self):
+        # an outage decided on true gains ignores the ranking, so perfect CSI
+        # runs the sos form; on any configuration it reads neither sigma2 nor
+        # csi_mode and returns that point's perfect-CSI outage
+        pairs = ((analytic.outage_noma_perfect, analytic.outage_noma_sos),
+                 (analytic.outage_oma_perfect, analytic.outage_oma_sos))
+        for perfect, sos in pairs:
+            assert perfect is sos
+        for csi, sigma2 in (("imperfect", 0.0), ("imperfect", 0.01), ("perfect", 0.0),
+                            ("sos", 0.0), ("sos", 0.01)):
+            for K in (1, 2, 8):
+                for rho_db in (0.0, 10.0, 20.0, 30.0, 40.0):
+                    c = cfg(K=K, rho_db=rho_db, sigma2=sigma2, csi=csi)
+                    clean = cfg(K=K, rho_db=rho_db, sigma2=0.0, csi="perfect")
+                    for perfect, sos in pairs:
+                        assert perfect(c).hex() == sos(c).hex() == perfect(clean).hex()
 
     def test_order_doubling_drift_small(self):
         # doubling the quadrature order moves outage by < 1e-3 absolute
@@ -289,10 +300,11 @@ class TestSecrecyEstRanked:
                 v1, v2 = fn(c), fn(doubled)
                 assert abs(v2 - v1) < 1e-9 * abs(v2)
 
-    @pytest.mark.parametrize("eta", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("eta", [_ETA_FLOOR, 1.2, 1.5, 1.8])
     def test_order_quadrupling_converged_below_eta_two(self, eta):
         # the t map's q = eta below eta = 2; q = 1 drifted up to 3.4e-3
-        # (OMA, eta = 1.8, K = 64, 40 dB, sigma2 = 0.4 D^-eta)
+        # (OMA, eta = 1.8, K = 64, 40 dB, sigma2 = 0.4 D^-eta). At the
+        # floor the worst value drifts 9.6e-5 (OMA, K = 64, 40 dB, sigma2 = 0)
         for K in (2, 8, 64):
             for sigma2 in (0.0, 0.4 * 5.0 ** -eta):
                 for rho_db in (0.0, 10.0, 20.0, 30.0, 40.0):
@@ -422,9 +434,10 @@ class TestSecrecyDistanceRanked:
 
     def test_order_doubling_bounded_and_shrinking(self):
         # the mapped nearest-distance axis keeps the drift small at every
-        # path-loss exponent, including the non-even ones; below eta = 2
-        # the t map's q = eta does (q = 1 drifted 1.4e-4 at eta = 1.5, K = 8)
-        for eta in (1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0):
+        # path-loss exponent from the floor up, including the non-even ones;
+        # below eta = 2 the t map's q = eta does (q = 1 drifted 1.4e-4 at
+        # eta = 1.5, K = 8)
+        for eta in (_ETA_FLOOR, 1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0):
             for K in (2, 8):
                 for rho_db in (0.0, 30.0):
                     for fn in (analytic.secrecy_noma_sos, analytic.secrecy_oma_sos):

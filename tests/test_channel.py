@@ -66,6 +66,15 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="below D"):
             make_config(eta=3.0, sigma2_zeta=0.01)
 
+    def test_eta_floor(self):
+        # below eta = 1 the analytic quadrature is unresolved, so a
+        # configuration there is refused with the reason
+        assert make_config(eta=1.0).eta == 1.0
+        for eta in (np.nextafter(1.0, 0.0), 0.5, 1e-9):
+            with pytest.raises(ValueError, match="eta must be at least 1: below it the "
+                                                 "analytic quadrature cannot resolve"):
+                make_config(eta=eta)
+
     def test_perfect_requires_zero_error(self):
         with pytest.raises(ValueError):
             make_config(csi_mode=CSI_PERFECT, sigma2_zeta=0.01)

@@ -265,7 +265,9 @@ class TestSweep:
         # a row of K gains would not fit one Monte Carlo batch
         ("k_values = 2,80001\n", "k",
          "error: k_values entry '80001': K must be at most 80000"),
-    ], ids=["k-zero", "perfect-sigma2", "k-above-batch"])
+        # below the floor the closed forms are unresolved at every entry
+        ("eta = 0.9\n", "snr", "error: snr_db entry '0': eta must be at least 1: "),
+    ], ids=["k-zero", "perfect-sigma2", "k-above-batch", "eta-below-floor"])
     def test_bad_axis_entry_rejected_before_any_point(self, tmp_path, capsys, sample_calls,
                                                       text, axis, message):
         path = write_cfg(tmp_path, text + "trials = 500\n")
@@ -286,6 +288,18 @@ class TestSweep:
         assert main(["sweep", "--config", path, "--axis", "k", "--out", str(out)]) == 2
         assert f"error: cannot write {out}: " in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before  # no file left behind
+        assert sample_calls == []
+
+    @pytest.mark.parametrize("out_words", [["--out="], ["--out", ""]], ids=["equals", "space"])
+    def test_empty_out_is_honoured_and_refused(self, tmp_path, capsys, sample_calls, out_words):
+        # an explicit --out wins over the config's out even when empty, so
+        # an unset shell variable cannot redirect the sweep to the config's file
+        cfg_out = tmp_path / "from_config.csv"
+        path = write_cfg(tmp_path, f"k_values = 2,3\ntrials = 500\nout = {cfg_out}\n")
+        assert main(["sweep", "--config", path, "--axis", "k", *out_words]) == 2
+        assert "error: cannot write : " in capsys.readouterr().err
+        assert not cfg_out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
         assert sample_calls == []
 
     def test_sigma2_axis(self, tmp_path):
@@ -432,6 +446,14 @@ class TestVerify:
         assert main(["verify", "--config", path]) == 0
         out = capsys.readouterr().out
         assert "secrecy-vs-mc-noma: PASS" in out and "secrecy-vs-mc-oma: PASS" in out
+
+    @pytest.mark.parametrize("k", [2, 8])
+    @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
+    def test_passes_at_eta_floor(self, tmp_path, capsys, csi, k):
+        path = write_cfg(tmp_path, f"eta = 1\ncsi = {csi}\nk = {k}\ntrials = 20000\n")
+        assert main(["verify", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "verify: OK" in out and "FAIL" not in out
 
     @pytest.mark.parametrize("k", [3, 8])
     def test_imperfect_general_path_loss_passes(self, tmp_path, capsys, k):
