@@ -122,8 +122,12 @@ class SystemConfig(_SystemFields):
         return 2.0 ** (2.0 * self.R_M) - 1.0
 
 
-def sample_batch(config: SystemConfig, rng: np.random.Generator, size: int, workspace=None):
-    """Draw `size` independent snapshots as (size, K) arrays.
+def sample_batch(config: SystemConfig, rng, size: int, workspace=None):
+    """Draw `size` independent snapshots as (size, K) arrays from `rng`,
+    any object with `random(out=)` and `standard_exponential(out=)` that
+    fill a C-contiguous float64 array: `montecarlo`'s batch generator or a
+    `numpy.random.Generator`. (No annotation names the latter: evaluating
+    it would import `numpy.random`.)
 
     Returns (squared_distances, fading_powers, ranked_gains, est_gains).
     ranked_gains are the gains the scheduler ranks: the estimates under

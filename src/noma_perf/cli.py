@@ -50,7 +50,8 @@ _AXES = {"snr": ("snr_db", "snr_db", "rho_db"),
 
 def _axis_points(settings: Settings, axis: str):
     """[(axis_name, raw_token, SystemConfig)] along the chosen axis; every
-    entry is checked before any point runs."""
+    entry is checked before any point runs. An error the configuration
+    gives without the entry (eta below its floor) names no entry."""
     axis_name, key, override = _AXES[axis]
     kind = LIST_KEYS[key]
     points = []
@@ -58,6 +59,11 @@ def _axis_points(settings: Settings, axis: str):
         try:
             points.append((axis_name, tok, system_config(settings, **{override: kind(tok)})))
         except ConfigError as exc:
+            try:
+                system_config(settings)
+            except ConfigError as base:
+                if str(base) == str(exc):
+                    raise
             raise ConfigError(f"{key} entry '{tok}': {exc}") from exc
     return points
 

@@ -2,15 +2,16 @@
 
 Trials are generated in batches of `batch_rows(K)` rows: 10k rows up to
 K = 8, and 80k // K rows above it, so a batch holds at most 80k gains
-(K above 80k is refused). Batch i of a stream uses a generator seeded by
-SeedSequence(seed, spawn_key=(stream, i)), and batch results are reduced
-in batch order. The estimate is therefore bit-identical across runs and
-across worker counts for a fixed seed and stream.
+(K above 80k is refused). Batch i of a stream draws from its own
+counter-based generator (`_SplitMix64`), keyed by (seed, stream, i)
+alone (`_batch_key`), and batch results are reduced in batch order. The
+estimate is therefore bit-identical across runs and across worker counts
+for a fixed seed and stream.
 
 Each worker thread of a job draws and scores all of its batches in one
-workspace (`_workspace`) of at most 3 * BATCH_ELEMENTS floats, so no batch
-allocates an array; draws and ufuncs give the same bits into it as into new
-arrays.
+workspace (`_workspace`) of at most 3 * BATCH_ELEMENTS floats plus the
+generator's scratch, so no batch allocates an array; draws and ufuncs give
+the same bits into it as into new arrays.
 
 Each batch draws only the gains the scheduler ranks (`channel.sample_batch`):
 estimates, in draw order, under imperfect and perfect CSI; true gains,
@@ -65,6 +66,95 @@ BATCH_SIZE = 10_000  # rows of a batch up to K = 8
 BATCH_ELEMENTS = 80_000
 
 _Z95 = 1.959963984540054
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment gamma
+# and the output mixer's two multipliers, as Python ints for `_mix64` and
+# as numpy scalars for the vectorized stream
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MIX1_U64, _MIX2_U64 = np.uint64(_MIX1), np.uint64(_MIX2)
+_MASK64 = (1 << 64) - 1
+_CHUNK = 8192  # generator outputs per vectorized pass (two 64 KiB scratch vectors)
+# j gamma mod 2^64 for j < _CHUNK. Little-endian, like the scratch, so a
+# '<u4' view of an output holds its low 32 bits, then its high ones, on
+# any host
+_WEYL = np.arange(_CHUNK, dtype="<u8") * np.uint64(_GAMMA)
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's output mixer of a 64-bit Python int."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _batch_key(seed: int, stream: int, index: int) -> int:
+    """The 64-bit key of batch `index` of `stream` under `seed`.
+
+    Each of the three (nonnegative, unbounded) integers is absorbed as its
+    number of 64-bit limbs, then its limbs, least significant first, so no
+    two triples absorb the same words; absorbing w sets the key to
+    mix64(key + gamma + w).
+    """
+    key = 0
+    for value in (int(seed), int(stream), int(index)):
+        limbs = [value & _MASK64]
+        while value >> 64:
+            value >>= 64
+            limbs.append(value & _MASK64)
+        for word in (len(limbs), *limbs):
+            key = _mix64((key + _GAMMA + word) & _MASK64)
+    return key
+
+
+class _SplitMix64:
+    """One batch's counter-based draws (Salmon et al., SC'11), as
+    `channel.sample_batch` asks for them.
+
+    Output j is mix64(key + j gamma mod 2^64). Each output gives two 32-bit
+    halves h, its low then its high one; a uniform draw is the midpoint
+    (h + 1/2) 2^-32, in (0, 1), and an exponential draw is -log of that.
+    Each call starts at the next unused output, so a call of odd size leaves
+    its last high half unused.
+
+    Draws fill a C-contiguous float64 `out` in place, `_CHUNK` outputs at a
+    time, through `scratch`: 2 `_CHUNK` floats' worth of memory, used as
+    two uint64 vectors.
+    """
+
+    __slots__ = ("_counter", "_x", "_t")
+
+    def __init__(self, key: int, scratch: np.ndarray):
+        self._counter = key  # key + (outputs used) gamma mod 2^64
+        words = scratch.view("<u8")
+        self._x, self._t = words[:_CHUNK], words[_CHUNK:2 * _CHUNK]
+
+    def random(self, out: np.ndarray) -> np.ndarray:
+        if not out.flags.c_contiguous:
+            raise ValueError("draws fill a C-contiguous array")
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, 2 * _CHUNK):
+            draws = flat[start:start + 2 * _CHUNK]
+            m = (draws.size + 1) // 2
+            x, t = self._x[:m], self._t[:m]
+            np.add(_WEYL[:m], np.uint64(self._counter), out=x)
+            self._counter = (self._counter + m * _GAMMA) & _MASK64
+            np.right_shift(x, 30, out=t)
+            x ^= t
+            x *= _MIX1_U64
+            np.right_shift(x, 27, out=t)
+            x ^= t
+            x *= _MIX2_U64
+            np.right_shift(x, 31, out=t)
+            x ^= t
+            np.multiply(x.view("<u4")[:draws.size], 2.0 ** -32, out=draws)
+            draws += 2.0 ** -33
+        return out
+
+    def standard_exponential(self, out: np.ndarray) -> np.ndarray:
+        self.random(out)
+        np.log(out, out=out)
+        return np.negative(out, out=out)
 
 
 class MetricEstimate(NamedTuple):
@@ -205,14 +295,15 @@ def _workspace(config: SystemConfig, rows: int) -> np.ndarray:
     """
     import mmap  # 0.3 ms, paid by the first job only
 
-    floats = max(SAMPLE_BLOCKS * config.K, config.K + _VECTORS) * rows
+    floats = max(SAMPLE_BLOCKS * config.K, config.K + _VECTORS) * rows + 2 * _CHUNK
     return np.frombuffer(mmap.mmap(-1, 8 * floats), dtype=float)
 
 
 def _run_batch(config, seed, stream, index, size, workspace):
     """{pair: (sum, sum of squares)} of every pair's per-trial values over
-    batch `index`, drawn and scored in `workspace` (`_workspace`)."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, index)))
+    batch `index`, drawn and scored in `workspace` (`_workspace`), whose
+    last 2 `_CHUNK` floats are the generator's scratch."""
+    rng = _SplitMix64(_batch_key(seed, stream, index), workspace[-2 * _CHUNK:])
     gains = sample_batch(config, rng, size, workspace)[2]
     values = _score_batch(config, gains, workspace[config.K * size:])
     sums = {}

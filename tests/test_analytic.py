@@ -118,13 +118,6 @@ class TestOutage:
             )[0]
             assert abs(analytic.outage_noma_sos(c) - (1.0 - s ** K)) < 1e-10
 
-    def test_distance_ranked_near_exact_at_high_snr(self):
-        # outage does not depend on the ranking, so the distance-ranked
-        # form is the exact weakest-gain outage
-        c = cfg(K=8, rho_db=30.0, csi="sos")
-        exact = analytic.outage_noma_perfect(c.replace(sigma2_zeta=0.0))
-        assert abs(analytic.outage_noma_sos(c) - exact) < 5e-3
-
     def test_oma_uses_doubled_rate_threshold(self):
         c_noma = cfg(R_M=0.5)
         c_half = cfg(R_M=1.0)

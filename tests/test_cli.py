@@ -265,8 +265,9 @@ class TestSweep:
         # a row of K gains would not fit one Monte Carlo batch
         ("k_values = 2,80001\n", "k",
          "error: k_values entry '80001': K must be at most 80000"),
-        # below the floor the closed forms are unresolved at every entry
-        ("eta = 0.9\n", "snr", "error: snr_db entry '0': eta must be at least 1: "),
+        # below the floor the closed forms are unresolved at every entry, so
+        # the error is the configuration's, not its first entry's
+        ("eta = 0.9\n", "snr", "error: eta must be at least 1: "),
     ], ids=["k-zero", "perfect-sigma2", "k-above-batch", "eta-below-floor"])
     def test_bad_axis_entry_rejected_before_any_point(self, tmp_path, capsys, sample_calls,
                                                       text, axis, message):
@@ -672,7 +673,8 @@ class TestArguments:
 def test_runs_leave_slow_imports_unloaded(tmp_path):
     # numpy.polynomial, concurrent.futures and the logging it imports,
     # argparse with the gettext and locale it loads, dataclasses with copy,
-    # and csv each cost milliseconds of every start-up, and nothing needs them; checked
+    # csv, and numpy.random with the secrets and OpenSSL (_hashlib) it loads
+    # each cost milliseconds of every start-up, and nothing needs them; checked
     # in a fresh interpreter, since pytest itself imports logging. The
     # sweep's 20 001 trials are three batches, so two worker threads run.
     # main, not the import, freezes the heap it starts with, so shutdown's
@@ -691,7 +693,7 @@ def test_runs_leave_slow_imports_unloaded(tmp_path):
         f"               '--out', {str(tmp_path / 'out.csv')!r}])]\n"
         "print(codes, [m for m in ('numpy.polynomial', 'concurrent.futures', 'logging',\n"
         "                          'argparse', 'gettext', 'locale', 'dataclasses', 'copy',\n"
-        "                          'csv')\n"
+        "                          'csv', 'numpy.random', 'secrets', '_hashlib')\n"
         "              if m in sys.modules])\n"
         "print(frozen_by_import, gc.get_freeze_count() >= tracked > 10_000)\n"
     )

@@ -1,10 +1,12 @@
 """Simulation oracle: determinism, interval quality, reference equivalence."""
 
+import math
 import sys
 import threading
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from noma_perf import analytic
 from noma_perf import montecarlo
@@ -72,55 +74,55 @@ OMA_SURROGATE = (SCHEME_OMA, METRIC_SECRECY_SURROGATE)
 
 # simulate_many(cfg(K, rho_db, csi="sos"), 20_077, seed=31, stream=2)
 # as (value, half_width_95) float hex per pair in ALL_PAIRS order, recorded
-# when batches were first drawn user-major, with 1/u path loss at eta = 2
+# when batches first drew from the counter-based SplitMix64 generator
 SOS_PINNED = {
     (2, 0.0): [
-        ("0x1.faab8cfc9efa7p-1", "0x1.70d193566988dp-10"),
-        ("0x1.ff4933f5bf8e9p-1", "0x1.1332a9bcf2fd7p-11"),
-        ("0x1.cb5d366cdabffp-8", "0x1.ea905a3f5c630p-10"),
-        ("0x1.1495ec0a5a295p-3", "0x1.12788e1bc87ebp-8"),
-        ("0x1.0cb8b81ab0008p-8", "0x1.7841149956b25p-10"),
-        ("0x1.1495ec0a5a295p-3", "0x1.12788e1bc87ebp-8"),
+        ("0x1.fb006bb83ce60p-1", "0x1.6555c88410996p-10"),
+        ("0x1.ff42acac3d416p-1", "0x1.17e6e26d3ca91p-11"),
+        ("0x1.0303b4bdd73f7p-7", "0x1.0b6a5053b94c9p-9"),
+        ("0x1.13cfe22574af9p-3", "0x1.0df2c781a0d37p-8"),
+        ("0x1.1c5048a39d805p-8", "0x1.6c800c1a4854bp-10"),
+        ("0x1.13cfe22574af9p-3", "0x1.0df2c781a0d37p-8"),
     ],
     (2, 40.0): [
-        ("0x1.6d981480e2dd4p-11", "0x1.8bba0e421f008p-12"),
-        ("0x1.12320f60aa25fp-9", "0x1.4f0ff0a4e00d1p-11"),
-        ("0x1.f875a289eacf6p+0", "0x1.fa211d0ed0b55p-6"),
-        ("0x1.fa6ab7d8cef6ep-1", "0x1.fcb99ce76fbf7p-7"),
-        ("0x1.f7ccce7ae03fap+0", "0x1.f884ca2065407p-6"),
-        ("0x1.fa6ab7d8cef6ep-1", "0x1.fcb99ce76fbf7p-7"),
+        ("0x1.2c4f3569deec9p-10", "0x1.f4b21b4b4b333p-12"),
+        ("0x1.2c4f3569deec9p-9", "0x1.5e4763ca1c684p-11"),
+        ("0x1.fb30e5715c512p+0", "0x1.f97096b8ebc94p-6"),
+        ("0x1.fe071e5f08314p-1", "0x1.fcfb59e3e0612p-7"),
+        ("0x1.fab014ab29303p+0", "0x1.f86876c307759p-6"),
+        ("0x1.fe071e5f08314p-1", "0x1.fcfb59e3e0612p-7"),
     ],
     (3, 0.0): [
-        ("0x1.ff83f58b54455p-1", "0x1.c90a5a93038e4p-12"),
-        ("0x1.fff2f16cfb65ap-1", "0x1.602be1097e817p-13"),
-        ("0x1.1548a880b6f7ep-10", "0x1.67a4155be0997p-11"),
-        ("0x1.44751dd0f8fd9p-3", "0x1.33a80a2dcf1e2p-8"),
-        ("0x1.37d59e3825e02p-11", "0x1.00a2b26f2c07bp-11"),
-        ("0x1.44751dd0f8fd9p-3", "0x1.33a80a2dcf1e2p-8"),
+        ("0x1.ff9e12b15d7a1p-1", "0x1.98ba8249a3691p-12"),
+        ("0x1.fff978b67db2dp-1", "0x1.1e96b2e4a7be1p-13"),
+        ("0x1.9bdc49806fd85p-11", "0x1.6d09e9a472e76p-11"),
+        ("0x1.3efb676ae2feep-3", "0x1.2e54de8aefe54p-8"),
+        ("0x1.e2eaa047d0bb6p-12", "0x1.0ab0650c975fdp-11"),
+        ("0x1.3efb676ae2feep-3", "0x1.2e54de8aefe54p-8"),
     ],
     (3, 40.0): [
-        ("0x1.e31b3faa505b3p-10", "0x1.3b000f90af786p-11"),
-        ("0x1.1575b421d0becp-8", "0x1.d9733c99fa01fp-11"),
-        ("0x1.6eb72c50b555dp+0", "0x1.9ac3261027633p-6"),
-        ("0x1.6f90d70b32a1dp-1", "0x1.9b3d0f5b9b8fcp-7"),
-        ("0x1.6eaec231d392dp+0", "0x1.9ab46bc0b352cp-6"),
-        ("0x1.6f90d70b32a1dp-1", "0x1.9b3d0f5b9b8fcp-7"),
+        ("0x1.12320f60aa25fp-10", "0x1.df5e12ed7804dp-12"),
+        ("0x1.bbef869c81313p-9", "0x1.a83ce52e0f4d4p-11"),
+        ("0x1.6b0422f08af36p+0", "0x1.987fc785ca7b1p-6"),
+        ("0x1.6bd1577a47f04p-1", "0x1.991713f3bb901p-7"),
+        ("0x1.6afd76ea26e12p+0", "0x1.987587fc855a4p-6"),
+        ("0x1.6bd1577a47f04p-1", "0x1.991713f3bb901p-7"),
     ],
     (8, 0.0): [
         ("0x1.0000000000000p+0", "0x1.912f3db44ad27p-14"),
         ("0x1.0000000000000p+0", "0x1.912f3db44ad27p-14"),
         ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.eaa99f300d89bp-3", "0x1.9d31f990d5e2fp-8"),
+        ("0x1.dd4f7d9bde098p-3", "0x1.8ce36baaa2604p-8"),
         ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.eaa99f300d89bp-3", "0x1.9d31f990d5e2fp-8"),
+        ("0x1.dd4f7d9bde098p-3", "0x1.8ce36baaa2604p-8"),
     ],
     (8, 40.0): [
-        ("0x1.0eee6a9f838d1p-8", "0x1.d3eef06cf50f3p-11"),
-        ("0x1.361a23ad52b71p-7", "0x1.5fe7410880494p-10"),
-        ("0x1.1fbe8037bb309p+0", "0x1.66382acd958a8p-6"),
-        ("0x1.21216477c9d86p-1", "0x1.66f592ec4ec25p-7"),
-        ("0x1.1fbe55b1e09bbp+0", "0x1.6638070033191p-6"),
-        ("0x1.21216477c9d86p-1", "0x1.66f592ec4ec25p-7"),
+        ("0x1.290b90a8b853cp-8", "0x1.e99f0d639edbfp-11"),
+        ("0x1.3aff9acf0c9c5p-7", "0x1.62a149726d569p-10"),
+        ("0x1.1d2bf45b9c3c5p+0", "0x1.61a4a2434a00fp-6"),
+        ("0x1.1e849d34bdeeap-1", "0x1.61f4c963810d7p-7"),
+        ("0x1.1d2ba8fda2d54p+0", "0x1.61a4685db087ep-6"),
+        ("0x1.1e849d34bdeeap-1", "0x1.61f4c963810d7p-7"),
     ],
 }
 
@@ -222,6 +224,86 @@ class TestSharedSample:
     def test_rejects_bad_pairs(self, pair):
         with pytest.raises(ValueError):
             simulate(cfg(), *pair, 1000, seed=0)
+
+
+# SplitMix64 with Python ints, written apart from montecarlo's constants
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+MASK64 = 2 ** 64 - 1
+
+
+def splitmix64_output(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2 ** 64
+    return z ^ (z >> 31)
+
+
+def oracle_halves(key, first, count):
+    """`count` 32-bit halves from output `first` on: output j is
+    mix64(key + j gamma), low half first."""
+    halves = []
+    j = first
+    while len(halves) < count:
+        x = splitmix64_output((key + j * GOLDEN_GAMMA) % 2 ** 64)
+        halves += [x % 2 ** 32, x >> 32]
+        j += 1
+    return halves[:count]
+
+
+def generator(seed, stream=0, index=0):
+    """A batch generator with a scratch of its own."""
+    return montecarlo._SplitMix64(montecarlo._batch_key(seed, stream, index),
+                                  np.empty(2 * montecarlo._CHUNK))
+
+
+class TestGenerator:
+    """The counter-based batch generator against an integer oracle, its
+    distributions and its keys."""
+
+    # around 8192 halves and one 8192-output chunk (16384 halves), and a third chunk
+    @pytest.mark.parametrize("size", [1, 2, 3, 8191, 8192, 8193, 16383, 16384, 16385, 32769])
+    def test_matches_integer_oracle(self, size):
+        key = montecarlo._batch_key(5, 1, 2)
+        gen = montecarlo._SplitMix64(key, np.empty(2 * montecarlo._CHUNK))
+        # consecutive calls, each from the next unused output, into dirty arrays
+        uniforms = gen.random(out=np.full(size, np.nan))
+        exponentials = gen.standard_exponential(out=np.full(size, np.nan))
+        tail = gen.random(out=np.full((3, 1), np.nan))
+        used = (size + 1) // 2
+        expected = [(h + 0.5) * 2.0 ** -32 for h in oracle_halves(key, 0, size)]
+        assert uniforms.tolist() == expected
+        second = [(h + 0.5) * 2.0 ** -32 for h in oracle_halves(key, used, size)]
+        np.testing.assert_allclose(exponentials, [-math.log(u) for u in second],
+                                   rtol=1e-15, atol=0)
+        third = [(h + 0.5) * 2.0 ** -32 for h in oracle_halves(key, 2 * used, 3)]
+        assert tail.ravel().tolist() == third
+
+    def test_refuses_non_contiguous_out(self):
+        out = np.empty((4, 6))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            generator(1).random(out=out.T)
+
+    @pytest.mark.parametrize("seed", [11, 2 ** 70 + 3])
+    def test_uniform_passes_kolmogorov_smirnov(self, seed):
+        u = generator(seed, 2, 9).random(out=np.empty(1_000_000))
+        assert stats.kstest(u, "uniform").pvalue > 1e-3
+
+    @pytest.mark.parametrize("seed", [12, 2 ** 70 + 4])
+    def test_exponential_passes_kolmogorov_smirnov(self, seed):
+        e = generator(seed, 3, 1).standard_exponential(out=np.empty(1_000_000))
+        assert stats.kstest(e, "expon").pvalue > 1e-3
+
+    def test_no_key_collisions(self):
+        seeds = [0, 1, 2, 3, 1234567, 2 ** 32, 2 ** 63, MASK64, 2 ** 64, 2 ** 64 + 1,
+                 2 ** 64 + 2, 2 ** 128, 2 ** 128 + 1, 2 ** 64 * 3 + 1]
+        streams = [0, 1, 2, 3, 2 ** 64, 2 ** 64 + 1]
+        indices = [*range(64), 2 ** 64]
+        keys = {montecarlo._batch_key(seed, stream, index)
+                for seed in seeds for stream in streams for index in indices}
+        assert len(keys) == len(seeds) * len(streams) * len(indices)
+        for seed in (0, 1, 1234567, MASK64):  # each limb of the seed counts
+            assert montecarlo._batch_key(seed, 0, 0) != montecarlo._batch_key(seed + 2 ** 64, 0, 0)
+        # simulate_many takes numpy integers too
+        assert montecarlo._batch_key(np.int64(9), np.uint8(1), 2) == montecarlo._batch_key(9, 1, 2)
 
 
 def valid_pairs(c):
