@@ -21,10 +21,11 @@ user's gains are contiguous for the scorer's reductions over users:
   drawn, and each row is nearest-first; no distance sqrt(u) is taken.
 
 Batch rows are the caller's choice; `montecarlo` asks for at most 10k rows
-and 80k gains per batch, and passes a workspace that every batch of a job
-is drawn into, so a draw allocates nothing.
+and BATCH_ELEMENTS (80k) gains per batch, and passes a workspace that every
+batch of a job is drawn into, so a draw allocates nothing.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +46,13 @@ DEFAULT_QUAD_ORDERS = (50, 44, 17, 24, 48)
 
 # (K, size) float64 blocks a `sample_batch` workspace holds
 SAMPLE_BLOCKS = 3
+
+# Gains of a Monte Carlo batch at most, so K above it is refused: one row
+# of K gains must fit a batch. Peak RSS of simulate_many, all six pairs,
+# 3e4 trials, numpy 2.4: 10k-row batches 41.1 / 50.3 MB at K = 40 / 100
+# (imperfect) and 47.8 / 66.3 MB (sos); 80k-gain batches 36.3-38.2 MB at
+# both, as at K = 8.
+BATCH_ELEMENTS = 80_000
 
 # smallest path-loss exponent the analytic quadrature resolves: at the
 # default point (K = 8, imperfect CSI, 30 dB) verify's all-order doubling
@@ -84,6 +92,8 @@ class SystemConfig(_SystemFields):
     def _check(self):
         if isinstance(self.K, bool) or not isinstance(self.K, (int, np.integer)) or self.K < 1:
             raise ValueError("K must be a positive integer")
+        if self.K > BATCH_ELEMENTS:
+            raise ValueError(f"K must be at most {BATCH_ELEMENTS}")
         for name in ("D", "eta", "rho", "R_M", "sigma2_zeta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -92,10 +102,15 @@ class SystemConfig(_SystemFields):
         if not self.eta >= _ETA_FLOOR:
             raise ValueError(f"eta must be at least {_ETA_FLOOR:g}: below it the analytic "
                              "quadrature cannot resolve the closed forms")
+        # the sampler and the closed forms scale by these
+        if not all(_finite_power(self.D, p) for p in (2.0, self.eta, -self.eta)):
+            raise ValueError("D must keep D^2, D^eta and D^-eta finite")
         if not self.rho > 0:
             raise ValueError("rho must be positive (linear SNR)")
         if not self.R_M > 0:
             raise ValueError("R_M must be positive")
+        if not _finite_power(2.0, 2.0 * self.R_M):  # the OMA threshold
+            raise ValueError("R_M must be below 512, where 2^(2 R_M) overflows a float")
         if self.sigma2_zeta < 0:
             raise ValueError("sigma2_zeta must be nonnegative")
         if self.csi_mode not in CSI_MODES:
@@ -120,6 +135,14 @@ class SystemConfig(_SystemFields):
     def eps_multicast_oma(self) -> float:
         """Threshold under OMA, where the multicast slot is halved."""
         return 2.0 ** (2.0 * self.R_M) - 1.0
+
+
+def _finite_power(base, exponent) -> bool:
+    """Whether base^exponent is a finite float (float power raises on overflow)."""
+    try:
+        return math.isfinite(float(base) ** float(exponent))
+    except OverflowError:
+        return False
 
 
 def sample_batch(config: SystemConfig, rng, size: int, workspace=None):

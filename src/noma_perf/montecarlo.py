@@ -2,8 +2,8 @@
 
 Trials are generated in batches of `batch_rows(K)` rows: 10k rows up to
 K = 8, and 80k // K rows above it, so a batch holds at most 80k gains
-(K above 80k is refused). Batch i of a stream draws from its own
-counter-based generator (`_SplitMix64`), keyed by (seed, stream, i)
+(`SystemConfig` refuses K above 80k). Batch i of a stream draws from its
+own counter-based generator (`_SplitMix64`), keyed by (seed, stream, i)
 alone (`_batch_key`), and batch results are reduced in batch order. The
 estimate is therefore bit-identical across runs and across worker counts
 for a fixed seed and stream.
@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import CSI_SOS, SAMPLE_BLOCKS, SystemConfig, sample_batch
+from .channel import BATCH_ELEMENTS, CSI_SOS, SAMPLE_BLOCKS, SystemConfig, sample_batch
 from .noma_core import _unicast_share
 
 SCHEME_NOMA = "noma"
@@ -58,12 +58,7 @@ METRIC_SECRECY = "secrecy_throughput"
 METRIC_SECRECY_SURROGATE = "secrecy_throughput_surrogate"
 METRIC_KINDS = (METRIC_OUTAGE, METRIC_SECRECY, METRIC_SECRECY_SURROGATE)
 
-BATCH_SIZE = 10_000  # rows of a batch up to K = 8
-# Gains of a batch above it. Peak RSS of simulate_many, all six pairs, 3e4
-# trials, numpy 2.4: 10k-row batches 41.1 / 50.3 MB at K = 40 / 100
-# (imperfect) and 47.8 / 66.3 MB (sos); 80k-gain batches 36.3-38.2 MB at
-# both, as at K = 8.
-BATCH_ELEMENTS = 80_000
+BATCH_SIZE = 10_000  # rows of a batch up to K = 8; BATCH_ELEMENTS gains above it
 
 _Z95 = 1.959963984540054
 
@@ -353,8 +348,6 @@ def simulate_many(config: SystemConfig, trials: int, seed: int,
     then OMA's exact secrecy. Each batch is drawn once and scored for
     every pair, so a sweep draws one stream per axis point.
     """
-    if config.K > BATCH_ELEMENTS:  # one row of K gains must fit a batch
-        raise ValueError(f"K must be at most {BATCH_ELEMENTS}")
     for name, value, low, message in (("trials", trials, 2, "an integer >= 2"),
                                       ("seed", seed, 0, "a nonnegative integer"),
                                       ("workers", workers, 1, "an integer >= 1"),
@@ -383,9 +376,15 @@ def simulate_many(config: SystemConfig, trials: int, seed: int,
         except BaseException as exc:  # raised again in the caller below
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
+    threads = []
+    for w in range(1, workers):
+        thread = threading.Thread(target=work, args=(w,))
+        try:
+            thread.start()
+        except BaseException as exc:  # e.g. the OS thread limit; raised once all are joined
+            errors.append(exc)  # the started workers stop at their next batch
+            break
+        threads.append(thread)
     work(0)
     for thread in threads:
         thread.join()

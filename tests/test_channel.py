@@ -52,6 +52,29 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             make_config(**kw)
 
+    @pytest.mark.parametrize("kw,field", [
+        (dict(R_M=512.0), "R_M"),
+        (dict(R_M=600.0), "R_M"),
+        (dict(K=80_001), "K"),
+        (dict(D=1e-200), "D"),
+        (dict(csi_mode=CSI_SOS, D=1e160), "D"),
+        (dict(csi_mode=CSI_SOS, D=np.float64(1e160)), "D"),
+        (dict(eta=1.0, sigma2_zeta=0.0, D=1e200), "D"),
+    ], ids=["r_m-512", "r_m-600", "k-above-batch", "d-tiny", "sos-d-huge", "sos-d-huge-numpy",
+            "eta1-d-huge"])
+    def test_rejects_scales_a_float_cannot_hold(self, kw, field):
+        # a finite field whose derived scale (2^(2 R_M), D^2, D^eta, D^-eta)
+        # overflows, or a K whose row does not fit a Monte Carlo batch, is a
+        # ValueError naming the field, never an OverflowError
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            make_config(**kw)
+
+    def test_largest_valid_scales(self):
+        assert np.isfinite(make_config(R_M=511.0).eps_multicast_oma)
+        assert make_config(K=80_000).K == 80_000
+        make_config(csi_mode=CSI_SOS, D=1e150)
+        make_config(eta=1.0, sigma2_zeta=0.0, D=1e-150)
+
     def test_estimate_error_bound(self):
         # error variance must stay below the weakest possible mean gain
         edge = 5.0 ** -2.0

@@ -89,7 +89,6 @@ class TestParseConfig:
         ("snr_db = ,\n", "bad value"),
         ("k_values = 2,2.5\n", "bad value"),
         ("k_values = 1e1\n", "bad value"),
-        ("csi = genie\n", "csi must be one of"),
         ("quad_c = 50\n", "unknown key"),
     ])
     def test_rejects_malformed_input(self, tmp_path, text, fragment):
@@ -611,6 +610,31 @@ class TestExitCodes:
         assert main(["sweep", "--config", path,
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize("text,message", [
+        # SystemConfig owns the CSI-mode rule too
+        ("csi = genie\n", "error: csi_mode must be one of"),
+        ("r_m = 512\n", "error: R_M must be below 512"),
+        ("r_m = 600\n", "error: R_M must be below 512"),
+        ("csi = sos\nd = 1e160\n", "error: D must keep D^2, D^eta and D^-eta finite"),
+        ("eta = 1\nsigma2 = 0\nd = 1e200\n", "error: D must keep D^2, D^eta and D^-eta finite"),
+        ("d = 1e-200\n", "error: D must keep D^2, D^eta and D^-eta finite"),
+    ], ids=["csi-genie", "r_m-512", "r_m-600", "sos-d-huge", "eta1-d-huge", "d-tiny"])
+    def test_invalid_field_exits_before_any_file(self, tmp_path, capsys, sample_calls,
+                                                 command, text, message):
+        # SystemConfig's message names the field at fault, whose derived
+        # scale may overflow: neither the SNR nor an axis entry is blamed
+        path = write_cfg(tmp_path, text + "trials = 500\n")
+        argv = [command, "--config", path]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "rho_db" not in err and "entry" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+        assert sample_calls == []
 
     def test_unknown_axis_rejected_by_argparse(self, tmp_path):
         path = write_cfg(tmp_path, "k = 2\n")

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from noma_perf import analytic
-from noma_perf import montecarlo
+from noma_perf import analytic, channel, montecarlo
 from noma_perf.channel import SystemConfig, sample_batch
 from noma_perf.montecarlo import (
     BATCH_ELEMENTS,
@@ -154,14 +153,13 @@ class TestStreams:
         assert sum(elements) == 12_345 * 40
         assert simulate_many(c, 12_345, seed=27, workers=2) == serial
 
-    def test_k_above_batch_elements_refused_before_any_draw(self, monkeypatch):
-        # one row of K gains would not fit a batch; never draw at such a K
-        draws = []
-        monkeypatch.setattr(montecarlo, "sample_batch",
-                            lambda *args: draws.append(args) or sample_batch(*args))
+    def test_k_above_batch_elements_refused_before_any_draw(self):
+        # one row of K gains would not fit a batch, so SystemConfig refuses
+        # such a K and no simulation can be asked for one
+        assert BATCH_ELEMENTS == channel.BATCH_ELEMENTS
+        assert cfg(K=BATCH_ELEMENTS).K == BATCH_ELEMENTS
         with pytest.raises(ValueError, match=f"K must be at most {BATCH_ELEMENTS}"):
-            simulate_many(cfg(K=BATCH_ELEMENTS + 1), 1000, seed=0)
-        assert draws == []
+            cfg(K=BATCH_ELEMENTS + 1)
 
 class TestSharedSample:
     """simulate_many scores every pair from one draw per batch."""
@@ -390,6 +388,25 @@ class TestWorkerThreads:
             simulate_many(cfg(K=2), 6 * BATCH_SIZE, seed=31, workers=3)
         assert len(started) == 2
         assert not any(thread.is_alive() for thread in started)
+
+    def test_failed_start_reaches_caller_after_every_join(self, monkeypatch):
+        # a worker that cannot start (the OS thread limit, say) stops the
+        # started ones at their next batch, and its error is raised once
+        # they are joined
+        started = []
+
+        class SecondStartFails(threading.Thread):
+            def start(self):
+                if started:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(montecarlo.threading, "Thread", SecondStartFails)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            simulate_many(cfg(K=2), 40 * BATCH_SIZE, seed=34, workers=3)
+        assert len(started) == 1
+        assert not started[0].is_alive()
 
     def test_no_thread_without_a_batch(self, monkeypatch):
         c = cfg(K=2)
