@@ -16,8 +16,9 @@ ranking conditions on the nearest distance r, with S_1(t) = e^(-t r^eta)
 and the others iid on the annulus [r, D]. OMA benchmarks use the half-slot
 rate gap with z = 0 and, for outage, the threshold 2^(2 R_M) - 1.
 
-Outage values are clamped to [0, 1]. Secrecy values are not clamped: each
-is a quadrature of a nonnegative integrand.
+Outage values are clamped to [0, 1], and a nan raises ArithmeticError
+rather than reading 0. Secrecy values are not clamped: each is a
+quadrature of a nonnegative integrand.
 """
 
 from math import log
@@ -35,6 +36,8 @@ _EXPONENT_CUTOFF = 45.0
 
 
 def _clamp01(p: float) -> float:
+    if p != p:
+        raise ArithmeticError("outage probability evaluated to nan")
     return float(min(1.0, max(0.0, p)))
 
 

@@ -3,8 +3,10 @@
 Two rules on [0, U] are provided: Gauss-Legendre, which converges
 spectrally on smooth integrands, and first-kind Gauss-Chebyshev with the
 Chebyshev weight cancelled by |sin|, which leaves a kink at the ends and
-converges like order^-2. The special functions are pure and accept
-scalars or numpy arrays elementwise.
+converges like order^-2. Gauss-Legendre nodes are found by Newton's method
+on the Legendre recurrence, so no linear algebra (and no LAPACK) runs here.
+The special functions are pure and accept scalars or numpy arrays
+elementwise.
 """
 
 import functools
@@ -18,6 +20,13 @@ EULER_GAMMA = 0.5772156649015328606
 _MAX_ITER = 300
 _EPS = 1e-15  # series termination
 _CF_EPS = 4.5e-16  # continued fractions stall at the roundoff floor below ~2 ulp
+
+# Gauss-Legendre Newton iteration: it stalls at the same floor, and from
+# the starting nodes below it takes at most three steps to get there
+_NEWTON_TOL = 4.5e-16
+_NEWTON_MAX_ITER = 10
+# the first zeros of the Bessel function J_0, for the outermost starting nodes
+_J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013, 11.79153443901428)
 
 # series/continued-fraction crossover for E1; chosen so both branches
 # converge in ~30 terms (the fraction is slow near 1, the series loses
@@ -62,57 +71,75 @@ def chebyshev_rule(order: int, upper_limit: float) -> QuadratureRule:
     return QuadratureRule(int(order), float(upper_limit), nodes, weights)
 
 
-def _legendre_series(x, c):
-    """sum_k c[k] P_k(x) by Clenshaw recursion, step for step as numpy's
-    `legval`, so the bits are the same; c[k] may broadcast against x."""
-    c0, c1 = (c[-2], c[-1]) if len(c) > 1 else (c[0], 0)
-    for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
+def _scaled_legendre(y, gains):
+    """(R_{n-1}, R_n) at x = y/2, where R_j = P_j 4^j / C(2j, j) is the
+    Legendre polynomial scaled to leading coefficient 2^j; gains[j - 2] is
+    (j-1)^2 / ((j-1)^2 - 1/4). The three-term recurrence
+    R_j = y R_{j-1} - g_j R_{j-2} is that of P_j with the scale taken out,
+    three array operations a step, and |R_j| stays near sqrt(pi j) |P_j|.
+    """
+    r0, r1 = np.ones_like(y), y
+    for g in gains:
+        r0, r1 = r1, y * r1 - g * r0
+    return r0, r1
 
 
 def _leggauss(n):
-    """Gauss-Legendre (nodes, weights) of order n on [-1, 1], computed step
-    for step as `numpy.polynomial.legendre.leggauss`, bit for bit, without
-    importing `numpy.polynomial` (about 4 ms of every start-up).
+    """Gauss-Legendre (nodes, weights) of order n on [-1, 1], ascending.
 
-    The nodes are the eigenvalues of P_n's symmetric scaled companion
-    matrix, refined by one Newton step; the weights are 1 / (P_n' P_{n-1})
-    at the nodes, symmetrised and normalised to sum to 2.
+    Newton's method on P_n over the ceil(n/2) nonnegative nodes, with P_n
+    and P_n' from the three-term recurrence (Hale & Townsend, SIAM J. Sci.
+    Comput. 35, 2013), so no linear algebra is needed. The starting nodes
+    are Tricomi's expansion cos(theta_k) (1 - (n-1)/(8n^3)
+    - (39 - 28/sin^2 theta_k)/(384n^4)), theta_k = pi(4k - 1)/(4n + 2),
+    and for the four outermost, where it is worst, Gatteschi's Bessel-zero
+    form; both are near enough that two steps converge from n = 26 up
+    (three below). The weights 2 / ((1 - x^2) P_n'(x)^2) come from one more
+    evaluation at the converged nodes: the last step's derivative is off by
+    2x/(1 - x^2) times that step in relative terms, which near the ends put
+    1.5e-11 into the weights at n = 400.
+    Nodes and weights are mirrored exactly; an odd order's middle node is
+    +0.0, where P_n vanishes exactly, so no step moves it.
     """
-    k = np.arange(n)
-    scl = 1.0 / np.sqrt(2 * k + 1)
-    mat = np.zeros((n, n))
-    off = np.arange(1, n) * scl[:-1] * scl[1:]
-    mat.reshape(-1)[1::n + 1] = off
-    mat.reshape(-1)[n::n + 1] = off
-    x = np.linalg.eigvalsh(mat)
-    # P_n' (sum of (2k + 1) P_k over k = n - 1, n - 3, ..., padded by a zero
-    # that leaves its bits alone) and P_n in one Clenshaw pass
-    c = np.zeros((n + 1, 2, 1))
-    c[:n, 0, 0] = (2.0 * k + 1) * ((n - 1 - k) % 2 == 0)
-    c[n, 1, 0] = 1.0
-    df, p = _legendre_series(x, c)
-    x -= p / df
-    fm = _legendre_series(x, c[1:, 1, 0])  # P_{n-1}
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w
+    half = (n + 1) // 2
+    theta = (np.arange(1, half + 1) - 0.25) * (np.pi / (n + 0.5))
+    x = np.cos(theta) * (
+        1.0 - (n - 1) / (8.0 * n ** 3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n ** 4)
+    )
+    nu2 = (n + 0.5) ** 2 + 1.0 / 12.0
+    for k, j in enumerate(_J0_ZEROS[:half]):
+        x[k] = math.cos(j / math.sqrt(nu2) * (1.0 - (j * j / 2.0 - 1.0) / (180.0 * nu2 * nu2)))
+    if n % 2:
+        x[-1] = 0.0
+    gains = [m * m / (m * m - 0.25) for m in range(1, n)]
+    ratio = 2.0 * n / (2.0 * n - 1.0)  # (P_{n-1}/P_n) / (R_{n-1}/R_n)
+    for _ in range(_NEWTON_MAX_ITER):
+        r0, r1 = _scaled_legendre(x + x, gains)
+        # P_n / P_n', with P_n' = n (x P_n - P_{n-1}) / (x^2 - 1)
+        dx = r1 * ((x - 1.0) * (x + 1.0)) / (n * (x * r1 - ratio * r0))
+        x -= dx
+        if np.abs(dx).max() <= _NEWTON_TOL:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Legendre nodes of order {n} did not converge")
+    r0, r1 = _scaled_legendre(x + x, gains)
+    # (1 - x^2) P_n' = n c (R_{n-1} - x R_n / ratio) with P_{n-1} = c R_{n-1},
+    # c = C(2n - 2, n - 1) / 4^(n - 1) rounded once by the integer division
+    dp = (n * math.comb(2 * n - 2, n - 1) / 4 ** (n - 1)) * (r0 - x * r1 / ratio)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (dp * dp)
+    m = n // 2
+    return np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
 
 
 @functools.lru_cache(maxsize=64)
 def gauss_legendre_rule(order: int, upper_limit: float) -> QuadratureRule:
     """Build the Gauss-Legendre rule of a given order on [0, upper_limit].
 
-    Exact for polynomials of degree below 2N. Rules are memoised per
-    (order, upper_limit) because high orders are slow to build: on a 2-core
-    Xeon, 0.05 s at N = 800, and at N = 3200 about 2 s with two BLAS
-    threads and 3-4 s with one, nearly all in the dense eigensolver. Every
-    caller shares one rule, so its arrays are read-only.
+    Exact for polynomials of degree below 2N. Building takes about 0.14 ms
+    at N = 17, 0.25 ms at N = 50, 2 ms at N = 400 and 50 ms at N = 3200 on
+    a 2-core Xeon, while the evaluators ask for the same few rules at every
+    call, so rules are memoised per (order, upper_limit). Every caller
+    shares one rule, so its arrays are read-only.
     """
     _check_rule_args(order, upper_limit)
     t, w = _leggauss(int(order))
@@ -169,21 +196,29 @@ def lower_incomplete_gamma(a: float, b):
     """gamma(a, b) = integral_0^b t^(a-1) e^(-t) dt, for a > 0 and b >= 0.
 
     Series expansion below b = a+1, continued fraction on the complement
-    above it. Accuracy is near machine precision in the relative sense.
+    above it, Gamma(a) at b = inf. Accuracy is near machine precision in
+    the relative sense.
     """
     if not a > 0:
         raise ValueError("lower_incomplete_gamma requires a > 0")
     b_arr, scalar = _as_array(b)
-    if np.any(b_arr < 0):
+    if not np.all(b_arr >= 0):
         raise ValueError("lower_incomplete_gamma requires b >= 0")
-    p = np.empty_like(b_arr)
-    lo = b_arr < a + 1.0
+    b_flat = b_arr.reshape(-1)
+    p = np.ones_like(b_flat)
+    lo = b_flat < a + 1.0
     if np.any(lo):
-        p[lo] = _gamma_series(a, b_arr[lo])
-    if np.any(~lo):
-        hi = b_arr[~lo]
-        p[~lo] = 1.0 - _gamma_cf_scaled(a, hi) * np.exp(-hi + a * np.log(hi) - math.lgamma(a))
-    out = p * math.gamma(a)
+        p[lo] = _gamma_series(a, b_flat[lo])
+    # above it the upper tail Gamma(a, b)/Gamma(a) is the continued fraction
+    # (at most 1 there) times e^x, x = -b + a ln b - ln Gamma(a). Below
+    # x = -40, 1 minus the tail rounds to 1, so those b skip the fraction and
+    # an exp that underflows, as does b = inf, where a threshold overflowed
+    hi = np.flatnonzero(~lo & (b_flat < np.inf))
+    x = -b_flat[hi] + a * np.log(b_flat[hi]) - math.lgamma(a)
+    hi, x = hi[x > -40.0], x[x > -40.0]
+    if hi.size:
+        p[hi] = 1.0 - _gamma_cf_scaled(a, b_flat[hi]) * np.exp(x)
+    out = p.reshape(b_arr.shape) * math.gamma(a)
     out = np.where(b_arr == 0.0, 0.0, out)
     return float(out) if scalar else out
 

@@ -17,6 +17,7 @@ from noma_perf.channel import DEFAULT_QUAD_ORDERS
 from noma_perf.cli import CSV_COLUMNS, main, verify
 from noma_perf.config import ConfigError, Settings, parse_config, system_config
 from noma_perf.noma_core import multicast_rate, power_split
+from noma_perf.specfun import gauss_legendre_rule
 
 
 # (csi, scheme) -> (outage evaluator, secrecy evaluator) that sweep and
@@ -724,3 +725,19 @@ def test_runs_leave_slow_imports_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.splitlines()[-2:] == ["[0, 0] []", "0 True"]
+
+
+@pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
+def test_runs_call_no_lapack(tmp_path, monkeypatch, csi):
+    # Gauss-Legendre rules are built by Newton's method, so no run calls
+    # LAPACK, whose first call maps about 1 MB of library code into the
+    # process; the memo is cleared so that every rule is built afresh
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run called LAPACK")
+
+    for name in ("eigvalsh", "eigh", "eig", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    gauss_legendre_rule.cache_clear()
+    path = write_cfg(tmp_path, f"csi = {csi}\nk = 3\nsnr_db = 10,30\ntrials = 20000\n")
+    assert main(["verify", "--config", path]) == 0
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "out.csv")]) == 0

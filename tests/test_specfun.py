@@ -1,11 +1,13 @@
 """Quadrature and special functions against independent oracles.
 
 Oracles: mpmath at 60 digits for the exponential integral and the
-incomplete gamma recurrence, scipy adaptive quadrature for integral
+incomplete gamma recurrence, a Newton step in exact rational arithmetic
+for Gauss-Legendre rules, scipy adaptive quadrature for integral
 cross-checks. Nothing here trusts the implementation under test.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from noma_perf import specfun
 from noma_perf.specfun import (
     QuadratureRule,
     _leggauss,
@@ -39,6 +42,42 @@ def ei_series_oracle(x: float) -> float:
         if abs(inc) < mp.mpf(10) ** (-55) * max(1, abs(total)):
             break
     return float(total)
+
+
+def legendre_reference(n):
+    """Nonnegative Gauss-Legendre nodes of order n, ascending, and their
+    weights, as exact fractions good to about 1e-25.
+
+    Each of numpy's `leggauss` nodes, good to about 1e-16, takes one Newton
+    step on P_n, which leaves it within about 1e-27 of its root; the weight
+    2 (1 - x^2) / (n (P_{n-1}(x) - x P_n(x)))^2 = 2 / ((1 - x^2) P_n'(x)^2)
+    is then evaluated there. P_n runs its three-term recurrence in integers
+    with 160 fraction bits, which rounds by 2^-160 a step.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    bits = 160
+    one = 1 << bits
+
+    def legendre(x):
+        # (P_{n-1}, P_n) at a fraction x whose denominator divides 2^160
+        xi = int(x * one)
+        p0, p1 = one, xi
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * (xi * p1 >> bits) - (j - 1) * p0) // j
+        return Fraction(p0, one), Fraction(p1, one)
+
+    nodes, weights = [], []
+    for start in leggauss(n)[0][n // 2:]:
+        x = Fraction(float(start))
+        prev, p = legendre(x)
+        step = p * (x * x - 1) / (n * (x * p - prev))
+        assert abs(step) < 1e-14  # the start was already next to its root
+        x = Fraction(round((x - step) * one), one)
+        prev, p = legendre(x)
+        nodes.append(x)
+        weights.append(2 * (1 - x * x) / (n * (prev - x * p)) ** 2)
+    return nodes, weights
 
 
 class TestChebyshevRule:
@@ -128,15 +167,43 @@ class TestGaussLegendreRule:
             with pytest.raises(ValueError):
                 gauss_legendre_rule(order, upper)
 
-    def test_nodes_and_weights_are_numpys_bits(self):
-        # the rule is built without numpy.polynomial but must keep its bits,
-        # sign of zero included, up to order 800, the highest the suite builds
-        from numpy.polynomial.legendre import leggauss
+    def test_nodes_and_weights_match_an_exact_reference(self):
+        # nodes within 2.3e-16 (about an ulp of 1), weights within
+        # max(3e-14, 4e-17 n^2) relative; the nonnegative half only, as
+        # mirroring is checked below. numpy's eigensolver rule is off by
+        # 9.6e-13 at n = 50 and 2.1e-11 at n = 256
+        for order in (*range(1, 65), 100, 256):
+            nodes, weights = (a[order // 2:] for a in _leggauss(order))
+            ref_nodes, ref_weights = legendre_reference(order)
+            bound = max(3e-14, 4e-17 * order ** 2)
+            for x, w, rx, rw in zip(nodes, weights, ref_nodes, ref_weights, strict=True):
+                assert abs(Fraction(float(x)) - rx) <= 2.3e-16, order
+                assert abs(Fraction(float(w)) / rw - 1) <= bound, order
 
-        for order in (*range(1, 257), 800):
-            for ours, ref in zip(_leggauss(order), leggauss(order)):
-                assert ours.dtype == ref.dtype and ours.shape == ref.shape
-                assert ours.tobytes() == ref.tobytes(), order
+    def test_exact_on_monomials_up_to_order_3200(self):
+        # integral_0^1 x^j = 1/(j + 1) for every j < 2N
+        for order in (1, 2, 3, 17, 50, 101, 400, 800, 3200):
+            rule = gauss_legendre_rule(order, 1.0)
+            power = np.ones(order)
+            for j in range(2 * order):
+                approx = float(rule.weights @ power)
+                assert abs(approx * (j + 1) - 1.0) <= 5e-16 * order, (order, j)
+                power *= rule.nodes
+
+    def test_mirrored_exactly_with_a_positive_zero_middle(self):
+        for order in (*range(1, 40), 255, 256, 801):
+            nodes, weights = _leggauss(order)
+            assert nodes.shape == weights.shape == (order,)
+            assert np.all(np.diff(nodes) > 0)
+            assert np.all(nodes == -nodes[::-1]) and np.all(weights == weights[::-1])
+            if order % 2:
+                middle = nodes[order // 2]
+                assert middle == 0.0 and math.copysign(1.0, middle) == 1.0
+
+    def test_unconverged_nodes_raise(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_NEWTON_TOL", -1.0)
+        with pytest.raises(ArithmeticError):
+            _leggauss(10)
 
 
 class TestLowerIncompleteGamma:
@@ -179,6 +246,18 @@ class TestLowerIncompleteGamma:
         lo, hi = sorted((b1, b2))
         assert lower_incomplete_gamma(a, lo) <= lower_incomplete_gamma(a, hi) + 1e-14
 
+    def test_saturated_and_infinite_thresholds(self):
+        # an overflowed threshold is inf, and a huge one leaves an upper
+        # tail below the float range: both give Gamma(a) without a
+        # floating-point warning, and an array keeps its shape
+        with np.errstate(all="raise"):
+            for a in (1.0 / 3.0, 1.0, 2.0):
+                assert lower_incomplete_gamma(a, math.inf) == math.gamma(a)
+                assert lower_incomplete_gamma(a, 1e300) == math.gamma(a)
+                got = lower_incomplete_gamma(a, np.array([[0.0, 2.0], [1e300, math.inf]]))
+                assert got.shape == (2, 2) and np.all(got[1] == math.gamma(a))
+                assert got[0, 0] == 0.0 and got[0, 1] == lower_incomplete_gamma(a, 2.0)
+
     def test_vector_matches_scalar(self):
         # early-exit iteration counts depend on the batch, so agreement is
         # to a couple of ulps rather than bitwise
@@ -194,6 +273,8 @@ class TestLowerIncompleteGamma:
             lower_incomplete_gamma(-1.0, 1.0)
         with pytest.raises(ValueError):
             lower_incomplete_gamma(1.0, -0.5)
+        with pytest.raises(ValueError):
+            lower_incomplete_gamma(1.0, np.array([1.0, math.nan]))
 
 
 class TestExpintEi:
