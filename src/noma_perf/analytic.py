@@ -141,7 +141,7 @@ def _gap_params(config: SystemConfig, oma: bool):
 
 
 def _order_statistic_mean(config: SystemConfig, z: float, s: float, scale: float,
-                          m: int, m_edge: float, survivals) -> float:
+                          m: int, survivals) -> float:
     """K integral_z^inf h'(t) S_1(t) (S(z) - S(t))^(K-1) dt, (z, s, scale) as
     in _gap_params, averaged over an outer axis when there is one.
 
@@ -150,18 +150,19 @@ def _order_statistic_mean(config: SystemConfig, z: float, s: float, scale: float
     by t = z + c v / (1 - v)^q. The t^(-1-2/eta) tail then behaves as
     (1 - v)^(2q/eta - 1) in v, a whole power with q = eta below eta = 2 and
     q = eta/2 from 2 up (q = 1 below 2 leaves the power 2/eta - 1, on which
-    Gauss-Legendre converges only algebraically). c is the geometric mean of
-    the rate knee s, the cell-edge mean gain m_edge and m_edge K^(eta/2),
-    where S falls to about 1/K. c is at least m_edge K^(eta/2) / 100: at
-    large K the (1 - S)^(K-1) mass sits near m_edge K^(eta/2), which the
-    geometric mean alone maps beyond the last node. m is the order on v.
+    Gauss-Legendre converges only algebraically). Under either ranking a
+    gain's survival has the tail (g/t)^(2/eta), g = D^-eta the cell-edge
+    mean gain whatever the estimation error, so S falls to about 1/K near
+    g K^(eta/2). c is the geometric mean of the rate knee s, g and
+    g K^(eta/2), and at least g K^(eta/2) / 100: at large K the
+    (1 - S)^(K-1) mass sits near g K^(eta/2), which the geometric mean
+    alone maps beyond the last node. m is the order on v.
     """
-    K, eta = config.K, config.eta
+    K, eta, g = config.K, config.eta, config.D ** (-config.eta)
     if K < 2:
         raise ValueError("secrecy throughput needs K >= 2")
     q = eta if eta < 2.0 else eta / 2.0
-    c = max((s * m_edge * m_edge * K ** (eta / 2.0)) ** (1.0 / 3.0),
-            m_edge * K ** (eta / 2.0) / 100.0)
+    c = max((s * g * g * K ** (eta / 2.0)) ** (1.0 / 3.0), g * K ** (eta / 2.0) / 100.0)
     rule = gauss_legendre_rule(m, 1.0)
     v = rule.nodes
     t = z + c * v / (1.0 - v) ** q
@@ -179,8 +180,7 @@ def _secrecy_est_ranked(config: SystemConfig, z: float, s: float, scale: float) 
         surv = _survival_est(config, np.concatenate(([z], t)), config.quad_orders[2])
         return surv[1:, None], surv[0], surv[1:, None]
 
-    m_edge = config.D ** (-config.eta) - config.sigma2_zeta
-    return _order_statistic_mean(config, z, s, scale, config.quad_orders[1], m_edge, survivals)
+    return _order_statistic_mean(config, z, s, scale, config.quad_orders[1], survivals)
 
 
 def _secrecy_distance_ranked(config: SystemConfig, z: float, s: float, scale: float) -> float:
@@ -202,7 +202,7 @@ def _secrecy_distance_ranked(config: SystemConfig, z: float, s: float, scale: fl
         rest_z = _annulus_survival(config, z, r) if z > 0 else 1.0 - (r / D) ** 2
         return target, rest_z, _annulus_survival(config, t[:, None], r)
 
-    return _order_statistic_mean(config, z, s, scale, config.quad_orders[4], D ** (-eta), survivals)
+    return _order_statistic_mean(config, z, s, scale, config.quad_orders[4], survivals)
 
 
 def secrecy_noma_imperfect(config: SystemConfig) -> float:

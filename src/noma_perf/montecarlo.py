@@ -238,9 +238,8 @@ def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -
         return values
 
     # exact secrecy: the realized split's unicast share; a trial that is
-    # not ok scores 0 whatever share the split gives it. `exact` is the
-    # share's scratch, and holds the score from then on
-    share = _unicast_share(driving, eps, rho, spare, exact)
+    # not ok scores 0 whatever share the split gives it
+    share = _unicast_share(driving, eps, rho, spare)
     share *= rho
     np.multiply(share, target, out=exact)
     exact += 1.0

@@ -40,7 +40,7 @@ def power_split(alpha_weakest, rho: float, R_M: float) -> PowerSplit:
         raise ValueError("R_M must be positive")
     alpha = _gains(alpha_weakest, "alpha_weakest")
     eps = 2.0 ** R_M - 1.0
-    theta_U = _unicast_share(alpha, eps, rho, np.empty_like(alpha), np.empty_like(alpha))
+    theta_U = _unicast_share(alpha, eps, rho, np.empty_like(alpha))
     theta_M = 1.0 - theta_U
     outage = alpha < eps / rho
     if alpha.ndim == 0:
@@ -48,19 +48,20 @@ def power_split(alpha_weakest, rho: float, R_M: float) -> PowerSplit:
     return PowerSplit(theta_M=theta_M, theta_U=theta_U, outage=outage)
 
 
-def _unicast_share(alpha, eps: float, rho: float, out, scratch):
+def _unicast_share(alpha, eps: float, rho: float, out):
     """Write power_split's theta_U for gains `alpha` into `out`, unchecked;
-    `scratch` is an array of the same shape. The Monte Carlo scorer calls
-    it directly, since it reads neither theta_M nor the outage flag.
+    the Monte Carlo scorer reads neither theta_M nor the outage flag.
 
-    theta_U = (a - eps/rho) / (a (1 + eps)) at a = max(alpha, eps/rho):
-    alpha itself where feasible, and in outage the threshold, whose share
-    is exactly 0, so a zero gain never divides by zero.
+    theta_U = (1 - z/a) / (1 + eps) with z = eps/rho at a = max(alpha, z):
+    alpha where feasible, and in outage the threshold, whose share is
+    exactly +0. So a zero gain never divides by zero, and as z/a <= 1 no
+    step overflows at any R_M that SystemConfig accepts.
     """
-    np.maximum(alpha, eps / rho, out=out)
-    np.multiply(out, 1.0 + eps, out=scratch)
-    out -= eps / rho
-    out /= scratch
+    z = eps / rho
+    np.maximum(alpha, z, out=out)
+    np.divide(z, out, out=out)
+    np.subtract(1.0, out, out=out)
+    out /= 1.0 + eps
     return out
 
 

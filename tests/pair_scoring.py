@@ -149,7 +149,8 @@ def metric_values(config, scheme, metric_kind, gains):
         # the target over the eavesdropper, clamped at zero
         return ok * np.maximum(0.0, np.log2((nu + rho * target) / (nu + rho * eave)))
 
-    # exact secrecy: realized split set by the driving gain
-    theta_u = np.where(ok, (driving - eps / rho) / (driving * nu), 0.0)
+    # exact secrecy: realized split set by the driving gain, 0 in outage
+    z = eps / rho
+    theta_u = np.where(ok, (1.0 - z / np.maximum(driving, z)) / nu, 0.0)
     gap = np.log2((1.0 + rho * theta_u * target) / (1.0 + rho * theta_u * eave))
     return ok * np.maximum(0.0, gap)

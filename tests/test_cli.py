@@ -546,6 +546,7 @@ class TestPowerSplitIdentity:
         "csi = sos\nk = 5\nrho_db = 15\nseed = 3\n",
         "csi = imperfect\nrho_db = 10\n",
         "csi = imperfect\nrho_db = 0\nr_m = 2\n",  # every Monte Carlo draw in outage
+        "k = 2\nr_m = 511\n",  # the largest valid rate: eps near 2^511
     ])
     def test_array_check_matches_scalar_loop(self, tmp_path, text):
         settings = parse_config(write_cfg(tmp_path, text + "trials = 2000\n"))
@@ -556,6 +557,16 @@ class TestPowerSplitIdentity:
         # the grid starts on the threshold, so no draw has to clear it
         settings = parse_config(write_cfg(tmp_path, "rho_db = 0\nr_m = 2\ntrials = 2000\n"))
         _, report = verify(settings)
+        assert power_split_line(report).startswith("power-split-identity: PASS (")
+
+    @pytest.mark.parametrize("r_m", [500, 511])
+    def test_passes_at_the_largest_valid_rates(self, tmp_path, r_m):
+        # a share formed through a(1 + eps) overflows here (max rate error
+        # 3.986e+01); z/a <= 1 keeps every step in the float range. Underflow
+        # stays silent, as numpy leaves it by default
+        settings = parse_config(write_cfg(tmp_path, f"k = 2\nr_m = {r_m}\ntrials = 2000\n"))
+        with np.errstate(all="raise", under="ignore"):
+            _, report = verify(settings)
         assert power_split_line(report).startswith("power-split-identity: PASS (")
 
     def test_depends_only_on_rho_and_rate(self, tmp_path):

@@ -90,10 +90,29 @@ class TestPowerSplit:
         # 0, 1e-300 and 0.5 eps/rho are in outage, eps/rho is not
         assert list(split.outage[:5]) == [True, True, True, True, False]
 
-    @pytest.mark.parametrize("rho,R_M", [(100.0, 1.0), (50.0, 0.75), (1e9, 1.2), (0.5, 3.0)])
+    @pytest.mark.parametrize("rho,R_M", [(100.0, 1.0), (50.0, 0.75), (1e9, 1.2), (0.5, 3.0),
+                                         (0.5, 480.0), (100.0, 511.0)])
+    def test_matches_share_expression(self, rho, R_M):
+        # reference: (1 - z/a) / (1 + eps) with z = eps/rho and
+        # a = max(alpha, z), which reads +0 in outage and, as z/a <= 1,
+        # stays finite up to the largest valid R_M
+        eps = 2.0 ** R_M - 1.0
+        z = eps / rho
+        alpha = np.concatenate([gain_grid(rho, R_M), z * np.logspace(-3.0, 12.0, 2_001)])
+        with np.errstate(all="raise"):
+            expected = (1.0 - z / np.maximum(alpha, z)) / (1.0 + eps)
+            split = power_split(alpha, rho, R_M)
+        assert_bitwise_equal(split.theta_U, expected)
+        assert np.array_equal(split.outage, alpha < z)
+
+    @pytest.mark.parametrize("rho,R_M", [(100.0, 1.0), (50.0, 0.75), (1e9, 1.2), (0.5, 3.0)] + [
+        (rho, R_M) for rho in (0.5, 1e4, 1e12) for R_M in (0.05, 0.75, 30.0, 480.0)])
     def test_matches_masked_quotient(self, rho, R_M):
-        # reference: (alpha - eps/rho) / (alpha (1 + eps)), formed only where
-        # feasible and 0 elsewhere, as first written
+        # independent reference: (alpha - eps/rho) / (alpha (1 + eps)),
+        # formed only where feasible and 0 elsewhere, as first written. It
+        # rounds differently, so the two agree to a few ulps of 1/(1 + eps)
+        # (worst seen 3.4 * 2^-53) wherever it is finite; up to R_M = 480
+        # alpha (1 + eps) stays finite on this grid
         eps = 2.0 ** R_M - 1.0
         alpha = np.concatenate([gain_grid(rho, R_M),
                                 eps / rho * np.logspace(-3.0, 12.0, 2_001)])
@@ -101,7 +120,7 @@ class TestPowerSplit:
         expected = np.divide(alpha - eps / rho, alpha * (1.0 + eps),
                              out=np.zeros_like(alpha), where=feasible)
         split = power_split(alpha, rho, R_M)
-        assert_bitwise_equal(split.theta_U, expected)
+        assert np.abs(split.theta_U - expected).max() <= 4.5e-16 / (1.0 + eps)
         assert np.array_equal(split.outage, ~feasible)
 
     def test_zero_gain_has_zero_share_without_warning(self):
