@@ -10,9 +10,8 @@ import sys
 import numpy as np
 
 from . import analytic, montecarlo
-from .config import LIST_KEYS, ConfigError, Settings, parse_config, system_config
+from .config import AXES, ConfigError, Settings, parse_config, system_config
 from .noma_core import multicast_rate, power_split
-from .specfun import gauss_legendre_rule
 
 CSV_COLUMNS = (
     "axis_name", "axis_value", "scheme", "csi_mode", "metric",
@@ -41,19 +40,11 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-# axis -> (CSV axis name, list key, system_config override); entries parse
-# as LIST_KEYS gives
-_AXES = {"snr": ("snr_db", "snr_db", "rho_db"),
-         "sigma2": ("sigma2", "sigma2_values", "sigma2"),
-         "k": ("k", "k_values", "k")}
-
-
 def _axis_points(settings: Settings, axis: str):
     """[(axis_name, raw_token, SystemConfig)] along the chosen axis; every
     entry is checked before any point runs. An error the configuration
     gives without the entry (eta below its floor) names no entry."""
-    axis_name, key, override = _AXES[axis]
-    kind = LIST_KEYS[key]
+    axis_name, key, kind, override = AXES[axis]
     points = []
     for tok in getattr(settings, key):
         try:
@@ -133,12 +124,13 @@ def verify(settings: Settings):
     lines = []
     ok = True
 
-    # quadrature sanity of the [0, 1] rule the estimate survival runs, on a
-    # smooth integrand with known integral; not a polynomial, which
-    # Gauss-Legendre integrates exactly at low order
-    rule = gauss_legendre_rule(cfg.quad_orders[0], 1.0)
-    approx = rule.integrate(lambda w: cfg.D * np.exp(-cfg.D * w))
-    exact = -np.expm1(-cfg.D)
+    # the order-c estimate survival of a sigma2 = 0 copy against its closed form
+    # at t = 45 D^-eta, where the map's exponent reaches its cap: the integrand
+    # is 2w e^(-45 w^eta), the hardest the map produces, whatever D is
+    zero_error = cfg.replace(sigma2_zeta=0.0)
+    t = analytic._EXPONENT_CUTOFF * cfg.D ** -cfg.eta
+    approx = analytic._survival_est(zero_error, np.array([t]), cfg.quad_orders[0])[0]
+    exact = analytic._annulus_survival(zero_error, t, 0.0)
     rel = abs(approx - exact) / exact
     ok &= _check(lines, "quadrature-selftest", rel < 1e-3,
                  f"rel err {rel:.3e}, bound 1e-3")
@@ -241,9 +233,9 @@ def _parse_args(argv):
                 value = int(value)
             except ValueError:
                 _usage_error(f"argument {name}: invalid int value: '{value}'")
-        if key == "axis" and value not in _AXES:
+        if key == "axis" and value not in AXES:
             _usage_error(f"argument --axis: invalid choice: '{value}' "
-                         f"(choose from {', '.join(_AXES)})")
+                         f"(choose from {', '.join(AXES)})")
         opts[key] = value
     if "config" not in opts:
         _usage_error("the following arguments are required: --config")
@@ -269,10 +261,9 @@ def main(argv=None) -> int:
     command, opts = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         settings = parse_config(opts["config"])
-        for key in _INT_OPTIONS:
+        for key in (*_INT_OPTIONS, "out"):
             if key in opts:
                 setattr(settings, key, opts[key])
-        settings.out = opts.get("out", settings.out)
         if settings.trials < 2 or settings.seed < 0 or settings.workers < 1:
             raise ConfigError("need trials >= 2, seed >= 0, workers >= 1")
         if command == "sweep":

@@ -6,22 +6,34 @@ rejected. Axis values keep their original tokens so sweep output echoes
 exactly what was configured.
 """
 
+import math
 from types import SimpleNamespace
 
 from .channel import SystemConfig
 
 DEFAULT_SEED = 1234567
 
+# config key -> the SystemConfig field it sets; rho_db sets rho in decibels
+_FIELDS = {"d": "D", "eta": "eta", "k": "K", "r_m": "R_M", "sigma2": "sigma2_zeta",
+           "csi": "csi_mode", "rho_db": "rho"}
+
+# sweep axis -> (CSV axis name, list key, entry type, the key an entry sets)
+AXES = {"snr": ("snr_db", "snr_db", float, "rho_db"),
+        "sigma2": ("sigma2", "sigma2_values", float, "sigma2"),
+        "k": ("k", "k_values", int, "k")}
+
 # list key -> the type every entry must parse as; every other key parses as
 # the type of its default
-LIST_KEYS = {"snr_db": float, "sigma2_values": float, "k_values": int}
+LIST_KEYS = {key: kind for _, key, kind, _ in AXES.values()}
 
-# every config key and its default; a list key's default is its text in a file
+# every config key and its default: a _FIELDS key takes its field's (rho_db
+# in decibels), and a list key's default is its text in a file
 _DEFAULTS = {
-    "d": 5.0, "eta": 2.0, "k": 8, "r_m": 0.5, "sigma2": 0.01, "csi": "imperfect", "rho_db": 30.0,
-    "snr_db": "0,5,10,15,20,25,30,35,40",
-    "sigma2_values": "0,0.005,0.01,0.02", "k_values": "2,4,6,8",
-    "trials": 100_000, "seed": DEFAULT_SEED, "workers": 1, "out": "sweep.csv",
+    **{key: SystemConfig._field_defaults[field] for key, field in _FIELDS.items()},
+    "rho_db": 10.0 * math.log10(SystemConfig._field_defaults["rho"]),
+    "snr_db": "0,5,10,15,20,25,30,35,40", "sigma2_values": "0,0.005,0.01,0.02",
+    "k_values": "2,4,6,8", "trials": 100_000, "seed": DEFAULT_SEED, "workers": 1,
+    "out": "sweep.csv",
 }
 
 
@@ -77,21 +89,17 @@ def parse_config(path: str) -> Settings:
     return settings
 
 
-def system_config(settings: Settings, rho_db=None, sigma2=None, k=None) -> SystemConfig:
-    """Materialize a SystemConfig, optionally overriding one swept quantity."""
-    rho_db = settings.rho_db if rho_db is None else rho_db
+def system_config(settings: Settings, **override) -> SystemConfig:
+    """Materialize a SystemConfig, optionally overriding keys of _FIELDS (one swept quantity)."""
+    unknown = sorted(override.keys() - _FIELDS.keys())
+    if unknown:
+        raise TypeError(f"system_config() got unexpected keyword arguments {unknown}")
+    fields = {field: override.get(key, getattr(settings, key)) for key, field in _FIELDS.items()}
+    rho_db = fields["rho"]
     try:
-        config = SystemConfig(
-            K=settings.k if k is None else k,
-            D=settings.d,
-            eta=settings.eta,
-            rho=10.0 ** (rho_db / 10.0),
-            R_M=settings.r_m,
-            sigma2_zeta=settings.sigma2 if sigma2 is None else sigma2,
-            csi_mode=settings.csi,
-        )
+        fields["rho"] = 10.0 ** (rho_db / 10.0)
+        return SystemConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except OverflowError as exc:
         raise ConfigError(f"rho_db = {rho_db:g} overflows the linear SNR") from exc
-    return config

@@ -137,6 +137,12 @@ class TestSystemConfigBridge:
         with pytest.raises(ConfigError, match=f"K must be at most {montecarlo.BATCH_ELEMENTS}"):
             system_config(s, k=montecarlo.BATCH_ELEMENTS + 1)
 
+    @pytest.mark.parametrize("override", [{"rho": 1.0}, {"sigma_2": 0.0}, {"trials": 10}])
+    def test_override_must_name_a_field_key(self, override):
+        # rho is a field, not a config key; trials is a key that sets no field
+        with pytest.raises(TypeError):
+            system_config(Settings(), **override)
+
     def test_invalid_parameters_become_config_errors(self):
         s = Settings()
         s.sigma2 = 0.05  # not below D**-eta = 0.04
@@ -338,17 +344,53 @@ class TestVerify:
         assert "verify: OK" in out
         assert "FAIL" not in out
 
-    def test_broken_quadrature_is_caught(self, tmp_path, capsys, monkeypatch):
+    # order 2 reads 0.16-0.98 at these eta whatever D is (the default order
+    # at most 2.3e-9), so a small cell does not hide it
+    @pytest.mark.parametrize("eta,d", [("2", "5"), ("1", "0.1"), ("1.5", "0.1"), ("6", "0.1")])
+    def test_broken_quadrature_is_caught(self, tmp_path, capsys, monkeypatch, eta, d):
         def order_two(settings, **point):
             cfg = system_config(settings, **point)
             return cfg.replace(quad_orders=(2,) + cfg.quad_orders[1:])
 
         monkeypatch.setattr(cli, "system_config", order_two)
-        path = write_cfg(tmp_path, "trials = 20000\n")
+        path = write_cfg(tmp_path, f"eta = {eta}\nd = {d}\ntrials = 20000\n")
         assert main(["verify", "--config", path]) == 1
         out = capsys.readouterr().out
-        assert "quadrature-selftest: FAIL" in out
+        rel = re.search(r"^quadrature-selftest: FAIL \(rel err (\S+), bound 1e-3\)$", out, re.M)
+        assert 0.1 < float(rel.group(1)) < 1.0
         assert "verify: FAILED" in out
+
+    @pytest.mark.parametrize("eta", ["1", "1.5", "2", "6"])
+    def test_quadrature_selftest_reading_ignores_cell_radius(self, tmp_path, monkeypatch, eta):
+        # the self-test integrates 2w e^(-45 w^eta) whatever D is, so its
+        # reading moves only by rounding at the default order, and its printed
+        # value not at all at order 2
+        def reading(d, orders):
+            monkeypatch.setattr(cli, "system_config", lambda settings, **point: system_config(
+                settings, **point).replace(quad_orders=orders))
+            path = write_cfg(tmp_path, f"eta = {eta}\nd = {d}\nsigma2 = 0\ntrials = 2\n")
+            _, report = verify(parse_config(path))
+            return re.search(r"^quadrature-selftest: (\w+) \(rel err (\S+),", report, re.M).groups()
+
+        radii = ("1e-3", "5", "2000", "1e5")
+        default = [reading(d, DEFAULT_QUAD_ORDERS) for d in radii]
+        assert {verdict for verdict, _ in default} == {"PASS"}
+        rel = [float(r) for _, r in default]
+        assert max(rel) < 3e-9 and max(rel) - min(rel) < 1e-15
+        broken = {reading(d, (2,) + DEFAULT_QUAD_ORDERS[1:]) for d in radii}
+        assert len(broken) == 1 and broken.pop()[0] == "FAIL"
+
+    @pytest.mark.parametrize("text", [
+        "d = 2000\nsigma2 = 0\nrho_db = 90\n",
+        "csi = sos\nk = 2\nd = 1e5\neta = 1\n",
+    ], ids=["d2000-rho90", "sos-d1e5-eta1"])
+    def test_large_cells_pass(self, tmp_path, capsys, text):
+        # cells of 2 km and 100 km, where every evaluator has converged
+        path = write_cfg(tmp_path, text + "trials = 20000\n")
+        assert main(["verify", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "quadrature-selftest: PASS" in out
+        assert "FAIL" not in out
 
     def test_secrecy_with_no_scored_trial_checks_absolute_error(self, tmp_path, capsys):
         # at 0 dB (K = 8) every trial of 2000 is in multicast outage, so the
