@@ -40,9 +40,6 @@ from .noma_core import (
 )
 from .specfun import (
     QuadratureRule,
-    chebyshev_rule,
-    expint_e1_scaled,
-    expint_ei,
     gauss_legendre_rule,
     lower_incomplete_gamma,
 )
@@ -62,9 +59,6 @@ __all__ = [
     "SCHEME_NOMA",
     "SCHEME_OMA",
     "SystemConfig",
-    "chebyshev_rule",
-    "expint_e1_scaled",
-    "expint_ei",
     "gauss_legendre_rule",
     "lower_incomplete_gamma",
     "multicast_rate",

@@ -75,12 +75,15 @@ class _SystemFields(NamedTuple):
 
 class SystemConfig(_SystemFields):
     """The fields above as an immutable, hashable tuple; an invalid field raises
-    ValueError however it is built (calling it, `replace`, `_make`, unpickling)."""
+    ValueError however it is built (calling it, `replace`, `_make`, unpickling).
+    Only imperfect CSI has an estimation error: elsewhere sigma2_zeta is stored as 0."""
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         self._check()
+        if self.csi_mode != CSI_IMPERFECT and self.sigma2_zeta != 0:
+            return self.replace(sigma2_zeta=0.0)
         return self
 
     @classmethod
@@ -115,16 +118,13 @@ class SystemConfig(_SystemFields):
             raise ValueError("sigma2_zeta must be nonnegative")
         if self.csi_mode not in CSI_MODES:
             raise ValueError(f"csi_mode must be one of {CSI_MODES}")
-        # cell-edge users must keep positive estimate power; statistical
-        # CSI has no estimates and never reads sigma2_zeta
-        if self.csi_mode != CSI_SOS and not self.sigma2_zeta < self.D ** (-self.eta):
+        # cell-edge users must keep positive estimate power
+        if self.csi_mode == CSI_IMPERFECT and not self.sigma2_zeta < self.D ** (-self.eta):
             raise ValueError("sigma2_zeta must be below D^(-eta)")
         if len(self.quad_orders) != 5 or any(
             not isinstance(o, (int, np.integer)) or o < 1 for o in self.quad_orders
         ):
             raise ValueError("quad_orders must be five positive integers")
-        if self.csi_mode == CSI_PERFECT and self.sigma2_zeta != 0.0:
-            raise ValueError("perfect CSI requires sigma2_zeta = 0")
 
     @property
     def eps_multicast(self) -> float:

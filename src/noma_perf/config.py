@@ -83,9 +83,6 @@ def parse_config(path: str) -> Settings:
                 setattr(settings, key, type(_DEFAULTS[key])(value))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
-
-    if settings.csi == "perfect":
-        settings.sigma2 = 0.0
     return settings
 
 

@@ -99,9 +99,35 @@ class TestSystemConfig:
                 make_config(eta=eta)
 
     def test_perfect_requires_zero_error(self):
-        with pytest.raises(ValueError):
-            make_config(csi_mode=CSI_PERFECT, sigma2_zeta=0.01)
-        make_config(csi_mode=CSI_PERFECT, sigma2_zeta=0.0)
+        # perfect CSI is the zero-error reference: an error variance given to
+        # it is stored as 0, even one above the imperfect-CSI bound D^-eta
+        zero = make_config(csi_mode=CSI_PERFECT, sigma2_zeta=0.0)
+        assert make_config(csi_mode=CSI_PERFECT, sigma2_zeta=1.0) == zero
+
+    @pytest.mark.parametrize("csi", [CSI_PERFECT, CSI_SOS])
+    def test_only_imperfect_csi_has_estimation_error(self, csi):
+        zero = make_config(csi_mode=csi, sigma2_zeta=0.0)
+        imperfect = make_config(sigma2_zeta=0.01)
+        fields = (*imperfect[:6], csi, imperfect.quad_orders)
+        built = [
+            make_config(csi_mode=csi, sigma2_zeta=0.01),
+            zero.replace(sigma2_zeta=0.01),
+            imperfect.replace(csi_mode=csi),
+            SystemConfig._make(fields),
+            # unpickling calls __new__ on the stored fields, here unchecked ones
+            pickle.loads(pickle.dumps(tuple.__new__(SystemConfig, fields))),
+        ]
+        for cfg in built:
+            assert cfg.sigma2_zeta == 0.0 and type(cfg.sigma2_zeta) is float
+            assert cfg == zero and hash(cfg) == hash(zero)
+        assert imperfect.sigma2_zeta == 0.01
+
+    @pytest.mark.parametrize("csi", [CSI_IMPERFECT, CSI_PERFECT, CSI_SOS])
+    @pytest.mark.parametrize("sigma2", [-0.01, float("nan"), float("inf")])
+    def test_error_variance_is_finite_and_nonnegative_under_every_mode(self, csi, sigma2):
+        # the variance is checked before a mode without estimates sets it to 0
+        with pytest.raises(ValueError, match="^sigma2_zeta must be"):
+            make_config(csi_mode=csi, sigma2_zeta=sigma2)
 
     def test_every_way_of_building_checks(self):
         cfg = SystemConfig()

@@ -77,8 +77,12 @@ class TestParseConfig:
         assert (s.d, s.k, s.csi) == (4.0, 3, "sos")
 
     def test_perfect_csi_forces_zero_estimation_error(self, tmp_path):
+        # the file's value is kept; the configuration built from it has none
         path = write_cfg(tmp_path, "csi = perfect\nsigma2 = 0.01\n")
-        assert parse_config(path).sigma2 == 0.0
+        settings = parse_config(path)
+        assert settings.sigma2 == 0.01
+        assert system_config(settings).sigma2_zeta == 0.0
+        assert system_config(settings) == system_config(settings, sigma2=0.0)
 
     @pytest.mark.parametrize("text,fragment", [
         ("frobnicate = 1\n", "unknown key"),
@@ -266,15 +270,13 @@ class TestSweep:
     @pytest.mark.parametrize("text,axis,message", [
         ("k_values = 2,4,0\n", "k",
          "error: k_values entry '0': K must be a positive integer"),
-        ("csi = perfect\n", "sigma2",
-         "error: sigma2_values entry '0.005': perfect CSI requires sigma2_zeta = 0"),
         # a row of K gains would not fit one Monte Carlo batch
         ("k_values = 2,80001\n", "k",
          "error: k_values entry '80001': K must be at most 80000"),
         # below the floor the closed forms are unresolved at every entry, so
         # the error is the configuration's, not its first entry's
         ("eta = 0.9\n", "snr", "error: eta must be at least 1: "),
-    ], ids=["k-zero", "perfect-sigma2", "k-above-batch", "eta-below-floor"])
+    ], ids=["k-zero", "k-above-batch", "eta-below-floor"])
     def test_bad_axis_entry_rejected_before_any_point(self, tmp_path, capsys, sample_calls,
                                                       text, axis, message):
         path = write_cfg(tmp_path, text + "trials = 500\n")
@@ -329,6 +331,27 @@ class TestSweep:
         assert len(body) == 12
         analytic_cells = [[r[5] for r in body if r[1] == v] for v in ("0", "0.01")]
         assert analytic_cells[0] == analytic_cells[1]
+
+    def test_perfect_sigma2_axis_runs_at_zero_error(self, tmp_path):
+        # every entry's point has sigma2 = 0, as under sos
+        path = write_cfg(tmp_path, "csi = perfect\nk = 3\ntrials = 500\n")
+        out = str(tmp_path / "s.csv")
+        assert main(["sweep", "--config", path, "--axis", "sigma2", "--out", out]) == 0
+        body = read_rows(out)[1:]
+        assert len(body) == 24
+        entries = Settings().sigma2_values
+        analytic_cells = [[r[5] for r in body if r[1] == v] for v in entries]
+        assert len(entries) == 4 and all(cells == analytic_cells[0] for cells in analytic_cells)
+
+    def test_perfect_csi_sweep_ignores_configured_sigma2(self, tmp_path):
+        blobs = []
+        for sigma2 in ("0.01", "0"):
+            path = write_cfg(tmp_path, f"csi = perfect\nsigma2 = {sigma2}\nk = 3\n"
+                                       "snr_db = 10,30\ntrials = 500\n")
+            out = tmp_path / f"s{sigma2}.csv"
+            assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestVerify:

@@ -166,7 +166,7 @@ class TestSharedSample:
 
     @pytest.mark.parametrize("csi,K", [("imperfect", 8), ("perfect", 4), ("sos", 2)])
     def test_each_entry_equals_simulate(self, csi, K):
-        c = cfg(K=K, rho_db=20.0, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
+        c = cfg(K=K, rho_db=20.0, csi=csi)
         trials = 2 * BATCH_SIZE + 77
         many = simulate_many(c, trials, seed=21, stream=3)
         assert list(many) == ALL_PAIRS
@@ -320,7 +320,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("K", [1, 2, 3, 8, 40])
     @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
     def test_reuse_leaks_no_state(self, csi, K):
-        c = cfg(K=K, rho_db=20.0, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
+        c = cfg(K=K, rho_db=20.0, csi=csi)
         rows = batch_rows(K)
         workspace = montecarlo._workspace(c, rows)
         # a full batch, then the partial one of rows + 137 trials, three times
@@ -335,7 +335,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("K", [1, 2, 3, 8, 40])
     @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
     def test_scoring_leaves_gains_alone(self, csi, K):
-        c = cfg(K=K, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
+        c = cfg(K=K, csi=csi)
         gains = sample_batch(c, np.random.default_rng(8), 1_000)[2]
         before = gains.copy()
         score(c, gains)
@@ -447,7 +447,7 @@ class TestSchedule:
     @pytest.mark.parametrize("K", [1, 2, 3, 8, 40])
     @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
     def test_bit_identical_to_sorted_roles(self, csi, K, dirty):
-        c = cfg(K=K, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
+        c = cfg(K=K, csi=csi)
         gains = sample_batch(c, np.random.default_rng(K), 3_000)[2]
         weakest, driving, target, eave = schedule(c, gains, self.buffers(len(gains), dirty))
         ref_weakest, ref_driving, ref_target, ref_eave = roles(c, gains)
@@ -479,7 +479,7 @@ class TestScoreKernel:
     @pytest.mark.parametrize("K", [1, 2, 3, 8, 15, 16, 17, 40])
     @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
     def test_bit_identical_to_per_pair_oracle(self, csi, K, rho_db):
-        c = cfg(K=K, rho_db=rho_db, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
+        c = cfg(K=K, rho_db=rho_db, csi=csi)
         gains = sample_batch(c, np.random.default_rng(K), 3_000)[2]
         values = score(c, gains)
         # every valid pair but OMA's exact secrecy, every batch
@@ -537,7 +537,7 @@ class TestReferenceEquivalence:
 
     @pytest.mark.parametrize("csi,K", [("imperfect", 4), ("perfect", 4), ("sos", 2), ("sos", 5)])
     def test_exact_secrecy_matches_noma_core(self, csi, K):
-        c = cfg(K=K, rho_db=20.0, sigma2=0.0 if csi == "perfect" else 0.01, csi=csi)
+        c = cfg(K=K, rho_db=20.0, csi=csi)
         rng = np.random.default_rng(2718)
         for _ in range(300):
             _, _, gains, est_g = snapshot(c, rng)
