@@ -88,7 +88,7 @@ def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
     """
     points = _axis_points(settings, axis)
     try:
-        fh = open(out_path, "w", newline="")
+        fh = open(out_path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     with fh:
@@ -264,8 +264,10 @@ def main(argv=None) -> int:
         for key in (*_INT_OPTIONS, "out"):
             if key in opts:
                 setattr(settings, key, opts[key])
-        if settings.trials < 2 or settings.seed < 0 or settings.workers < 1:
-            raise ConfigError("need trials >= 2, seed >= 0, workers >= 1")
+        try:
+            montecarlo.check_run(settings.trials, settings.seed, settings.workers)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if command == "sweep":
             n = run_sweep(settings, opts["axis"], settings.out)
             print(f"wrote {settings.out}: {n} rows")

@@ -1,9 +1,9 @@
 """Flat key = value run configuration for the command line tools.
 
-Grammar: one `key = value` pair per line, `#` starts a comment, blank lines
-are ignored. List-valued keys take comma-separated entries. Unknown keys are
-rejected. Axis values keep their original tokens so sweep output echoes
-exactly what was configured.
+Grammar: UTF-8 text, whatever the locale, with one `key = value` pair per
+line; `#` starts a comment, blank lines are ignored. List-valued keys take
+comma-separated entries. Unknown keys are rejected. Axis values keep their
+original tokens so sweep output echoes exactly what was configured.
 """
 
 import math
@@ -53,9 +53,9 @@ class Settings(SimpleNamespace):
 def parse_config(path: str) -> Settings:
     settings = Settings()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
     for lineno, raw in enumerate(lines, start=1):

@@ -319,6 +319,16 @@ def _wilson_half_width(successes: float, n: int) -> float:
     return _Z95 * np.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
 
 
+def check_run(trials, seed, workers, stream=0) -> None:
+    """Raise ValueError naming the first run parameter out of its range."""
+    for name, value, low, message in (("trials", trials, 2, "an integer >= 2"),
+                                      ("seed", seed, 0, "a nonnegative integer"),
+                                      ("workers", workers, 1, "an integer >= 1"),
+                                      ("stream", stream, 0, "a nonnegative integer")):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be {message}")
+
+
 def simulate(config: SystemConfig, scheme: str, metric_kind: str, trials: int,
              seed: int, workers: int = 1, stream: int = 0) -> MetricEstimate:
     """Estimate one metric by simulation, with a 95% half width.
@@ -347,13 +357,7 @@ def simulate_many(config: SystemConfig, trials: int, seed: int,
     then OMA's exact secrecy. Each batch is drawn once and scored for
     every pair, so a sweep draws one stream per axis point.
     """
-    for name, value, low, message in (("trials", trials, 2, "an integer >= 2"),
-                                      ("seed", seed, 0, "a nonnegative integer"),
-                                      ("workers", workers, 1, "an integer >= 1"),
-                                      ("stream", stream, 0, "a nonnegative integer")):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ValueError(f"{name} must be {message}")
-
+    check_run(trials, seed, workers, stream)
     rows = batch_rows(config.K)
     sizes = [rows] * (trials // rows)
     if trials % rows:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from noma_perf import analytic, montecarlo
-from noma_perf.channel import _ETA_FLOOR, DEFAULT_QUAD_ORDERS, SystemConfig
+from noma_perf.channel import _ETA_FLOOR, DEFAULT_QUAD_ORDERS, SystemConfig, sample_batch
 from noma_perf.config import Settings, system_config
 from paper_form import distance_order_pdf, paper_gap_mean, paper_sos_k2, weak_compositions
 
@@ -424,12 +424,20 @@ class TestSecrecyDistanceRanked:
 
     def test_ignores_estimation_error(self):
         # statistical CSI has no estimates, so sigma2_zeta is never read,
-        # even where it is above D^-eta
+        # even where it is above D^-eta. SystemConfig stores it as 0 under
+        # sos, so the stored 0.01 is put past that rule with tuple.__new__
         for eta in (2.0, 3.0):
+            clean = sos_cfg(K=8, eta=eta)
+            noisy = tuple.__new__(SystemConfig, {**clean._asdict(), "sigma2_zeta": 0.01}.values())
+            assert clean.sigma2_zeta == 0.0 and noisy.sigma2_zeta == 0.01
             for fn in (analytic.secrecy_noma_sos, analytic.secrecy_oma_sos,
                        analytic.outage_noma_sos, analytic.outage_oma_sos):
-                clean = fn(sos_cfg(K=8, eta=eta, sigma2=0.0))
-                assert fn(sos_cfg(K=8, eta=eta, sigma2=0.01)) == clean
+                assert fn(noisy) == fn(clean)
+            draws = [sample_batch(c, np.random.default_rng(5), 500) for c in (clean, noisy)]
+            for a, b in zip(*draws):
+                assert (a is None and b is None) or np.array_equal(a, b)
+            assert (montecarlo.simulate_many(noisy, 3000, 11, stream=2)
+                    == montecarlo.simulate_many(clean, 3000, 11, stream=2))
 
     def test_positive_on_supported_grid(self):
         # the surrogate's expectation is nonnegative at every SNR; this

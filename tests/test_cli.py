@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import noma_perf
-from noma_perf import SystemConfig, analytic, cli, montecarlo
-from noma_perf.channel import DEFAULT_QUAD_ORDERS
+from noma_perf import analytic, cli, montecarlo
+from noma_perf.channel import DEFAULT_QUAD_ORDERS, SystemConfig
 from noma_perf.cli import CSV_COLUMNS, main, verify
 from noma_perf.config import ConfigError, Settings, parse_config, system_config
 from noma_perf.noma_core import multicast_rate, power_split
@@ -33,15 +33,31 @@ ANALYTIC = {
 }
 
 
-def write_cfg(tmp_path, text, name="run.cfg"):
+def write_cfg(tmp_path, text, name="run.cfg", encoding=None):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding=encoding)
     return str(path)
 
 
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+# an ASCII locale that neither UTF-8 mode nor locale coercion overrides
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this checkout's noma_perf."""
+    src = os.path.dirname(os.path.dirname(noma_perf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def run_cli(args, **env):
+    return subprocess.run([sys.executable, "-m", "noma_perf.cli", *args], env=fresh_env(**env),
+                          capture_output=True, text=True)
 
 
 class TestParseConfig:
@@ -322,7 +338,10 @@ class TestSweep:
         assert {r[1] for r in body} == {"0", "0.01"}
 
     def test_distance_ranked_sigma2_axis_ignores_sigma2(self, tmp_path):
-        # sigma2 = 0.01 is above D^-eta at eta = 3, and sos never reads it
+        # sigma2 = 0.01 is above D^-eta at eta = 3, yet the entry runs: sos
+        # stores sigma2 as 0, so both entries have one analytic column
+        # (TestSecrecyDistanceRanked::test_ignores_estimation_error checks
+        # that the sos evaluators and draws never read sigma2_zeta)
         path = write_cfg(tmp_path, "csi = sos\neta = 3\nk = 3\n"
                                    "sigma2_values = 0,0.01\ntrials = 500\n")
         out = str(tmp_path / "s.csv")
@@ -661,9 +680,17 @@ class TestExitCodes:
         path = write_cfg(tmp_path, "eta = banana\n")
         assert main(["sweep", "--config", path]) == 2
 
-    def test_override_guard(self, tmp_path):
+    def test_override_guard(self, tmp_path, capsys):
+        # montecarlo states the run-parameter rule; main applies it before
+        # it opens the output file
         path = write_cfg(tmp_path, "k = 2\n")
-        assert main(["sweep", "--config", path, "--trials", "1"]) == 2
+        out = tmp_path / "x.csv"
+        for option, value, message in (("--trials", "1", "trials must be an integer >= 2"),
+                                       ("--seed", "-1", "seed must be a nonnegative integer"),
+                                       ("--workers", "0", "workers must be an integer >= 1")):
+            assert main(["sweep", "--config", path, option, value, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_large_k_sweeps(self, tmp_path):
         path = write_cfg(tmp_path, "k = 40\nsnr_db = 30\ntrials = 20000\n")
@@ -771,6 +798,37 @@ class TestArguments:
         assert captured.err == ""
 
 
+class TestConfigEncoding:
+    """The config file is read, and the CSV written, as UTF-8 under an ASCII locale."""
+
+    def test_undecodable_config_exits_2(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"k = 3\n# \xff\ntrials = 500\n")
+        out = tmp_path / "x.csv"
+        run = run_cli(["sweep", "--config", str(path), "--out", str(out)], **ASCII_LOCALE)
+        assert run.returncode == 2
+        assert run.stderr.startswith(f"error: cannot read config file {path}: 'utf-8' codec")
+        assert "Traceback" not in run.stderr
+        assert not out.exists()
+
+    def test_utf8_comment_verifies(self, tmp_path):
+        path = write_cfg(tmp_path, "k = 3  # café\ntrials = 2000\n", encoding="utf-8")
+        run = run_cli(["verify", "--config", path], **ASCII_LOCALE)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.endswith("verify: OK\n")
+
+    def test_non_ascii_axis_token_is_echoed_in_utf8(self, tmp_path):
+        # float() reads Arabic-Indic digits, and the token is echoed verbatim
+        path = write_cfg(tmp_path, "k = 3\nsnr_db = \u0661\u0660\ntrials = 500\n",
+                         encoding="utf-8")
+        out = tmp_path / "x.csv"
+        run = run_cli(["sweep", "--config", path, "--out", str(out)], **ASCII_LOCALE)
+        assert run.returncode == 0, run.stderr
+        body = out.read_bytes().decode("utf-8").splitlines()[1:]
+        assert len(body) == 6
+        assert all(row.startswith("snr_db,\u0661\u0660,") for row in body)
+
+
 def test_runs_leave_slow_imports_unloaded(tmp_path):
     # numpy.polynomial, concurrent.futures and the logging it imports,
     # argparse with the gettext and locale it loads, dataclasses with copy,
@@ -780,9 +838,6 @@ def test_runs_leave_slow_imports_unloaded(tmp_path):
     # sweep's 20 001 trials are three batches, so two worker threads run.
     # main, not the import, freezes the heap it starts with, so shutdown's
     # full collections skip numpy's objects
-    src = os.path.dirname(os.path.dirname(noma_perf.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     cfg = write_cfg(tmp_path, "k = 3\nsnr_db = 30\n")
     code = (
         "import gc, sys\n"
@@ -798,9 +853,22 @@ def test_runs_leave_slow_imports_unloaded(tmp_path):
         "              if m in sys.modules])\n"
         "print(frozen_by_import, gc.get_freeze_count() >= tracked > 10_000)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+                         text=True, check=True).stdout
     assert out.splitlines()[-2:] == ["[0, 0] []", "0 True"]
+
+
+def test_package_import_binds_and_loads_nothing():
+    # every public name has one import path, its module: the package
+    # itself re-exports nothing and imports no submodule, hence no numpy
+    code = (
+        "import sys, noma_perf\n"
+        "print([n for n in vars(noma_perf) if not n.startswith('_')],\n"
+        "      [m for m in sys.modules if m.startswith('noma_perf.') or m == 'numpy'])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[] []\n"
 
 
 @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
