@@ -45,26 +45,30 @@ def _clamp01(p: float) -> float:
 # outage probability
 # ---------------------------------------------------------------------------
 
-def _survival_est(config: SystemConfig, t: np.ndarray, n: int) -> np.ndarray:
-    """P(X > t) at each t >= 0 for one user's estimated gain X.
+def _distance_axis(config: SystemConfig, t: np.ndarray, n: int, s2: float):
+    """(R, rule, f) at each t >= 0 for a gain that is exponential with mean
+    m(u) = u^(-eta/2) - s2 given the squared distance u, uniform on [0, D^2].
 
-    X is exponential with mean m(u) = u^(-eta/2) - sigma2 given the squared
-    distance u, which is uniform on [0, D^2]. With R = min(1/m(D^2), 45/t),
-    the map u = R^(2/eta) w^2 (1 + sigma2 R w^eta)^(-2/eta) sends w in
-    [0, 1] onto the distances whose exponent t/m(u) = R t w^eta is at most
-    45, and leaves the smooth integrand
-    R^(2/eta)/D^2 * 2w e^(-R t w^eta) (1 + sigma2 R w^eta)^(-1-2/eta).
+    With R = min(1/m(D^2), 45/t), u = R^(2/eta) w^2 (1 + s2 R w^eta)^(-2/eta)
+    maps w in [0, 1] (order-n Gauss-Legendre) onto the distances whose
+    exponent t/m(u) = R t w^eta is at most 45, and e^(-t/m(u)) du/D^2 is
+    R^(2/eta)/D^2 f dw with f = 2w e^(-R t w^eta) (1 + s2 R w^eta)^(-1-2/eta)
+    smooth, of shape (len(t), n). At s2 = 0 the distance is r = R^(1/eta) w.
     """
-    D, eta, s2 = config.D, config.eta, config.sigma2_zeta
-    m_edge = D ** (-eta) - s2
-    R = 1.0 / np.maximum(m_edge, t / _EXPONENT_CUTOFF)
+    eta = config.eta
+    R = 1.0 / np.maximum(config.D ** (-eta) - s2, t / _EXPONENT_CUTOFF)
     rule = gauss_legendre_rule(n, 1.0)
-    w = rule.nodes
-    we = w ** eta
-    integrand = (2.0 * w) * np.exp(-np.outer(R * t, we)) * (
-        1.0 + s2 * np.outer(R, we)
-    ) ** (-1.0 - 2.0 / eta)
-    return R ** (2.0 / eta) / D ** 2 * (integrand @ rule.weights)
+    we = rule.nodes ** eta
+    f = (2.0 * rule.nodes) * np.exp(-np.outer(R * t, we))
+    f *= (1.0 + s2 * np.outer(R, we)) ** (-1.0 - 2.0 / eta)
+    return R, rule, f
+
+
+def _survival_est(config: SystemConfig, t: np.ndarray, n: int) -> np.ndarray:
+    """P(X > t) at each t >= 0 for one user's estimated gain X, whose mean
+    given u is u^(-eta/2) - sigma2: the mapped distance axis, summed."""
+    R, rule, f = _distance_axis(config, t, n, config.sigma2_zeta)
+    return R ** (2.0 / config.eta) / config.D ** 2 * (f @ rule.weights)
 
 
 def _outage_est_ranked(config: SystemConfig, threshold: float) -> float:
@@ -147,26 +151,24 @@ def _order_statistic_mean(config: SystemConfig, z: float, s: float, scale: float
 
     survivals(t) returns (S_1(t) times the outer weights, S(z), S(t)),
     broadcastable to (len(t), outer). The t axis is mapped from v in [0, 1)
-    by t = z + c v / (1 - v)^q. The t^(-1-2/eta) tail then behaves as
-    (1 - v)^(2q/eta - 1) in v, a whole power with q = eta below eta = 2 and
-    q = eta/2 from 2 up (q = 1 below 2 leaves the power 2/eta - 1, on which
-    Gauss-Legendre converges only algebraically). Under either ranking a
-    gain's survival has the tail (g/t)^(2/eta), g = D^-eta the cell-edge
-    mean gain whatever the estimation error, so S falls to about 1/K near
-    g K^(eta/2). c is the geometric mean of the rate knee s, g and
-    g K^(eta/2), and at least g K^(eta/2) / 100: at large K the
-    (1 - S)^(K-1) mass sits near g K^(eta/2), which the geometric mean
-    alone maps beyond the last node. m is the order on v.
+    by t = z + c v / (1 - v)^eta, so the t^(-1-2/eta) tail behaves as the
+    whole power (1 - v) in v at every eta (t = z + c v / (1 - v) leaves
+    2/eta - 1, on which Gauss-Legendre converges only algebraically). Under
+    either ranking a gain's survival has the tail (g/t)^(2/eta), g = D^-eta
+    the cell-edge mean gain whatever the estimation error, so S falls to
+    about 1/K near g K^(eta/2). c is the geometric mean of the rate knee s,
+    g and g K^(eta/2), and at least g K^(eta/2) / 10: at large K or high
+    SNR the (1 - S)^(K-1) mass sits near g K^(eta/2), which the geometric
+    mean alone maps beyond the last node. m is the order on v.
     """
     K, eta, g = config.K, config.eta, config.D ** (-config.eta)
     if K < 2:
         raise ValueError("secrecy throughput needs K >= 2")
-    q = eta if eta < 2.0 else eta / 2.0
-    c = max((s * g * g * K ** (eta / 2.0)) ** (1.0 / 3.0), g * K ** (eta / 2.0) / 100.0)
+    c = max((s * g * g * K ** (eta / 2.0)) ** (1.0 / 3.0), g * K ** (eta / 2.0) / 10.0)
     rule = gauss_legendre_rule(m, 1.0)
     v = rule.nodes
-    t = z + c * v / (1.0 - v) ** q
-    dt_dv = c * (1.0 - v + q * v) / (1.0 - v) ** (q + 1.0)
+    t = z + c * v / (1.0 - v) ** eta
+    dt_dv = c * (1.0 - v + eta * v) / (1.0 - v) ** (eta + 1.0)
 
     h_prime = scale / ((s - z + t) * LN2)
     target, rest_z, rest_t = survivals(t)
@@ -187,19 +189,14 @@ def _secrecy_distance_ranked(config: SystemConfig, z: float, s: float, scale: fl
     """The target is the nearest user. Its distance r has density
     K (2r/D^2) (1 - r^2/D^2)^(K-1), and given r the others are iid on the
     annulus [r, D] with survival A_r(t) / (1 - r^2/D^2), so the annulus
-    factors cancel. As in _survival_est, the r axis at each t covers only
-    the distances whose exponent t r^eta is at most 45: r = R^(1/eta) w with
-    R = min(D^eta, 45/t). Orders: quad_orders[3] on w, quad_orders[4] on t.
+    factors cancel. At each t, r runs over _distance_axis without an
+    estimation error. Orders: quad_orders[3] on r, quad_orders[4] on t.
     """
-    D, eta = config.D, config.eta
-    rule = gauss_legendre_rule(config.quad_orders[3], 1.0)
-
     def survivals(t):
-        reach = np.maximum(D ** (-eta), t / _EXPONENT_CUTOFF) ** (-1.0 / eta)
-        r = np.outer(reach, rule.nodes)
-        # 2r/D^2 dr with dr = reach dw
-        target = (2.0 / D ** 2) * r * reach[:, None] * rule.weights * np.exp(-t[:, None] * r ** eta)
-        rest_z = _annulus_survival(config, z, r) if z > 0 else 1.0 - (r / D) ** 2
+        R, rule, f = _distance_axis(config, t, config.quad_orders[3], 0.0)
+        r = np.outer(R ** (1.0 / config.eta), rule.nodes)
+        target = (R ** (2.0 / config.eta) / config.D ** 2)[:, None] * f * rule.weights
+        rest_z = _annulus_survival(config, z, r) if z > 0 else 1.0 - (r / config.D) ** 2
         return target, rest_z, _annulus_survival(config, t[:, None], r)
 
     return _order_statistic_mean(config, z, s, scale, config.quad_orders[4], survivals)

@@ -56,7 +56,7 @@ BATCH_ELEMENTS = 80_000
 
 # smallest path-loss exponent the analytic quadrature resolves: at the
 # default point (K = 8, imperfect CSI, 30 dB) verify's all-order doubling
-# drift is 5.9e-9 at eta = 1, but 5.0e-6 at 0.9, 2.7e-4 at 0.6 and 4.6e-3
+# drift is 3.6e-9 at eta = 1, but 5.0e-6 at 0.9, 2.7e-4 at 0.6 and 4.6e-3
 # (a FAIL) at 0.5; further down the secrecy forms read nan or miss Monte
 # Carlo by orders of magnitude
 _ETA_FLOOR = 1.0

@@ -16,6 +16,7 @@ from scipy import integrate
 from noma_perf import analytic, montecarlo
 from noma_perf.channel import _ETA_FLOOR, DEFAULT_QUAD_ORDERS, SystemConfig, sample_batch
 from noma_perf.config import Settings, system_config
+from asymptotes import distance_ranked_limit, estimate_ranked_limit
 from paper_form import distance_order_pdf, paper_gap_mean, paper_sos_k2, weak_compositions
 
 
@@ -313,9 +314,10 @@ class TestSecrecyEstRanked:
 
     @pytest.mark.parametrize("eta", [_ETA_FLOOR, 1.2, 1.5, 1.8])
     def test_order_quadrupling_converged_below_eta_two(self, eta):
-        # the t map's q = eta below eta = 2; q = 1 drifted up to 3.4e-3
+        # the t map's power is q = eta at every eta; q = 1 drifted up to 3.4e-3
         # (OMA, eta = 1.8, K = 64, 40 dB, sigma2 = 0.4 D^-eta). At the
-        # floor the worst value drifts 9.6e-5 (OMA, K = 64, 40 dB, sigma2 = 0)
+        # floor the worst value drifts 9.5e-8; it drifted 9.6e-5 (OMA, K = 64,
+        # 40 dB, sigma2 = 0) while the t map's scale floor was / 100
         for K in (2, 8, 64):
             for sigma2 in (0.0, 0.4 * 5.0 ** -eta):
                 for rho_db in (0.0, 10.0, 20.0, 30.0, 40.0):
@@ -467,7 +469,7 @@ class TestSecrecyDistanceRanked:
     def test_order_doubling_bounded_and_shrinking(self):
         # the mapped nearest-distance axis keeps the drift small at every
         # path-loss exponent from the floor up, including the non-even ones;
-        # below eta = 2 the t map's q = eta does (q = 1 drifted 1.4e-4 at
+        # the t map's power q = eta does below eta = 2 (q = 1 drifted 1.4e-4 at
         # eta = 1.5, K = 8)
         for eta in (_ETA_FLOOR, 1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0):
             for K in (2, 8):
@@ -498,25 +500,28 @@ class TestSecrecyDistanceRanked:
 # -- secrecy at large K ------------------------------------------------------
 
 class TestSecrecyLargeK:
-    """The t map's scale has a floor, D^-eta K^(eta/2) / 100, so that its
+    """The t map's scale has a floor, D^-eta K^(eta/2) / 10, so that its
     nodes reach the order statistic's peak at any K the CLI accepts."""
 
     # (NOMA, OMA) at eta = 2, sigma2 = 0.01, from before the floor existed;
     # re-pinned, each moving by at most 6.9e-14 relative, when the
-    # Gauss-Legendre rules were first built by Newton's method, and the
+    # Gauss-Legendre rules were first built by Newton's method; the
     # imperfect ones, by at most 2.3e-9, when the estimate-ranked t map
-    # took the edge mean gain D^-eta for its scale in place of D^-eta - sigma2
+    # took the edge mean gain D^-eta for its scale in place of D^-eta - sigma2;
+    # and all, by at most 9.8e-10, when the floor went from / 100 to / 10,
+    # the t map's power became eta at every eta and both rankings took one
+    # distance axis. Each then sits within 4.3e-10 of 16x orders
     PINNED = {
-        ("imperfect", 2, 0.0): ("0x1.bb2c2d28db639p-8", "0x1.2900f27fdd15ap-3"),
-        ("imperfect", 2, 10.0): ("0x1.52667447b459fp-2", "0x1.070710754d708p-1"),
-        ("imperfect", 2, 40.0): ("0x1.4bbe706db4b81p+1", "0x1.4e18b04eee6b5p+0"),
-        ("imperfect", 8, 0.0): ("0x1.8fbc0bd90873fp-28", "0x1.213332d2f2020p-2"),
-        ("imperfect", 8, 30.0): ("0x1.76b9fd01f24abp+0", "0x1.8ab4f24b97441p-1"),
-        ("imperfect", 8, 40.0): ("0x1.89dd8ea5463e0p+0", "0x1.8bebe0e626c47p-1"),
-        ("sos", 2, 0.0): ("0x1.b04fa381c676dp-8", "0x1.1222bb485c3e6p-3"),
-        ("sos", 2, 30.0): ("0x1.d8e429b73e766p+0", "0x1.e998616334826p-1"),
-        ("sos", 8, 10.0): ("0x1.6470a77019be5p-6", "0x1.deedc59dca062p-2"),
-        ("sos", 8, 40.0): ("0x1.20d38ac3c8b52p+0", "0x1.220e6a0c137b8p-1"),
+        ("imperfect", 2, 0.0): ("0x1.bb2c2d28e0165p-8", "0x1.2900f27fd33c3p-3"),
+        ("imperfect", 2, 10.0): ("0x1.52667447b1095p-2", "0x1.070710754cc42p-1"),
+        ("imperfect", 2, 40.0): ("0x1.4bbe706e90dffp+1", "0x1.4e18b049733dep+0"),
+        ("imperfect", 8, 0.0): ("0x1.8fbc0bd9097f8p-28", "0x1.213332d2eae4ap-2"),
+        ("imperfect", 8, 30.0): ("0x1.76b9fd01ea317p+0", "0x1.8ab4f24bb5cf1p-1"),
+        ("imperfect", 8, 40.0): ("0x1.89dd8ea53d006p+0", "0x1.8bebe0e6b5ce4p-1"),
+        ("sos", 2, 0.0): ("0x1.b04fa381c679ap-8", "0x1.1222bb485c3ecp-3"),
+        ("sos", 2, 30.0): ("0x1.d8e429b73f318p+0", "0x1.e99861632f4dfp-1"),
+        ("sos", 8, 10.0): ("0x1.6470a7701aeb5p-6", "0x1.deedc59dca27fp-2"),
+        ("sos", 8, 40.0): ("0x1.20d38ac4224e3p+0", "0x1.220e6a0bdd2b0p-1"),
     }
     EVALUATORS = {
         "imperfect": (analytic.secrecy_noma_imperfect, analytic.secrecy_oma_imperfect),
@@ -559,3 +564,43 @@ class TestSecrecyLargeK:
             for fn in self.EVALUATORS[csi]:
                 v, r = fn(c), fn(ref)
                 assert abs(v - r) <= 1e-6 * abs(r)
+
+
+class TestLargeKLimits:
+    """At 200 dB and large K both rankings' secrecy throughput reaches a limit
+    that needs no quadrature (tests/asymptotes.py). Doubling the orders
+    cannot see a map that converges to a wrong value; these limits can."""
+
+    # below eta = 2 the default order on the nearest-distance axis does not
+    # resolve K = 1000: 4x quad_orders[3] alone brings both within 1.1e-8
+    # (ROADMAP item 2, root cause 2)
+    DISTANCE_AXIS = pytest.mark.xfail(strict=True, reason="nearest-distance axis below eta = 2")
+
+    def test_distance_ranked_limit_values(self):
+        # at eta = 2, G(y) = e^-y / y, so L is a plain integral scipy can take
+        ref = integrate.quad(lambda y: exp(-y) / (y + exp(-y)), 0.0, np.inf, epsabs=1e-13)[0]
+        assert distance_ranked_limit(2.0) == pytest.approx(ref / np.log(2.0), rel=1e-12)
+        for eta, L in ((1.0, 0.3867070523), (1.5, 0.7380660662), (2.0, 1.1068778477),
+                       (3.0, 1.8575752357)):
+            assert distance_ranked_limit(eta) == pytest.approx(L, abs=1e-10)
+
+    @pytest.mark.parametrize("K", [1000, 80_000])
+    @pytest.mark.parametrize("eta", [_ETA_FLOOR, 1.5, 2.0, 3.0])
+    def test_estimate_ranked_limit(self, eta, K):
+        # at sigma2 = 0 the gain is Pareto above the edge up to an e^(-t D^eta)
+        # factor, so the limit holds from K = 1000 on; at eta = 1 both values
+        # read 1.0e-3 above it while the t map's scale floor was / 100
+        c = cfg(K=K, rho_db=200.0, sigma2=0.0, eta=eta)
+        limit = estimate_ranked_limit(eta)
+        assert analytic.secrecy_noma_imperfect(c) == pytest.approx(limit, rel=1e-6)
+        assert analytic.secrecy_oma_imperfect(c) == pytest.approx(limit / 2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("eta", [pytest.param(_ETA_FLOOR, marks=DISTANCE_AXIS),
+                                     pytest.param(1.5, marks=DISTANCE_AXIS), 2.0, 3.0])
+    def test_distance_ranked_limit(self, eta):
+        # +3.0e-5 at eta = 1 (+4.5e-4 while the t map's scale floor was
+        # / 100) and -2.1e-6 at 1.5; +7.6e-8 at 2 and -3.3e-9 at 3
+        c = sos_cfg(K=1000, rho_db=200.0, eta=eta)
+        limit = distance_ranked_limit(eta)
+        assert analytic.secrecy_noma_sos(c) == pytest.approx(limit, rel=1e-6)
+        assert analytic.secrecy_oma_sos(c) == pytest.approx(limit / 2.0, rel=1e-6)

@@ -540,6 +540,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "verify: OK" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("rho_db", [60, 80])
+    @pytest.mark.parametrize("csi", ["imperfect", "perfect"])
+    def test_passes_at_eta_floor_at_high_snr(self, tmp_path, capsys, csi, rho_db):
+        # with the t map's scale floor at D^-eta K^(eta/2) / 100, the
+        # order-statistic mass sat in the last 1% of [0, 1] and the
+        # all-order doubling drift read 1.5e-3 (imperfect) and 1.8e-3 (perfect)
+        path = write_cfg(tmp_path, f"eta = 1\ncsi = {csi}\nrho_db = {rho_db}\ntrials = 20000\n")
+        assert main(["verify", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^quadrature-convergence: PASS", out, re.M)
+        assert "verify: OK" in out and "FAIL" not in out
+
     @pytest.mark.parametrize("k", [3, 8])
     def test_imperfect_general_path_loss_passes(self, tmp_path, capsys, k):
         # eta = 3 runs the estimate draw's general power u ** (-eta/2), not
