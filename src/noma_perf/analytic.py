@@ -1,7 +1,8 @@
 """Closed-form evaluators for outage probability and secrecy throughput.
 
-Each function consumes a SystemConfig and returns a float. Multicast outage
-is 1 - (single-user survival)^K, since the decision gains are iid: under
+Each evaluator takes a SystemConfig and returns a float, and closed_forms
+picks the evaluator of each row Monte Carlo scores. Multicast outage is
+1 - (single-user survival)^K, since the decision gains are iid: under
 perfect and statistical CSI the survival probability is closed form through
 the lower incomplete gamma function, and under imperfect CSI it is the
 estimate survival S(threshold/rho) shared with estimate-ranked secrecy.
@@ -21,11 +22,12 @@ rather than reading 0. Secrecy values are not clamped: each is a
 quadrature of a nonnegative integrand.
 """
 
-from math import log
+from math import expm1, log, sqrt
 
 import numpy as np
 
-from .channel import SystemConfig
+from .channel import CSI_IMPERFECT, CSI_SOS, SystemConfig
+from .montecarlo import METRIC_OUTAGE, METRIC_SECRECY, METRIC_SECRECY_SURROGATE, SCHEMES
 from .specfun import gauss_legendre_rule, lower_incomplete_gamma
 
 LN2 = log(2.0)
@@ -45,18 +47,19 @@ def _clamp01(p: float) -> float:
 # outage probability
 # ---------------------------------------------------------------------------
 
-def _distance_axis(config: SystemConfig, t: np.ndarray, n: int, s2: float):
+def _distance_axis(config: SystemConfig, t: np.ndarray, n: int, s2: float, reach: float):
     """(R, rule, f) at each t >= 0 for a gain that is exponential with mean
     m(u) = u^(-eta/2) - s2 given the squared distance u, uniform on [0, D^2].
 
-    With R = min(1/m(D^2), 45/t), u = R^(2/eta) w^2 (1 + s2 R w^eta)^(-2/eta)
-    maps w in [0, 1] (order-n Gauss-Legendre) onto the distances whose
-    exponent t/m(u) = R t w^eta is at most 45, and e^(-t/m(u)) du/D^2 is
-    R^(2/eta)/D^2 f dw with f = 2w e^(-R t w^eta) (1 + s2 R w^eta)^(-1-2/eta)
-    smooth, of shape (len(t), n). At s2 = 0 the distance is r = R^(1/eta) w.
+    With R = min(1/m(reach^2), 45/t), u = R^(2/eta) w^2 (1 + s2 R w^eta)^(-2/eta)
+    maps w in [0, 1] (order-n Gauss-Legendre) onto the distances up to
+    reach <= D whose exponent t/m(u) = R t w^eta is at most 45, and
+    e^(-t/m(u)) du/D^2 is R^(2/eta)/D^2 f dw with
+    f = 2w e^(-R t w^eta) (1 + s2 R w^eta)^(-1-2/eta) smooth, of shape
+    (len(t), n). At s2 = 0 the distance is r = R^(1/eta) w.
     """
     eta = config.eta
-    R = 1.0 / np.maximum(config.D ** (-eta) - s2, t / _EXPONENT_CUTOFF)
+    R = 1.0 / np.maximum(reach ** (-eta) - s2, t / _EXPONENT_CUTOFF)
     rule = gauss_legendre_rule(n, 1.0)
     we = rule.nodes ** eta
     f = (2.0 * rule.nodes) * np.exp(-np.outer(R * t, we))
@@ -67,7 +70,7 @@ def _distance_axis(config: SystemConfig, t: np.ndarray, n: int, s2: float):
 def _survival_est(config: SystemConfig, t: np.ndarray, n: int) -> np.ndarray:
     """P(X > t) at each t >= 0 for one user's estimated gain X, whose mean
     given u is u^(-eta/2) - sigma2: the mapped distance axis, summed."""
-    R, rule, f = _distance_axis(config, t, n, config.sigma2_zeta)
+    R, rule, f = _distance_axis(config, t, n, config.sigma2_zeta, config.D)
     return R ** (2.0 / config.eta) / config.D ** 2 * (f @ rule.weights)
 
 
@@ -122,7 +125,7 @@ def outage_oma_sos(config: SystemConfig) -> float:
     return _outage_exact(config, config.eps_multicast_oma)
 
 
-# perfect-CSI outage is the same true-gain event
+# the perfect-CSI names of the true-gain outage forms, kept for existing callers
 outage_noma_perfect = outage_noma_sos
 outage_oma_perfect = outage_oma_sos
 
@@ -190,10 +193,12 @@ def _secrecy_distance_ranked(config: SystemConfig, z: float, s: float, scale: fl
     K (2r/D^2) (1 - r^2/D^2)^(K-1), and given r the others are iid on the
     annulus [r, D] with survival A_r(t) / (1 - r^2/D^2), so the annulus
     factors cancel. At each t, r runs over _distance_axis without an
-    estimation error. Orders: quad_orders[3] on r, quad_orders[4] on t.
+    estimation error, up to r_K = D sqrt(1 - e^(-45/(K-1))): beyond r_K,
+    (1 - r^2/D^2)^(K-1) < e^-45. Orders: quad_orders[3] on r, quad_orders[4] on t.
     """
     def survivals(t):
-        R, rule, f = _distance_axis(config, t, config.quad_orders[3], 0.0)
+        r_K = config.D * sqrt(-expm1(-_EXPONENT_CUTOFF / (config.K - 1)))
+        R, rule, f = _distance_axis(config, t, config.quad_orders[3], 0.0, r_K)
         r = np.outer(R ** (1.0 / config.eta), rule.nodes)
         target = (R ** (2.0 / config.eta) / config.D ** 2)[:, None] * f * rule.weights
         rest_z = _annulus_survival(config, z, r) if z > 0 else 1.0 - (r / config.D) ** 2
@@ -240,3 +245,21 @@ def secrecy_oma_sos(config: SystemConfig) -> float:
 # the two-user names of the paper's form, kept for existing callers
 secrecy_noma_sos_k2 = secrecy_noma_sos
 secrecy_oma_sos_k2 = secrecy_oma_sos
+
+
+def closed_forms(config: SystemConfig) -> dict:
+    """{(scheme, metric_kind): value} for the pairs montecarlo.simulate_many
+    scores at `config`, each form run once per scheme through its public
+    name: outage NOMA, outage OMA, then at K >= 2 secrecy NOMA and OMA.
+    Both secrecy metrics read the surrogate's form (README, Caveats)."""
+    # perfect CSI decides on true gains, as sos does, and ranks the users
+    # like imperfect CSI, at sigma2 = 0
+    outage = ((outage_noma_imperfect, outage_oma_imperfect) if config.csi_mode == CSI_IMPERFECT
+              else (outage_noma_sos, outage_oma_sos))
+    secrecy = ((secrecy_noma_sos, secrecy_oma_sos) if config.csi_mode == CSI_SOS
+               else (secrecy_noma_imperfect, secrecy_oma_imperfect))
+    rows = {(scheme, METRIC_OUTAGE): form(config) for scheme, form in zip(SCHEMES, outage)}
+    if config.K >= 2:
+        for scheme, form in zip(SCHEMES, secrecy):
+            rows[scheme, METRIC_SECRECY_SURROGATE] = rows[scheme, METRIC_SECRECY] = form(config)
+    return rows

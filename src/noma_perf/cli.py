@@ -18,19 +18,6 @@ CSV_COLUMNS = (
     "analytic_value", "mc_value", "mc_halfwidth", "trials", "seed",
 )
 
-# (scheme, csi_mode) -> (outage evaluator, secrecy evaluator). Perfect CSI
-# shares the true-gain outage form with sos (its names are aliases) and the
-# estimate-ranked secrecy form with imperfect CSI, at sigma2 = 0.
-# Both secrecy metrics read the secrecy evaluator, the surrogate's closed
-# form (README, Caveats), so a row's column is `metric != METRIC_OUTAGE`.
-_EVALUATORS = {
-    ("noma", "imperfect"): (analytic.outage_noma_imperfect, analytic.secrecy_noma_imperfect),
-    ("noma", "perfect"): (analytic.outage_noma_perfect, analytic.secrecy_noma_imperfect),
-    ("noma", "sos"): (analytic.outage_noma_sos, analytic.secrecy_noma_sos),
-    ("oma", "imperfect"): (analytic.outage_oma_imperfect, analytic.secrecy_oma_imperfect),
-    ("oma", "perfect"): (analytic.outage_oma_perfect, analytic.secrecy_oma_imperfect),
-    ("oma", "sos"): (analytic.outage_oma_sos, analytic.secrecy_oma_sos),
-}
 # the metrics of a sweep, in CSV order
 _SWEEP_METRICS = (montecarlo.METRIC_OUTAGE, montecarlo.METRIC_SECRECY_SURROGATE,
                   montecarlo.METRIC_SECRECY)
@@ -69,13 +56,9 @@ def _point(settings: Settings, cfg, metrics, stream: int) -> dict:
     estimates = montecarlo.simulate_many(
         cfg, settings.trials, settings.seed, workers=settings.workers, stream=stream,
     )
-    # each closed form once per scheme: outage, then secrecy if it is scored
-    columns = 1 + ((montecarlo.SCHEME_NOMA, montecarlo.METRIC_SECRECY) in estimates)
-    values = [[_EVALUATORS[(scheme, cfg.csi_mode)][column](cfg) for scheme in montecarlo.SCHEMES]
-              for column in range(columns)]
-    return {(scheme, metric): (values[metric != montecarlo.METRIC_OUTAGE][i],
-                               estimates[(scheme, metric)])
-            for metric in metrics for i, scheme in enumerate(montecarlo.SCHEMES)
+    values = analytic.closed_forms(cfg)
+    return {(scheme, metric): (values[(scheme, metric)], estimates[(scheme, metric)])
+            for metric in metrics for scheme in montecarlo.SCHEMES
             if (scheme, metric) in estimates}
 
 
@@ -140,9 +123,9 @@ def verify(settings: Settings):
                                   montecarlo.METRIC_SECRECY_SURROGATE), 0)
 
     # doubling every quadrature order must not move any checked value
-    doubled = cfg.replace(quad_orders=tuple(2 * o for o in cfg.quad_orders))
-    drift = max(abs(a - _EVALUATORS[(s, cfg.csi_mode)][m != montecarlo.METRIC_OUTAGE](doubled))
-                for (s, m), (a, _) in rows.items())
+    doubled = analytic.closed_forms(
+        cfg.replace(quad_orders=tuple(2 * o for o in cfg.quad_orders)))
+    drift = max(abs(a - doubled[pair]) for pair, (a, _) in rows.items())
     ok &= _check(lines, "quadrature-convergence", drift < 1e-3,
                  f"all-order doubling drift {drift:.3e} over {len(rows)} values, bound 1e-3")
 

@@ -508,9 +508,11 @@ class TestSecrecyLargeK:
     # Gauss-Legendre rules were first built by Newton's method; the
     # imperfect ones, by at most 2.3e-9, when the estimate-ranked t map
     # took the edge mean gain D^-eta for its scale in place of D^-eta - sigma2;
-    # and all, by at most 9.8e-10, when the floor went from / 100 to / 10,
+    # all, by at most 9.8e-10, when the floor went from / 100 to / 10,
     # the t map's power became eta at every eta and both rankings took one
-    # distance axis. Each then sits within 4.3e-10 of 16x orders
+    # distance axis (each then sat within 4.3e-10 of 16x orders); and the
+    # sos K = 8 ones, by at most 2.9e-15, when the nearest-distance axis
+    # stopped at r_K
     PINNED = {
         ("imperfect", 2, 0.0): ("0x1.bb2c2d28e0165p-8", "0x1.2900f27fd33c3p-3"),
         ("imperfect", 2, 10.0): ("0x1.52667447b1095p-2", "0x1.070710754cc42p-1"),
@@ -520,8 +522,8 @@ class TestSecrecyLargeK:
         ("imperfect", 8, 40.0): ("0x1.89dd8ea53d006p+0", "0x1.8bebe0e6b5ce4p-1"),
         ("sos", 2, 0.0): ("0x1.b04fa381c679ap-8", "0x1.1222bb485c3ecp-3"),
         ("sos", 2, 30.0): ("0x1.d8e429b73f318p+0", "0x1.e99861632f4dfp-1"),
-        ("sos", 8, 10.0): ("0x1.6470a7701aeb5p-6", "0x1.deedc59dca27fp-2"),
-        ("sos", 8, 40.0): ("0x1.20d38ac4224e3p+0", "0x1.220e6a0bdd2b0p-1"),
+        ("sos", 8, 10.0): ("0x1.6470a7701aec7p-6", "0x1.deedc59dca283p-2"),
+        ("sos", 8, 40.0): ("0x1.20d38ac4224e4p+0", "0x1.220e6a0bdd2b2p-1"),
     }
     EVALUATORS = {
         "imperfect": (analytic.secrecy_noma_imperfect, analytic.secrecy_oma_imperfect),
@@ -545,9 +547,12 @@ class TestSecrecyLargeK:
     @pytest.mark.parametrize("csi", ["imperfect", "sos"])
     def test_order_doubling_converged(self, csi, K):
         # without the floor the imperfect OMA value drifted 4.7e-3 at
-        # K = 4000 and 16x its value at K = 80000 (30 dB)
+        # K = 4000 and 16x its value at K = 80000 (30 dB); before the
+        # nearest-distance axis stopped at r_K, sos drifted 3.4e-4 at eta = 1
+        # and 2.1e-6 at 1.5. Imperfect eta = 1.5 still drifts 7.7e-6 at
+        # K = 80000 (ROADMAP item 2, root cause 2)
         oma = self.EVALUATORS[csi][1]
-        for eta in (2.0, 3.0):
+        for eta in (_ETA_FLOOR, 1.5, 2.0, 3.0) if csi == "sos" else (2.0, 3.0):
             for rho_db in (0.0, 10.0, 30.0, 40.0):
                 c = self.point(csi, K, rho_db, eta)
                 doubled = c.replace(quad_orders=tuple(2 * o for o in c.quad_orders))
@@ -571,11 +576,6 @@ class TestLargeKLimits:
     that needs no quadrature (tests/asymptotes.py). Doubling the orders
     cannot see a map that converges to a wrong value; these limits can."""
 
-    # below eta = 2 the default order on the nearest-distance axis does not
-    # resolve K = 1000: 4x quad_orders[3] alone brings both within 1.1e-8
-    # (ROADMAP item 2, root cause 2)
-    DISTANCE_AXIS = pytest.mark.xfail(strict=True, reason="nearest-distance axis below eta = 2")
-
     def test_distance_ranked_limit_values(self):
         # at eta = 2, G(y) = e^-y / y, so L is a plain integral scipy can take
         ref = integrate.quad(lambda y: exp(-y) / (y + exp(-y)), 0.0, np.inf, epsabs=1e-13)[0]
@@ -595,12 +595,25 @@ class TestLargeKLimits:
         assert analytic.secrecy_noma_imperfect(c) == pytest.approx(limit, rel=1e-6)
         assert analytic.secrecy_oma_imperfect(c) == pytest.approx(limit / 2.0, rel=1e-6)
 
-    @pytest.mark.parametrize("eta", [pytest.param(_ETA_FLOOR, marks=DISTANCE_AXIS),
-                                     pytest.param(1.5, marks=DISTANCE_AXIS), 2.0, 3.0])
+    @pytest.mark.parametrize("eta", [_ETA_FLOOR, 1.5, 2.0, 3.0])
     def test_distance_ranked_limit(self, eta):
-        # +3.0e-5 at eta = 1 (+4.5e-4 while the t map's scale floor was
-        # / 100) and -2.1e-6 at 1.5; +7.6e-8 at 2 and -3.3e-9 at 3
+        # +1.1e-8 at eta = 1, -2.4e-7 at 1.5, +4.0e-10 at 2 and +2.2e-9 at 3;
+        # +3.0e-5 and -2.1e-6 at eta = 1 and 1.5 while the nearest-distance
+        # axis reached 45^(1/eta) D / sqrt(K), far past the few D / sqrt(K)
+        # that hold the (1 - r^2/D^2)^(K-1) mass, and only its first nodes saw it
         c = sos_cfg(K=1000, rho_db=200.0, eta=eta)
         limit = distance_ranked_limit(eta)
         assert analytic.secrecy_noma_sos(c) == pytest.approx(limit, rel=1e-6)
         assert analytic.secrecy_oma_sos(c) == pytest.approx(limit / 2.0, rel=1e-6)
+
+
+# -- the closed form of each row ---------------------------------------------
+
+class TestClosedForms:
+    @pytest.mark.parametrize("K", [1, 2, 8])
+    @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
+    def test_rows_are_the_simulated_rows(self, csi, K):
+        # one value for every pair Monte Carlo scores, and only those; which
+        # form fills each row is checked through the CLI in test_cli.py
+        c = cfg(K=K, csi=csi)
+        assert analytic.closed_forms(c).keys() == montecarlo.simulate_many(c, 1000, 1).keys()

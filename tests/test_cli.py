@@ -564,25 +564,38 @@ class TestVerify:
 
 @pytest.fixture
 def evaluator_calls(monkeypatch):
-    """(scheme, column, quad_orders) of every call through cli._EVALUATORS,
-    in call order; column 0 is outage and column 1 secrecy."""
+    """(scheme, column, quad_orders) of every call to one of analytic's public
+    outage_* and secrecy_* forms, in call order; column 0 is outage and
+    column 1 secrecy. Each form is patched as a module attribute, the way
+    perfbench's tracer counts them."""
     calls = []
 
-    def counting(scheme, column, evaluator):
+    def counting(name, evaluator):
+        kind, scheme = name.split("_")[:2]
+
         def call(config):
-            calls.append((scheme, column, config.quad_orders))
+            calls.append((scheme, int(kind == "secrecy"), config.quad_orders))
             return evaluator(config)
         return call
 
-    monkeypatch.setattr(cli, "_EVALUATORS", {
-        (scheme, csi): tuple(counting(scheme, column, f) for column, f in enumerate(pair))
-        for (scheme, csi), pair in cli._EVALUATORS.items()})
+    for name in dir(analytic):
+        if name.startswith(("outage_", "secrecy_")):
+            monkeypatch.setattr(analytic, name, counting(name, getattr(analytic, name)))
     return calls
 
 
 class TestClosedFormCalls:
     """sweep and verify run each closed form once per scheme at a point:
     both secrecy metrics read one secrecy value."""
+
+    def test_cli_names_no_evaluator_or_csi_mode(self):
+        # analytic.closed_forms picks the closed form of every row; cli pairs
+        # its values with Monte Carlo whatever the CSI mode
+        with open(cli.__file__, encoding="utf-8") as fh:
+            source = fh.read()
+        assert "closed_forms(" in source
+        assert not re.findall(r"_EVALUATORS|\b(?:outage|secrecy)_\w+|\bCSI_\w+"
+                              r"|\b(?:imperfect|perfect|sos)\b", source)
 
     @staticmethod
     def once(k, orders=DEFAULT_QUAD_ORDERS):
