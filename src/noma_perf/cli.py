@@ -122,12 +122,16 @@ def verify(settings: Settings):
     rows = _point(settings, cfg, (montecarlo.METRIC_OUTAGE,
                                   montecarlo.METRIC_SECRECY_SURROGATE), 0)
 
-    # doubling every quadrature order must not move any checked value
+    # doubling every quadrature order must not move any checked value, in
+    # absolute terms or relative to the doubled value (floored at 1e-12)
     doubled = analytic.closed_forms(
         cfg.replace(quad_orders=tuple(2 * o for o in cfg.quad_orders)))
-    drift = max(abs(a - doubled[pair]) for pair, (a, _) in rows.items())
-    ok &= _check(lines, "quadrature-convergence", drift < 1e-3,
-                 f"all-order doubling drift {drift:.3e} over {len(rows)} values, bound 1e-3")
+    moves = [(abs(a - doubled[pair]), abs(doubled[pair])) for pair, (a, _) in rows.items()]
+    drift = max(move for move, _ in moves)
+    rel = max(move / max(value, 1e-12) for move, value in moves)
+    ok &= _check(lines, "quadrature-convergence", drift < 1e-3 and rel < 1e-3,
+                 f"all-order doubling drift {drift:.3e}, rel {rel:.3e}, "
+                 f"over {len(rows)} values, bound 1e-3 on each")
 
     rel_bound = 0.05 if settings.rho_db >= 20 else 0.10
     for (scheme, metric), (a, est) in rows.items():

@@ -95,8 +95,11 @@ def system_config(settings: Settings, **override) -> SystemConfig:
     rho_db = fields["rho"]
     try:
         fields["rho"] = 10.0 ** (rho_db / 10.0)
+    except OverflowError:
+        fields["rho"] = math.inf
+    if not 0.0 < fields["rho"] < math.inf:  # nan too
+        raise ConfigError(f"rho_db = {rho_db:g} gives no finite positive linear SNR")
+    try:
         return SystemConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    except OverflowError as exc:
-        raise ConfigError(f"rho_db = {rho_db:g} overflows the linear SNR") from exc

@@ -294,22 +294,22 @@ def _workspace(config: SystemConfig, rows: int) -> np.ndarray:
 
 
 def _run_batch(config, seed, stream, index, size, workspace):
-    """{pair: (sum, sum of squares)} of every pair's per-trial values over
-    batch `index`, drawn and scored in `workspace` (`_workspace`), whose
+    """(pairs, sums) of batch `index`: `_score_batch`'s pairs, in its order,
+    and a (len(pairs), 2) array of each one's (sum, sum of squares) of
+    per-trial values, drawn and scored in `workspace` (`_workspace`), whose
     last 2 `_CHUNK` floats are the generator's scratch."""
     rng = _SplitMix64(_batch_key(seed, stream, index), workspace[-2 * _CHUNK:])
     gains = sample_batch(config, rng, size, workspace)[2]
     values = _score_batch(config, gains, workspace[config.K * size:])
-    sums = {}
-    for pair, v in values.items():
+    sums = np.empty((len(values), 2))
+    for row, v in zip(sums, values.values()):
         if v.dtype == bool:  # an exact count, and a flag squares to itself
-            total = float(np.count_nonzero(v))
-            sums[pair] = (total, total)
+            row[:] = np.count_nonzero(v)
             continue
-        total = float(np.add.reduce(v))
+        row[0] = np.add.reduce(v)
         v *= v  # read no more
-        sums[pair] = (total, float(np.add.reduce(v)))
-    return sums
+        row[1] = np.add.reduce(v)
+    return tuple(values), sums
 
 
 def _wilson_half_width(successes: float, n: int) -> float:
@@ -394,16 +394,11 @@ def simulate_many(config: SystemConfig, trials: int, seed: int,
     if errors:
         raise errors[0]
 
-    totals = {pair: [0.0, 0.0] for pair in parts[0]}
-    for part in parts:  # fixed reduction order, independent of workers
-        for pair, (s, s2) in part.items():
-            acc = totals[pair]
-            acc[0] += s
-            acc[1] += s2
+    totals = sum(sums for _, sums in parts)  # in batch order, whatever the workers
 
     n = trials
     estimates = {}
-    for (scheme, metric_kind), (total, total_sq) in totals.items():
+    for (scheme, metric_kind), (total, total_sq) in zip(parts[0][0], totals.tolist()):
         if metric_kind == METRIC_OUTAGE:
             hw = _wilson_half_width(total, n)
         else:

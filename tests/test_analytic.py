@@ -16,7 +16,7 @@ from scipy import integrate
 from noma_perf import analytic, montecarlo
 from noma_perf.channel import _ETA_FLOOR, DEFAULT_QUAD_ORDERS, SystemConfig, sample_batch
 from noma_perf.config import Settings, system_config
-from asymptotes import distance_ranked_limit, estimate_ranked_limit
+from asymptotes import distance_ranked_limit, estimate_ranked_limit, outage_series
 from paper_form import distance_order_pdf, paper_gap_mean, paper_sos_k2, weak_compositions
 
 
@@ -595,6 +595,16 @@ class TestLargeKLimits:
         assert analytic.secrecy_noma_imperfect(c) == pytest.approx(limit, rel=1e-6)
         assert analytic.secrecy_oma_imperfect(c) == pytest.approx(limit / 2.0, rel=1e-6)
 
+    @pytest.mark.parametrize("eta", [2.0, 3.0])
+    def test_estimate_ranked_approach_rate(self, eta):
+        # at sigma2 > 0 the value nears its limit as K^(-eta/2): ten times
+        # the users leave 10^(-eta/2) of the deviation (9.991 and 31.57 here)
+        for fn, limit in ((analytic.secrecy_noma_imperfect, estimate_ranked_limit(eta)),
+                          (analytic.secrecy_oma_imperfect, estimate_ranked_limit(eta) / 2.0)):
+            deviation = [fn(cfg(K=K, rho_db=200.0, sigma2=0.001, eta=eta)) - limit
+                         for K in (1000, 10_000)]
+            assert deviation[0] / deviation[1] == pytest.approx(10.0 ** (eta / 2.0), rel=0.01)
+
     @pytest.mark.parametrize("eta", [_ETA_FLOOR, 1.5, 2.0, 3.0])
     def test_distance_ranked_limit(self, eta):
         # +1.1e-8 at eta = 1, -2.4e-7 at 1.5, +4.0e-10 at 2 and +2.2e-9 at 3;
@@ -605,6 +615,27 @@ class TestLargeKLimits:
         limit = distance_ranked_limit(eta)
         assert analytic.secrecy_noma_sos(c) == pytest.approx(limit, rel=1e-6)
         assert analytic.secrecy_oma_sos(c) == pytest.approx(limit / 2.0, rel=1e-6)
+
+
+class TestHighSNROutageSeries:
+    """Every CSI mode's outage against the power series of its single-user
+    CDF (tests/asymptotes.py), which needs no quadrature. The series keeps
+    full relative precision where 1 - S^K cancels; at 110 dB that
+    cancellation (ROADMAP item 3) misses it by 2e-6 to 9e-6."""
+
+    CANCELS = pytest.mark.xfail(strict=True, reason="1 - S^K cancels at small outage "
+                                "(ROADMAP item 3)")
+
+    @pytest.mark.parametrize("rho_db", [50.0, 70.0, 90.0, pytest.param(110.0, marks=CANCELS)])
+    @pytest.mark.parametrize("csi,K", [("imperfect", 8), ("perfect", 8), ("sos", 2)])
+    def test_outage_matches_series(self, csi, K, rho_db):
+        # worst 1.5e-7 at 90 dB
+        c = cfg(K=K, rho_db=rho_db, csi=csi)
+        values = analytic.closed_forms(c)
+        for scheme, threshold in (("noma", c.eps_multicast), ("oma", c.eps_multicast_oma)):
+            series = outage_series(c, threshold)
+            # relative alone: at 110 dB the values are near 1e-10
+            assert abs(values[(scheme, montecarlo.METRIC_OUTAGE)] - series) <= 1e-6 * series
 
 
 # -- the closed form of each row ---------------------------------------------

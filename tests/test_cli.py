@@ -402,6 +402,18 @@ class TestVerify:
         assert 0.1 < float(rel.group(1)) < 1.0
         assert "verify: FAILED" in out
 
+    def test_relative_drift_is_caught(self, tmp_path, monkeypatch):
+        # at order 4 on the estimate survival and 60 dB the NOMA outage,
+        # 6.1e-5, moves by 1.1e-5 under doubling: below 1e-3 absolute, but
+        # 22% of the value
+        monkeypatch.setattr(cli, "system_config", lambda settings, **point: system_config(
+            settings, **point).replace(quad_orders=(4,) + DEFAULT_QUAD_ORDERS[1:]))
+        path = write_cfg(tmp_path, "rho_db = 60\ntrials = 2000\n")
+        _, report = verify(parse_config(path))
+        line = re.search(r"^quadrature-convergence: FAIL \(all-order doubling drift (\S+), "
+                         r"rel (\S+), over 4 values, bound 1e-3 on each\)$", report, re.M)
+        assert float(line.group(1)) < 1e-3 < 0.1 < float(line.group(2))
+
     @pytest.mark.parametrize("eta", ["1", "1.5", "2", "6"])
     def test_quadrature_selftest_reading_ignores_cell_radius(self, tmp_path, monkeypatch, eta):
         # the self-test integrates 2w e^(-45 w^eta) whatever D is, so its
@@ -733,12 +745,17 @@ class TestExitCodes:
         assert ":1: bad value for 'k_values'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("snr", ["inf", "1e4"])
+    @pytest.mark.parametrize("snr", ["inf", "1e4", "nan", "-inf", "-4000"])
     def test_unrepresentable_snr_is_a_config_error(self, tmp_path, capsys, snr):
+        # rho is derived from rho_db, so the message names rho_db and its value
+        message = f"rho_db = {float(snr):g} gives no finite positive linear SNR"
+        out = tmp_path / "x.csv"
         path = write_cfg(tmp_path, f"snr_db = 30,{snr}\ntrials = 500\n")
-        assert main(["sweep", "--config", path,
-                     "--out", str(tmp_path / "x.csv")]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: snr_db entry '{snr}': {message}\n"
+        assert not out.exists()
+        assert main(["verify", "--config", write_cfg(tmp_path, f"rho_db = {snr}\n")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     @pytest.mark.parametrize("text,message", [

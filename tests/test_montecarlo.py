@@ -326,11 +326,11 @@ class TestWorkspace:
         # a full batch, then the partial one of rows + 137 trials, three times
         for _ in range(3):
             for index, size in ((0, rows), (1, 137)):
-                reused = montecarlo._run_batch(c, 28, 1, index, size, workspace).values()
-                fresh = montecarlo._run_batch(c, 28, 1, index, size,
-                                              montecarlo._workspace(c, size)).values()
-                assert [(s.hex(), s2.hex()) for s, s2 in reused] == \
-                    [(s.hex(), s2.hex()) for s, s2 in fresh]
+                pairs, reused = montecarlo._run_batch(c, 28, 1, index, size, workspace)
+                fresh_pairs, fresh = montecarlo._run_batch(c, 28, 1, index, size,
+                                                           montecarlo._workspace(c, size))
+                assert pairs == fresh_pairs
+                assert reused.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("K", [1, 2, 3, 8, 40])
     @pytest.mark.parametrize("csi", ["imperfect", "perfect", "sos"])
