@@ -46,20 +46,20 @@ def _axis_points(settings: Settings, axis: str):
     return points
 
 
-def _point(settings: Settings, cfg, metrics, stream: int) -> dict:
-    """{(scheme, metric): (analytic value, MetricEstimate)} at one point.
+def _point(settings: Settings, cfg, metrics, stream: int):
+    """({(scheme, metric): (analytic value, MetricEstimate)}, draw) at one point.
 
-    Rows run metric by metric, NOMA before OMA, and every estimate is
-    scored from one Monte Carlo stream. A row of `metrics` that the stream
-    does not score (secrecy at K < 2) is left out.
+    Rows run metric by metric, NOMA before OMA, and every estimate is scored
+    from one Monte Carlo stream, the draw (`montecarlo.run_batches`). A row
+    of `metrics` the stream does not score (secrecy at K < 2) is left out.
     """
-    estimates = montecarlo.simulate_many(
-        cfg, settings.trials, settings.seed, workers=settings.workers, stream=stream,
-    )
+    draw = montecarlo.run_batches(cfg, montecarlo.batch_sizes(cfg.K, settings.trials),
+                                  settings.seed, settings.workers, stream)
+    estimates = montecarlo.reduce_batches(*draw, settings.trials)
     values = analytic.closed_forms(cfg)
     return {(scheme, metric): (values[(scheme, metric)], estimates[(scheme, metric)])
             for metric in metrics for scheme in montecarlo.SCHEMES
-            if (scheme, metric) in estimates}
+            if (scheme, metric) in estimates}, draw
 
 
 def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
@@ -77,7 +77,7 @@ def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
     with fh:
         rows = []
         for stream, (axis_name, token, cfg) in enumerate(points):
-            point = _point(settings, cfg, _SWEEP_METRICS, stream)
+            point, _ = _point(settings, cfg, _SWEEP_METRICS, stream)
             for metric in _SWEEP_METRICS:
                 for scheme in montecarlo.SCHEMES:
                     if (scheme, metric) not in point:
@@ -119,8 +119,8 @@ def verify(settings: Settings):
                  f"rel err {rel:.3e}, bound 1e-3")
 
     # analytic outage and secrecy against one shared simulation sample
-    rows = _point(settings, cfg, (montecarlo.METRIC_OUTAGE,
-                                  montecarlo.METRIC_SECRECY_SURROGATE), 0)
+    rows, (pairs, sums) = _point(settings, cfg, (montecarlo.METRIC_OUTAGE,
+                                                 montecarlo.METRIC_SECRECY_SURROGATE), 0)
 
     # doubling every quadrature order must not move any checked value, in
     # absolute terms or relative to the doubled value (floored at 1e-12)
@@ -170,12 +170,17 @@ def verify(settings: Settings):
                  f"{gains.size} gains from eps/rho to 1e12 eps/rho, {outages} in outage, "
                  f"max rate error {worst:.3e}, theta sums exact: {theta_exact}")
 
-    # repeated simulation with one seed must agree bit for bit in every
-    # pair; two batches, so two worker threads split the work
-    trials = 2 * montecarlo.batch_rows(cfg.K)
-    runs = [montecarlo.simulate_many(cfg, trials, settings.seed, workers=w) for w in (1, 2)]
-    a1, a2 = (run[("noma", montecarlo.METRIC_OUTAGE)].value for run in runs)
-    ok &= _check(lines, "determinism", runs[0] == runs[1], f"value {a1:.12g} vs {a2:.12g}")
+    # batches 0 and 1 of stream 0, drawn by one worker and by two, must give
+    # every pair's sums bit for bit; once the point holds both, its draw is
+    # the side it matches (two workers put batch 1 on a thread of its own)
+    R = montecarlo.batch_rows(cfg.K)
+    drawn = min(settings.workers, 2) if settings.trials >= 2 * R else 0
+    sides = [sums[:2] if w == drawn else montecarlo.run_batches(cfg, [R, R], settings.seed, w)[1]
+             for w in (1, 2)]
+    a1, a2 = (montecarlo.reduce_batches(pairs, side, 2 * R)[("noma", montecarlo.METRIC_OUTAGE)]
+              .value for side in sides)
+    ok &= _check(lines, "determinism", sides[0].tobytes() == sides[1].tobytes(),
+                 f"value {a1:.12g} vs {a2:.12g}")
 
     return ok, "\n".join(lines)
 

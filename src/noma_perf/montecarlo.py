@@ -4,29 +4,18 @@ Trials are generated in batches of `batch_rows(K)` rows: 10k rows up to
 K = 8, and 80k // K rows above it, so a batch holds at most 80k gains
 (`SystemConfig` refuses K above 80k). Batch i of a stream draws from its
 own counter-based generator (`_SplitMix64`), keyed by (seed, stream, i)
-alone (`_batch_key`), and batch results are reduced in batch order. The
-estimate is therefore bit-identical across runs and across worker counts
-for a fixed seed and stream.
+alone (`_batch_key`). A job is a plan (`batch_sizes`), a runner
+(`run_batches`: each worker thread draws and scores its batches in one
+`_workspace`, so no batch allocates an array) and a reducer
+(`reduce_batches`, in batch order), so an estimate is bit-identical across
+runs and worker counts for a fixed seed and stream.
 
-Each worker thread of a job draws and scores all of its batches in one
-workspace (`_workspace`) of at most 3 * BATCH_ELEMENTS floats plus the
-generator's scratch, so no batch allocates an array; draws and ufuncs give
-the same bits into it as into new arrays.
-
-Each batch draws only the gains the scheduler ranks (`channel.sample_batch`):
-estimates, in draw order, under imperfect and perfect CSI; true gains,
-nearest-first, under statistical CSI. The batch is user-major, so each
-user's gains are contiguous for the scorer's reductions over users.
-
-Every batch scores every metric: one straight-line kernel (`_score_batch`)
-gives each distinct per-trial array once, from the roles `schedule` gives
-each row (weakest decision gain, the gain driving the power split, target,
+Every batch scores every metric from the gains the scheduler ranks
+(`channel.sample_batch`): one straight-line kernel (`_score_batch`) gives
+each distinct per-trial array once, from the roles `schedule` gives each
+row (weakest decision gain, the gain driving the power split, target,
 eavesdropper). `simulate_many` reduces all of them and returns every valid
 (scheme, metric) pair; `simulate` returns one of those estimates.
-Under estimate ranking the target and eavesdropper are the row maximum
-and second maximum, found by one column loop without ranking the rest;
-they are exact copies of gains, so the values are the bits of scoring
-each pair on its own after a full sort.
 
 Two secrecy metrics exist side by side:
 
@@ -57,6 +46,11 @@ METRIC_OUTAGE = "outage_prob"
 METRIC_SECRECY = "secrecy_throughput"
 METRIC_SECRECY_SURROGATE = "secrecy_throughput_surrogate"
 METRIC_KINDS = (METRIC_OUTAGE, METRIC_SECRECY, METRIC_SECRECY_SURROGATE)
+
+# the pairs `_score_batch` scores, in a sweep's row order; the first two at K = 1
+_SCORED = ((SCHEME_NOMA, METRIC_OUTAGE), (SCHEME_OMA, METRIC_OUTAGE),
+           (SCHEME_NOMA, METRIC_SECRECY_SURROGATE), (SCHEME_OMA, METRIC_SECRECY_SURROGATE),
+           (SCHEME_NOMA, METRIC_SECRECY))
 
 BATCH_SIZE = 10_000  # rows of a batch up to K = 8; BATCH_ELEMENTS gains above it
 
@@ -210,12 +204,12 @@ def schedule(config: SystemConfig, gains: np.ndarray, out):
 _VECTORS = 6
 
 
-def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -> dict:
+def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -> tuple:
     """Per-trial values of every distinct (scheme, metric_kind) array for one batch.
 
     `gains` are the ranked gains of `sample_batch`: estimates in any order,
-    or true gains nearest-first under statistical CSI. Returns
-    {pair: array}, in a sweep's row order: bool flags for the two outage
+    or true gains nearest-first under statistical CSI. Returns one array
+    per pair of `_SCORED`, in its order: bool flags for the two outage
     pairs and, at K >= 2, float scores for the NOMA and OMA surrogates and
     the NOMA exact secrecy; OMA's exact secrecy is its surrogate. The
     scheduler's roles (`schedule`), the NOMA outage mask and rho times the
@@ -229,13 +223,10 @@ def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -
     ok, noma_outage, oma_outage = flags.view(bool)[:3 * rows].reshape(3, rows)
     weakest, driving, target, eave = schedule(config, gains, (weakest, top, second, spare))
     np.greater_equal(weakest, eps / rho, out=ok)  # every user decodes the NOMA multicast
-    values = {
-        (SCHEME_NOMA, METRIC_OUTAGE): np.logical_not(ok, out=noma_outage),
-        (SCHEME_OMA, METRIC_OUTAGE): np.less(weakest, config.eps_multicast_oma / rho,
-                                             out=oma_outage),
-    }
+    outages = (np.logical_not(ok, out=noma_outage),
+               np.less(weakest, config.eps_multicast_oma / rho, out=oma_outage))
     if driving is None:  # K = 1: no eavesdropper, so no secrecy score
-        return values
+        return outages
 
     # exact secrecy: the realized split's unicast share; a trial that is
     # not ok scores 0 whatever share the split gives it
@@ -261,10 +252,7 @@ def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -
     rho_target += nu
     rho_eave += nu
     rho_target /= rho_eave
-    values[(SCHEME_NOMA, METRIC_SECRECY_SURROGATE)] = _secrecy_rate(rho_target, ok)
-    values[(SCHEME_OMA, METRIC_SECRECY_SURROGATE)] = oma
-    values[(SCHEME_NOMA, METRIC_SECRECY)] = noma_exact
-    return values
+    return (*outages, _secrecy_rate(rho_target, ok), oma, noma_exact)
 
 
 def _secrecy_rate(ratio, ok):
@@ -293,30 +281,20 @@ def _workspace(config: SystemConfig, rows: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * floats), dtype=float)
 
 
-def _run_batch(config, seed, stream, index, size, workspace):
-    """(pairs, sums) of batch `index`: `_score_batch`'s pairs, in its order,
-    and a (len(pairs), 2) array of each one's (sum, sum of squares) of
-    per-trial values, drawn and scored in `workspace` (`_workspace`), whose
-    last 2 `_CHUNK` floats are the generator's scratch."""
+def _run_batch(config, seed, stream, index, size, workspace, out):
+    """Draw and score batch `index` in `workspace` (`_workspace`), whose last
+    2 `_CHUNK` floats are the generator's scratch, and write each scored
+    pair's (sum, sum of squares) of per-trial values into its row of `out`,
+    a (pairs, 2) float array in `_SCORED` order."""
     rng = _SplitMix64(_batch_key(seed, stream, index), workspace[-2 * _CHUNK:])
     gains = sample_batch(config, rng, size, workspace)[2]
-    values = _score_batch(config, gains, workspace[config.K * size:])
-    sums = np.empty((len(values), 2))
-    for row, v in zip(sums, values.values()):
+    for row, v in zip(out, _score_batch(config, gains, workspace[config.K * size:])):
         if v.dtype == bool:  # an exact count, and a flag squares to itself
             row[:] = np.count_nonzero(v)
             continue
         row[0] = np.add.reduce(v)
         v *= v  # read no more
         row[1] = np.add.reduce(v)
-    return tuple(values), sums
-
-
-def _wilson_half_width(successes: float, n: int) -> float:
-    p = successes / n
-    z2 = _Z95 * _Z95
-    denom = 1.0 + z2 / n
-    return _Z95 * np.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
 
 
 def check_run(trials, seed, workers, stream=0) -> None:
@@ -333,8 +311,6 @@ def simulate(config: SystemConfig, scheme: str, metric_kind: str, trials: int,
              seed: int, workers: int = 1, stream: int = 0) -> MetricEstimate:
     """Estimate one metric by simulation, with a 95% half width.
 
-    Outage probabilities get a Wilson interval (stays informative when the
-    empirical rate hits 0 or 1); throughputs get the normal approximation.
     `stream` selects an independent substream under the same seed. This is
     the (scheme, metric_kind) entry of `simulate_many`; an unknown pair, or
     secrecy at K < 2, is refused before any draw.
@@ -358,15 +334,28 @@ def simulate_many(config: SystemConfig, trials: int, seed: int,
     every pair, so a sweep draws one stream per axis point.
     """
     check_run(trials, seed, workers, stream)
-    rows = batch_rows(config.K)
-    sizes = [rows] * (trials // rows)
-    if trials % rows:
-        sizes.append(trials % rows)
+    return reduce_batches(*run_batches(config, batch_sizes(config.K, trials), seed,
+                                       workers, stream), trials)
 
-    # worker w runs batches w, w + workers, ... in one workspace; the
-    # caller's thread is worker 0, and no worker is left without a batch
+
+def batch_sizes(K: int, trials: int) -> list:
+    """Rows of each batch of a `trials`-row job: `batch_rows(K)`, the last partial."""
+    rows = batch_rows(K)
+    return [rows] * (trials // rows) + ([trials % rows] if trials % rows else [])
+
+
+def run_batches(config: SystemConfig, sizes, seed: int, workers: int = 1, stream: int = 0):
+    """(pairs, sums) of `stream`'s batches of `sizes` rows: `_score_batch`'s
+    pairs, in its order, and a (batches, pairs, 2) float64 array of each
+    batch's (sum, sum of squares) of each pair's values, whatever `workers`.
+
+    Worker w of n = min(workers, batches) runs batches w, w + n, ... in one
+    workspace; the caller's thread is worker 0. A worker's exception is
+    raised here once every started worker has been joined.
+    """
+    pairs = _SCORED if config.K >= 2 else _SCORED[:2]
+    sums = np.empty((len(sizes), len(pairs), 2))
     workers = min(workers, len(sizes))
-    parts = [None] * len(sizes)
     errors = []
 
     def work(w):
@@ -375,7 +364,7 @@ def simulate_many(config: SystemConfig, trials: int, seed: int,
             for i in range(w, len(sizes), workers):
                 if errors:  # another worker failed; stop early
                     return
-                parts[i] = _run_batch(config, seed, stream, i, sizes[i], workspace)
+                _run_batch(config, seed, stream, i, sizes[i], workspace, sums[i])
         except BaseException as exc:  # raised again in the caller below
             errors.append(exc)
 
@@ -393,18 +382,24 @@ def simulate_many(config: SystemConfig, trials: int, seed: int,
         thread.join()
     if errors:
         raise errors[0]
+    return pairs, sums
 
-    totals = sum(sums for _, sums in parts)  # in batch order, whatever the workers
 
-    n = trials
+def reduce_batches(pairs, sums, trials: int) -> dict:
+    """{pair: MetricEstimate} of `trials` trials from `run_batches`' (pairs, sums),
+    added in batch order from 0. An outage gets a Wilson interval (informative
+    at a rate of 0 or 1), a throughput the normal one; OMA's exact secrecy,
+    when scored, is its surrogate's estimate."""
+    n, z2 = trials, _Z95 * _Z95
     estimates = {}
-    for (scheme, metric_kind), (total, total_sq) in zip(parts[0][0], totals.tolist()):
+    for (scheme, metric_kind), (total, total_sq) in zip(pairs, sum(sums).tolist()):
         if metric_kind == METRIC_OUTAGE:
-            hw = _wilson_half_width(total, n)
+            p = total / n
+            hw = _Z95 * np.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / (1.0 + z2 / n)
         else:
             var = max(0.0, (total_sq - total * total / n) / (n - 1))
             hw = _Z95 * np.sqrt(var / n)
         estimates[(scheme, metric_kind)] = MetricEstimate(float(total / n), float(hw), n)
-    if config.K >= 2:  # no power split under OMA, so its exact secrecy is its surrogate
+    if len(pairs) > 2:  # no power split under OMA, so its exact secrecy is its surrogate
         estimates[(SCHEME_OMA, METRIC_SECRECY)] = estimates[(SCHEME_OMA, METRIC_SECRECY_SURROGATE)]
     return estimates

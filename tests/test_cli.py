@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -460,14 +461,13 @@ class TestVerify:
 
     def test_no_scored_trial_fails_a_large_analytic_value(self, tmp_path, monkeypatch):
         # the floor is 3 / trials: an analytic value above it still fails
-        simulate_many = montecarlo.simulate_many
+        reduce_batches = montecarlo.reduce_batches
 
-        def scores_nothing(config, trials, seed, workers=1, stream=0):
+        def scores_nothing(pairs, sums, trials):
             return {pair: est._replace(value=0.0) if pair[1] != montecarlo.METRIC_OUTAGE
-                    else est for pair, est in simulate_many(config, trials, seed,
-                                                            workers, stream).items()}
+                    else est for pair, est in reduce_batches(pairs, sums, trials).items()}
 
-        monkeypatch.setattr(montecarlo, "simulate_many", scores_nothing)
+        monkeypatch.setattr(montecarlo, "reduce_batches", scores_nothing)
         ok, report = verify(parse_config(write_cfg(tmp_path, "k = 3\ntrials = 2000\n")))
         assert not ok
         assert re.search(r"^secrecy-vs-mc-noma: FAIL \(analytic \S+, mc 0, abs err \S+, "
@@ -514,21 +514,69 @@ class TestVerify:
         verify(parse_config(write_cfg(tmp_path, "k = 400\ntrials = 2000\n")))
         assert elements and max(elements) <= montecarlo.BATCH_ELEMENTS
 
-    def test_determinism_check_runs_two_batches(self, tmp_path, monkeypatch):
-        # 2 * 200 trials at K = 400, not a fixed 20,000; still 20,000 at K <= 8
-        calls = []
-        simulate_many = montecarlo.simulate_many
+    @staticmethod
+    def batches_drawn(tmp_path, monkeypatch, trials):
+        """(rows, on the caller's thread) of every batch a passing K = 400
+        verify of `trials` trials draws, in call order; a batch is 200 rows."""
+        draws = []
+        sample_batch = montecarlo.sample_batch
 
-        def recording_simulate_many(config, trials, seed, workers=1, stream=0):
-            calls.append((trials, workers))
-            return simulate_many(config, trials, seed, workers=workers, stream=stream)
+        def recording_sample_batch(config, rng, size, *workspace):
+            draws.append((size, threading.current_thread() is threading.main_thread()))
+            return sample_batch(config, rng, size, *workspace)
 
-        monkeypatch.setattr(montecarlo, "simulate_many", recording_simulate_many)
-        _, report = verify(parse_config(write_cfg(tmp_path, "k = 400\ntrials = 2000\n")))
-        # the point's shared sample, then the determinism check's two runs
-        assert calls == [(2000, 1), (400, 1), (400, 2)]
+        monkeypatch.setattr(montecarlo, "sample_batch", recording_sample_batch)
+        _, report = verify(parse_config(write_cfg(tmp_path, f"k = 400\ntrials = {trials}\n")))
         assert "determinism: PASS" in report
+        return draws
+
+    def test_determinism_check_runs_two_batches(self, tmp_path, monkeypatch):
+        # 2 * 200 trials at K = 400, not a fixed 20,000; still 20,000 at K <= 8.
+        # The point drew batches 0 and 1 on one worker, so its sums stand in
+        # for the check's one-worker side, and only the two-worker side is
+        # drawn: batch 0 on the caller's thread, batch 1 on another
+        draws = self.batches_drawn(tmp_path, monkeypatch, 2000)
+        assert draws[:10] == [(200, True)] * 10
+        assert sorted(draws[10:]) == [(200, False), (200, True)]
         assert 2 * montecarlo.batch_rows(8) == 20_000
+
+    def test_determinism_check_draws_both_sides_below_two_batches(self, tmp_path, monkeypatch):
+        # 300 trials are batches of 200 and 100 rows, so the check draws both
+        # of its sides: one worker, then two
+        draws = self.batches_drawn(tmp_path, monkeypatch, 300)
+        assert draws[:4] == [(200, True), (100, True), (200, True), (200, True)]
+        assert sorted(draws[4:]) == [(200, False), (200, True)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trials", [25_000, 5_000])  # above 2R (the point's sums reused), below R
+    def test_determinism_catches_a_thread_dependent_draw(self, tmp_path, monkeypatch, trials,
+                                                         workers):
+        # a draw that halves its gains off the caller's thread: only two
+        # workers see it, whichever side the point's draw stands in for
+        def off_thread_fault(config, rng, size, *workspace):
+            arrays = sample_batch(config, rng, size, *workspace)
+            if threading.current_thread() is not threading.main_thread():
+                arrays[2][...] *= 0.5
+            return arrays
+
+        sample_batch = montecarlo.sample_batch
+        monkeypatch.setattr(montecarlo, "sample_batch", off_thread_fault)
+        path = write_cfg(tmp_path, f"trials = {trials}\nworkers = {workers}\n")
+        ok, report = verify(parse_config(path))
+        assert not ok
+        assert re.search(r"^determinism: FAIL \(value \S+ vs \S+\)$", report, re.M)
+
+    @pytest.mark.parametrize("trials", [5_000, 15_000, 25_137])
+    def test_report_does_not_depend_on_workers(self, tmp_path, capsys, trials):
+        # below one batch, between one and two, and above two with a partial
+        # last one (K = 8): at 25,137 a multi-worker point's sums are reused
+        path = write_cfg(tmp_path, f"trials = {trials}\n")
+        runs = []
+        for workers in ("1", "2", "3"):
+            runs.append((main(["verify", "--config", path, "--workers", workers]),
+                         capsys.readouterr()))
+        assert runs[0][0] == 0 and "determinism: PASS" in runs[0][1].out
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_k_above_batch_elements_exits_before_any_draw(self, tmp_path, capsys, sample_calls):
         path = write_cfg(tmp_path, "k = 80001\ntrials = 2000\n")

@@ -310,8 +310,9 @@ def valid_pairs(c):
 
 
 def score(c, gains):
-    """_score_batch of a (rows, K) batch in a scratch of its own."""
-    return _score_batch(c, gains, np.empty(montecarlo._VECTORS * len(gains)))
+    """{pair: array} of _score_batch on a (rows, K) batch in a scratch of its own."""
+    return dict(zip(montecarlo._SCORED,
+                    _score_batch(c, gains, np.empty(montecarlo._VECTORS * len(gains)))))
 
 
 class TestWorkspace:
@@ -323,13 +324,15 @@ class TestWorkspace:
         c = cfg(K=K, rho_db=20.0, csi=csi)
         rows = batch_rows(K)
         workspace = montecarlo._workspace(c, rows)
-        # a full batch, then the partial one of rows + 137 trials, three times
+        # a full batch, then the partial one of rows + 137 trials, three times;
+        # the sums start as NaN, so a row left unwritten shows
         for _ in range(3):
             for index, size in ((0, rows), (1, 137)):
-                pairs, reused = montecarlo._run_batch(c, 28, 1, index, size, workspace)
-                fresh_pairs, fresh = montecarlo._run_batch(c, 28, 1, index, size,
-                                                           montecarlo._workspace(c, size))
-                assert pairs == fresh_pairs
+                reused, fresh = np.full((2, len(valid_pairs(c)) - (K >= 2), 2), np.nan)
+                montecarlo._run_batch(c, 28, 1, index, size, workspace, reused)
+                montecarlo._run_batch(c, 28, 1, index, size, montecarlo._workspace(c, size),
+                                      fresh)
+                assert not np.isnan(reused).any()
                 assert reused.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("K", [1, 2, 3, 8, 40])
@@ -368,6 +371,43 @@ def record_threads(monkeypatch):
 
     monkeypatch.setattr(montecarlo.threading, "Thread", Recorded)
     return started
+
+
+class TestPlanRunnerReducer:
+    """simulate_many is the plan, the runner and the reducer in turn."""
+
+    def test_plan(self):
+        assert montecarlo.batch_sizes(8, 5_000) == [5_000]
+        assert montecarlo.batch_sizes(8, 2 * BATCH_SIZE) == [BATCH_SIZE] * 2
+        assert montecarlo.batch_sizes(40, 4_123) == [2_000, 2_000, 123]
+
+    @pytest.mark.parametrize("csi,K", [("imperfect", 8), ("perfect", 3), ("sos", 2),
+                                       ("sos", 1), ("imperfect", 40)])
+    def test_sums_keep_their_bits_and_fold_to_simulate_many(self, csi, K):
+        c = cfg(K=K, csi=csi)
+        trials = 3 * batch_rows(K) + 137  # a partial last batch
+        sizes = montecarlo.batch_sizes(K, trials)
+        pairs, sums = montecarlo.run_batches(c, sizes, 35, stream=4)
+        assert sums.shape == (4, len(pairs), 2) and sums.dtype == np.float64
+        assert list(pairs) == [p for p in valid_pairs(c) if p != OMA_EXACT]
+        for workers in (2, 3):
+            again, threaded = montecarlo.run_batches(c, sizes, 35, workers, stream=4)
+            assert again == pairs and threaded.tobytes() == sums.tobytes()
+        totals = 0
+        for batch in sums:  # a left fold from 0, in batch order
+            totals = totals + batch
+        many = simulate_many(c, trials, 35, stream=4)
+        assert montecarlo.reduce_batches(pairs, sums, trials) == many
+        assert list(many) == valid_pairs(c)
+        for pair, (total, _) in zip(pairs, totals):
+            assert many[pair].value == total / trials
+
+    def test_each_batch_is_its_own_job(self):
+        # a batch's sums depend on (seed, stream, index) and its rows alone
+        c = cfg(K=4)
+        _, sums = montecarlo.run_batches(c, [BATCH_SIZE, BATCH_SIZE, 77], 36, 2)
+        _, first_two = montecarlo.run_batches(c, [BATCH_SIZE] * 2, 36)
+        assert first_two.tobytes() == sums[:2].tobytes()
 
 
 class TestWorkerThreads:
