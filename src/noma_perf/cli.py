@@ -98,6 +98,22 @@ def _check(lines, name, ok, detail):
     return ok
 
 
+def _check_power_split(lines, cfg):
+    """The power split must hit the multicast target exactly when feasible,
+    on gains from the threshold eps/rho up to 1e12 times it; eps/rho has
+    power_split's bits, so the first gain tests its boundary. A function of
+    its own, so its arrays are freed before verify's next Monte Carlo draw."""
+    threshold = cfg.eps_multicast / cfg.rho
+    gains = threshold * np.logspace(0.0, 12.0, 10_000)
+    split = power_split(gains, cfg.rho, cfg.R_M)
+    outages = int(np.count_nonzero(split.outage))
+    worst = float(np.max(np.abs(multicast_rate(gains, split, cfg.rho) - cfg.R_M)))
+    theta_exact = bool(np.all(split.theta_M + split.theta_U == 1.0))
+    return _check(lines, "power-split-identity", outages == 0 and worst < 1e-9 and theta_exact,
+                  f"{gains.size} gains from eps/rho to 1e12 eps/rho, {outages} in outage, "
+                  f"max rate error {worst:.3e}, theta sums exact: {theta_exact}")
+
+
 def verify(settings: Settings):
     """Run the self-consistency checks at the configured operating point.
 
@@ -157,18 +173,7 @@ def verify(settings: Settings):
     if all(metric == montecarlo.METRIC_OUTAGE for _, metric in rows):
         lines.append("secrecy-vs-mc: SKIP (secrecy needs K >= 2)")
 
-    # the power split must hit the multicast target exactly when feasible,
-    # on gains from the threshold eps/rho up to 1e12 times it; eps/rho has
-    # power_split's bits, so the first gain tests its boundary
-    threshold = cfg.eps_multicast / cfg.rho
-    gains = threshold * np.logspace(0.0, 12.0, 10_000)
-    split = power_split(gains, cfg.rho, cfg.R_M)
-    outages = int(np.count_nonzero(split.outage))
-    worst = float(np.max(np.abs(multicast_rate(gains, split, cfg.rho) - cfg.R_M)))
-    theta_exact = bool(np.all(split.theta_M + split.theta_U == 1.0))
-    ok &= _check(lines, "power-split-identity", outages == 0 and worst < 1e-9 and theta_exact,
-                 f"{gains.size} gains from eps/rho to 1e12 eps/rho, {outages} in outage, "
-                 f"max rate error {worst:.3e}, theta sums exact: {theta_exact}")
+    ok &= _check_power_split(lines, cfg)
 
     # batches 0 and 1 of stream 0, drawn by one worker and by two, must give
     # every pair's sums bit for bit; once the point holds both, its draw is

@@ -195,15 +195,20 @@ def _gamma_cf_scaled(a, b):
 def lower_incomplete_gamma(a: float, b):
     """gamma(a, b) = integral_0^b t^(a-1) e^(-t) dt, for a > 0 and b >= 0.
 
-    Series expansion below b = a+1, continued fraction on the complement
-    above it, Gamma(a) at b = inf. Accuracy is near machine precision in
-    the relative sense.
+    At a = 1 (path-loss exponent eta = 2) this is 1 - e^(-b) in closed
+    form. Otherwise a series expansion below b = a+1, continued fraction
+    on the complement above it, Gamma(a) at b = inf. Accuracy is near
+    machine precision in the relative sense.
     """
     if not a > 0:
         raise ValueError("lower_incomplete_gamma requires a > 0")
     b_arr, scalar = _as_array(b)
     if not np.all(b_arr >= 0):
         raise ValueError("lower_incomplete_gamma requires b >= 0")
+    if a == 1.0:
+        # exact to rounding, with +0.0 at b = 0 and Gamma(1) = 1 at b = inf
+        out = -np.expm1(-b_arr)
+        return float(out) if scalar else out
     b_flat = b_arr.reshape(-1)
     p = np.ones_like(b_flat)
     lo = b_flat < a + 1.0

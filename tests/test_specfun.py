@@ -249,14 +249,38 @@ class TestLowerIncompleteGamma:
     def test_saturated_and_infinite_thresholds(self):
         # an overflowed threshold is inf, and a huge one leaves an upper
         # tail below the float range: both give Gamma(a) without a
-        # floating-point warning, and an array keeps its shape
+        # floating-point warning, and an array keeps its shape; b = 0 gives
+        # +0.0, and a scalar b a float (a = 1 takes the closed form)
         with np.errstate(all="raise"):
             for a in (1.0 / 3.0, 1.0, 2.0):
                 assert lower_incomplete_gamma(a, math.inf) == math.gamma(a)
                 assert lower_incomplete_gamma(a, 1e300) == math.gamma(a)
+                zero = lower_incomplete_gamma(a, 0.0)
+                assert type(zero) is float and math.copysign(1.0, zero) == 1.0 and zero == 0.0
                 got = lower_incomplete_gamma(a, np.array([[0.0, 2.0], [1e300, math.inf]]))
                 assert got.shape == (2, 2) and np.all(got[1] == math.gamma(a))
-                assert got[0, 0] == 0.0 and got[0, 1] == lower_incomplete_gamma(a, 2.0)
+                assert got[0, 0] == 0.0 and math.copysign(1.0, got[0, 0]) == 1.0
+                assert got[0, 1] == lower_incomplete_gamma(a, 2.0)
+
+    def test_closed_form_at_one_against_mpmath(self):
+        # at a = 1 (eta = 2) gamma(1, b) = 1 - e^-b is taken in closed form,
+        # which keeps full relative precision down to tiny b
+        b = np.logspace(-12.0, math.log10(700.0), 200)
+        got = lower_incomplete_gamma(1.0, b)
+        ref = np.array([float(-mp.expm1(-mp.mpf(float(v)))) for v in b])
+        assert np.all(np.abs(got - ref) <= 2.3e-16 * ref)
+        for v, r in zip(b[::40], ref[::40]):
+            assert abs(lower_incomplete_gamma(1.0, float(v)) - r) <= 2.3e-16 * r
+
+    def test_continuous_across_closed_form(self):
+        # the series and continued fraction just off a = 1 meet the closed
+        # form; d ln gamma(a, b) / da = ln b - 1 near b = 0, so a step of
+        # 1e-9 in a alone moves the value by 7.9e-9 at b = 1e-3 and by more
+        # than 1e-8 below b = 1e-4
+        b = np.logspace(-3.0, math.log10(700.0), 60)
+        at_one = lower_incomplete_gamma(1.0, b)
+        for a in (1.0 - 1e-9, 1.0 + 1e-9):
+            assert np.all(np.abs(lower_incomplete_gamma(a, b) - at_one) <= 1e-8 * at_one)
 
     def test_vector_matches_scalar(self):
         # early-exit iteration counts depend on the batch, so agreement is
@@ -275,6 +299,8 @@ class TestLowerIncompleteGamma:
             lower_incomplete_gamma(1.0, -0.5)
         with pytest.raises(ValueError):
             lower_incomplete_gamma(1.0, np.array([1.0, math.nan]))
+        with pytest.raises(ValueError):
+            lower_incomplete_gamma(1.0, math.nan)
 
 
 class TestExpintEi:
