@@ -54,7 +54,7 @@ def _point(settings: Settings, cfg, metrics, stream: int):
     of `metrics` the stream does not score (secrecy at K < 2) is left out.
     """
     draw = montecarlo.run_batches(cfg, montecarlo.batch_sizes(cfg.K, settings.trials),
-                                  settings.seed, settings.workers, stream)
+                                  settings.seed, stream)
     estimates = montecarlo.reduce_batches(*draw, settings.trials)
     values = analytic.closed_forms(cfg)
     return {(scheme, metric): (values[(scheme, metric)], estimates[(scheme, metric)])
@@ -175,13 +175,13 @@ def verify(settings: Settings):
 
     ok &= _check_power_split(lines, cfg)
 
-    # batches 0 and 1 of stream 0, drawn by one worker and by two, must give
-    # every pair's sums bit for bit; once the point holds both, its draw is
-    # the side it matches (two workers put batch 1 on a thread of its own)
+    # batches 0 and 1 of stream 0, drawn again in a fresh workspace, must
+    # give every pair's sums bit for bit; the point's own draw is the first
+    # side once it holds both
     R = montecarlo.batch_rows(cfg.K)
-    drawn = min(settings.workers, 2) if settings.trials >= 2 * R else 0
-    sides = [sums[:2] if w == drawn else montecarlo.run_batches(cfg, [R, R], settings.seed, w)[1]
-             for w in (1, 2)]
+    sides = [sums[:2]] if settings.trials >= 2 * R else []
+    while len(sides) < 2:
+        sides.append(montecarlo.run_batches(cfg, [R, R], settings.seed)[1])
     a1, a2 = (montecarlo.reduce_batches(pairs, side, 2 * R)[("noma", montecarlo.METRIC_OUTAGE)]
               .value for side in sides)
     ok &= _check(lines, "determinism", sides[0].tobytes() == sides[1].tobytes(),

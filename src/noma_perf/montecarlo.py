@@ -5,10 +5,10 @@ K = 8, and 80k // K rows above it, so a batch holds at most 80k gains
 (`SystemConfig` refuses K above 80k). Batch i of a stream draws from its
 own counter-based generator (`_SplitMix64`), keyed by (seed, stream, i)
 alone (`_batch_key`). A job is a plan (`batch_sizes`), a runner
-(`run_batches`: each worker thread draws and scores its batches in one
-`_workspace`, so no batch allocates an array) and a reducer
+(`run_batches`: the caller's thread draws and scores the batches in order,
+in one `_workspace`, so no batch allocates an array) and a reducer
 (`reduce_batches`, in batch order), so an estimate is bit-identical across
-runs and worker counts for a fixed seed and stream.
+runs for a fixed seed and stream.
 
 Every batch scores every metric from the gains the scheduler ranks
 (`channel.sample_batch`): one straight-line kernel (`_score_batch`) gives
@@ -30,7 +30,6 @@ Two secrecy metrics exist side by side:
   estimate under both names.
 """
 
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -265,8 +264,9 @@ def _secrecy_rate(ratio, ok):
 
 
 def _workspace(config: SystemConfig, rows: int) -> np.ndarray:
-    """The flat float buffer a job's batches of up to `rows` rows are drawn
-    (gains in front) and scored (behind the gains) in.
+    """The one flat float buffer in which a job draws (gains in front) and
+    scores (behind the gains) each of its batches of up to `rows` rows, one
+    after another.
 
     Mapped from the OS, not taken from malloc: glibc raises its mmap
     threshold when it frees a block this large, and later jobs' workspaces
@@ -298,7 +298,10 @@ def _run_batch(config, seed, stream, index, size, workspace, out):
 
 
 def check_run(trials, seed, workers, stream=0) -> None:
-    """Raise ValueError naming the first run parameter out of its range."""
+    """Raise ValueError naming the first run parameter out of its range.
+
+    `workers` is checked but drives nothing: every batch runs on the
+    caller's thread, and configs and callers that set it keep working."""
     for name, value, low, message in (("trials", trials, 2, "an integer >= 2"),
                                       ("seed", seed, 0, "a nonnegative integer"),
                                       ("workers", workers, 1, "an integer >= 1"),
@@ -334,8 +337,8 @@ def simulate_many(config: SystemConfig, trials: int, seed: int,
     every pair, so a sweep draws one stream per axis point.
     """
     check_run(trials, seed, workers, stream)
-    return reduce_batches(*run_batches(config, batch_sizes(config.K, trials), seed,
-                                       workers, stream), trials)
+    return reduce_batches(*run_batches(config, batch_sizes(config.K, trials), seed, stream),
+                          trials)
 
 
 def batch_sizes(K: int, trials: int) -> list:
@@ -344,44 +347,16 @@ def batch_sizes(K: int, trials: int) -> list:
     return [rows] * (trials // rows) + ([trials % rows] if trials % rows else [])
 
 
-def run_batches(config: SystemConfig, sizes, seed: int, workers: int = 1, stream: int = 0):
+def run_batches(config: SystemConfig, sizes, seed: int, stream: int = 0):
     """(pairs, sums) of `stream`'s batches of `sizes` rows: `_score_batch`'s
     pairs, in its order, and a (batches, pairs, 2) float64 array of each
-    batch's (sum, sum of squares) of each pair's values, whatever `workers`.
-
-    Worker w of n = min(workers, batches) runs batches w, w + n, ... in one
-    workspace; the caller's thread is worker 0. A worker's exception is
-    raised here once every started worker has been joined.
-    """
+    batch's (sum, sum of squares) of each pair's values. The batches are
+    drawn and scored in order, in one workspace, on the caller's thread."""
     pairs = _SCORED if config.K >= 2 else _SCORED[:2]
     sums = np.empty((len(sizes), len(pairs), 2))
-    workers = min(workers, len(sizes))
-    errors = []
-
-    def work(w):
-        try:
-            workspace = _workspace(config, sizes[0])
-            for i in range(w, len(sizes), workers):
-                if errors:  # another worker failed; stop early
-                    return
-                _run_batch(config, seed, stream, i, sizes[i], workspace, sums[i])
-        except BaseException as exc:  # raised again in the caller below
-            errors.append(exc)
-
-    threads = []
-    for w in range(1, workers):
-        thread = threading.Thread(target=work, args=(w,))
-        try:
-            thread.start()
-        except BaseException as exc:  # e.g. the OS thread limit; raised once all are joined
-            errors.append(exc)  # the started workers stop at their next batch
-            break
-        threads.append(thread)
-    work(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    workspace = _workspace(config, sizes[0])
+    for i, size in enumerate(sizes):
+        _run_batch(config, seed, stream, i, size, workspace, sums[i])
     return pairs, sums
 
 

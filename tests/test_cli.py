@@ -532,38 +532,39 @@ class TestVerify:
 
     def test_determinism_check_runs_two_batches(self, tmp_path, monkeypatch):
         # 2 * 200 trials at K = 400, not a fixed 20,000; still 20,000 at K <= 8.
-        # The point drew batches 0 and 1 on one worker, so its sums stand in
-        # for the check's one-worker side, and only the two-worker side is
-        # drawn: batch 0 on the caller's thread, batch 1 on another
+        # The point drew batches 0 and 1, so its sums are the check's first
+        # side, and only the redraw of those two batches follows
         draws = self.batches_drawn(tmp_path, monkeypatch, 2000)
-        assert draws[:10] == [(200, True)] * 10
-        assert sorted(draws[10:]) == [(200, False), (200, True)]
+        assert draws == [(200, True)] * 12
         assert 2 * montecarlo.batch_rows(8) == 20_000
 
     def test_determinism_check_draws_both_sides_below_two_batches(self, tmp_path, monkeypatch):
         # 300 trials are batches of 200 and 100 rows, so the check draws both
-        # of its sides: one worker, then two
+        # of its sides, one after the other
         draws = self.batches_drawn(tmp_path, monkeypatch, 300)
-        assert draws[:4] == [(200, True), (100, True), (200, True), (200, True)]
-        assert sorted(draws[4:]) == [(200, False), (200, True)]
+        assert draws == [(200, True), (100, True)] + [(200, True)] * 4
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("trials", [25_000, 5_000])  # above 2R (the point's sums reused), below R
-    def test_determinism_catches_a_thread_dependent_draw(self, tmp_path, monkeypatch, trials,
-                                                         workers):
-        # a draw that halves its gains off the caller's thread: only two
-        # workers see it, whichever side the point's draw stands in for
-        def off_thread_fault(config, rng, size, *workspace):
+    def test_determinism_catches_a_state_dependent_draw(self, tmp_path, monkeypatch, trials,
+                                                        workers):
+        # a draw whose gains drift with the number of draws made before it,
+        # as state leaking from one call into the next would: the two sides
+        # are different calls, so only the determinism line fails
+        calls = []
+
+        def drifting_draw(config, rng, size, *workspace):
             arrays = sample_batch(config, rng, size, *workspace)
-            if threading.current_thread() is not threading.main_thread():
-                arrays[2][...] *= 0.5
+            arrays[2][...] *= 1.0 + 1e-9 * len(calls)
+            calls.append(size)
             return arrays
 
         sample_batch = montecarlo.sample_batch
-        monkeypatch.setattr(montecarlo, "sample_batch", off_thread_fault)
+        monkeypatch.setattr(montecarlo, "sample_batch", drifting_draw)
         path = write_cfg(tmp_path, f"trials = {trials}\nworkers = {workers}\n")
         ok, report = verify(parse_config(path))
         assert not ok
+        assert re.findall(r"^(\S+): FAIL", report, re.M) == ["determinism"]
         assert re.search(r"^determinism: FAIL \(value \S+ vs \S+\)$", report, re.M)
 
     @pytest.mark.parametrize("trials", [5_000, 15_000, 25_137])
@@ -925,7 +926,7 @@ def test_runs_leave_slow_imports_unloaded(tmp_path):
     # csv, and numpy.random with the secrets and OpenSSL (_hashlib) it loads
     # each cost milliseconds of every start-up, and nothing needs them; checked
     # in a fresh interpreter, since pytest itself imports logging. The
-    # sweep's 20 001 trials are three batches, so two worker threads run.
+    # sweep's 20 001 trials are three batches; its --workers 2 loads nothing.
     # main, not the import, freezes the heap it starts with, so shutdown's
     # full collections skip numpy's objects
     cfg = write_cfg(tmp_path, "k = 3\nsnr_db = 30\n")
@@ -946,6 +947,22 @@ def test_runs_leave_slow_imports_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-2:] == ["[0, 0] []", "0 True"]
+
+
+def test_no_run_starts_a_thread(tmp_path, monkeypatch):
+    # every batch runs on the caller's thread, whatever workers says; an
+    # import check cannot pin this, since numpy itself imports threading
+    def refuse(thread):
+        raise AssertionError(f"a thread was started: {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    path = write_cfg(tmp_path, "k = 3\nsnr_db = 10,30\ntrials = 25137\n")
+    cfg = system_config(parse_config(path))
+    assert montecarlo.simulate_many(cfg, 25_137, seed=3, workers=4) == \
+        montecarlo.simulate_many(cfg, 25_137, seed=3)
+    assert main(["sweep", "--config", path, "--workers", "8",
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    assert main(["verify", "--config", path, "--workers", "3"]) == 0
 
 
 def test_package_import_binds_and_loads_nothing():

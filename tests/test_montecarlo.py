@@ -2,7 +2,6 @@
 
 import math
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -49,6 +48,19 @@ class TestDeterminism:
             parallel = simulate(c, SCHEME_NOMA, METRIC_SECRECY, 25_000, seed=42,
                                 workers=workers)
             assert serial == parallel
+
+    def test_worker_count_keeps_every_bit(self):
+        # every accepted workers value draws the same batches on the caller's thread
+        c = cfg(K=8)
+        trials = 3 * BATCH_SIZE + 137  # a partial last batch
+
+        def bits(workers):
+            many = simulate_many(c, trials, seed=33, workers=workers)
+            return [(e.value.hex(), e.half_width_95.hex()) for e in many.values()]
+
+        serial = bits(1)
+        for workers in (2, 3, 4):
+            assert bits(workers) == serial
 
     def test_partial_batch_handled(self):
         # trials deliberately not a multiple of the batch size
@@ -360,19 +372,6 @@ class TestWorkspace:
         assert faults / batches < 20
 
 
-def record_threads(monkeypatch):
-    """The threads simulate_many starts from here on, in start order."""
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(montecarlo.threading, "Thread", Recorded)
-    return started
-
-
 class TestPlanRunnerReducer:
     """simulate_many is the plan, the runner and the reducer in turn."""
 
@@ -390,9 +389,8 @@ class TestPlanRunnerReducer:
         pairs, sums = montecarlo.run_batches(c, sizes, 35, stream=4)
         assert sums.shape == (4, len(pairs), 2) and sums.dtype == np.float64
         assert list(pairs) == [p for p in valid_pairs(c) if p != OMA_EXACT]
-        for workers in (2, 3):
-            again, threaded = montecarlo.run_batches(c, sizes, 35, workers, stream=4)
-            assert again == pairs and threaded.tobytes() == sums.tobytes()
+        again, redrawn = montecarlo.run_batches(c, sizes, 35, stream=4)
+        assert again == pairs and redrawn.tobytes() == sums.tobytes()
         totals = 0
         for batch in sums:  # a left fold from 0, in batch order
             totals = totals + batch
@@ -405,72 +403,26 @@ class TestPlanRunnerReducer:
     def test_each_batch_is_its_own_job(self):
         # a batch's sums depend on (seed, stream, index) and its rows alone
         c = cfg(K=4)
-        _, sums = montecarlo.run_batches(c, [BATCH_SIZE, BATCH_SIZE, 77], 36, 2)
+        _, sums = montecarlo.run_batches(c, [BATCH_SIZE, BATCH_SIZE, 77], 36)
         _, first_two = montecarlo.run_batches(c, [BATCH_SIZE] * 2, 36)
         assert first_two.tobytes() == sums[:2].tobytes()
 
-
-class TestWorkerThreads:
-    """The caller's thread is worker 0; batch i runs on worker i mod workers."""
-
-    @pytest.mark.parametrize("failing", [3, 4])  # worker 0 (the caller), worker 1
-    def test_batch_exception_reaches_caller_after_every_join(self, monkeypatch, failing):
+    @pytest.mark.parametrize("failing", [0, 2])  # the first batch, the last
+    def test_batch_exception_reaches_caller(self, monkeypatch, failing):
+        # raised as it happens: no batch after the failing one is drawn
         run_batch = montecarlo._run_batch
+        ran = []
 
         def run(config, seed, stream, index, *rest):
+            ran.append(index)
             if index == failing:
                 raise RuntimeError(f"batch {index} failed")
             return run_batch(config, seed, stream, index, *rest)
 
         monkeypatch.setattr(montecarlo, "_run_batch", run)
-        started = record_threads(monkeypatch)
         with pytest.raises(RuntimeError, match=f"batch {failing} failed"):
-            simulate_many(cfg(K=2), 6 * BATCH_SIZE, seed=31, workers=3)
-        assert len(started) == 2
-        assert not any(thread.is_alive() for thread in started)
-
-    def test_failed_start_reaches_caller_after_every_join(self, monkeypatch):
-        # a worker that cannot start (the OS thread limit, say) stops the
-        # started ones at their next batch, and its error is raised once
-        # they are joined
-        started = []
-
-        class SecondStartFails(threading.Thread):
-            def start(self):
-                if started:
-                    raise RuntimeError("can't start new thread")
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(montecarlo.threading, "Thread", SecondStartFails)
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            simulate_many(cfg(K=2), 40 * BATCH_SIZE, seed=34, workers=3)
-        assert len(started) == 1
-        assert not started[0].is_alive()
-
-    def test_no_thread_without_a_batch(self, monkeypatch):
-        c = cfg(K=2)
-        serial = simulate_many(c, 3 * BATCH_SIZE, seed=32)
-        started = record_threads(monkeypatch)
-        assert simulate_many(c, 3 * BATCH_SIZE, seed=32, workers=8) == serial
-        assert len(started) <= 2
-
-    def test_worker_count_keeps_every_bit(self):
-        c = cfg(K=8)
-        trials = 3 * BATCH_SIZE + 137  # a partial last batch
-
-        def bits(workers):
-            many = simulate_many(c, trials, seed=33, workers=workers)
-            return [(e.value.hex(), e.half_width_95.hex()) for e in many.values()]
-
-        serial = bits(1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often: a lost part would show
-        try:
-            for workers in (2, 3, 4):
-                assert bits(workers) == serial
-        finally:
-            sys.setswitchinterval(interval)
+            simulate_many(cfg(K=2), 3 * BATCH_SIZE, seed=31, workers=3)
+        assert ran == list(range(failing + 1))
 
 
 class TestSchedule:
