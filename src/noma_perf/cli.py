@@ -47,19 +47,19 @@ def _axis_points(settings: Settings, axis: str):
 
 
 def _point(settings: Settings, cfg, metrics, stream: int):
-    """({(scheme, metric): (analytic value, MetricEstimate)}, draw) at one point.
+    """({(scheme, metric): (analytic value, MetricEstimate)}, sums) at one point.
 
     Rows run metric by metric, NOMA before OMA, and every estimate is scored
-    from one Monte Carlo stream, the draw (`montecarlo.run_batches`). A row
-    of `metrics` the stream does not score (secrecy at K < 2) is left out.
+    from one Monte Carlo stream, whose per-batch sums (`montecarlo.run_batches`)
+    are returned too. A row of `metrics` the stream does not score (secrecy
+    at K < 2) is left out.
     """
-    draw = montecarlo.run_batches(cfg, montecarlo.batch_sizes(cfg.K, settings.trials),
-                                  settings.seed, stream)
-    estimates = montecarlo.reduce_batches(*draw, settings.trials)
+    sums = montecarlo.run_batches(cfg, settings.trials, settings.seed, stream)
+    estimates = montecarlo.reduce_batches(sums, settings.trials)
     values = analytic.closed_forms(cfg)
     return {(scheme, metric): (values[(scheme, metric)], estimates[(scheme, metric)])
             for metric in metrics for scheme in montecarlo.SCHEMES
-            if (scheme, metric) in estimates}, draw
+            if (scheme, metric) in estimates}, sums
 
 
 def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
@@ -135,8 +135,8 @@ def verify(settings: Settings):
                  f"rel err {rel:.3e}, bound 1e-3")
 
     # analytic outage and secrecy against one shared simulation sample
-    rows, (pairs, sums) = _point(settings, cfg, (montecarlo.METRIC_OUTAGE,
-                                                 montecarlo.METRIC_SECRECY_SURROGATE), 0)
+    rows, sums = _point(settings, cfg, (montecarlo.METRIC_OUTAGE,
+                                        montecarlo.METRIC_SECRECY_SURROGATE), 0)
 
     # doubling every quadrature order must not move any checked value, in
     # absolute terms or relative to the doubled value (floored at 1e-12)
@@ -181,9 +181,9 @@ def verify(settings: Settings):
     R = montecarlo.batch_rows(cfg.K)
     sides = [sums[:2]] if settings.trials >= 2 * R else []
     while len(sides) < 2:
-        sides.append(montecarlo.run_batches(cfg, [R, R], settings.seed)[1])
-    a1, a2 = (montecarlo.reduce_batches(pairs, side, 2 * R)[("noma", montecarlo.METRIC_OUTAGE)]
-              .value for side in sides)
+        sides.append(montecarlo.run_batches(cfg, 2 * R, settings.seed))
+    a1, a2 = (montecarlo.reduce_batches(side, 2 * R)[("noma", montecarlo.METRIC_OUTAGE)].value
+              for side in sides)
     ok &= _check(lines, "determinism", sides[0].tobytes() == sides[1].tobytes(),
                  f"value {a1:.12g} vs {a2:.12g}")
 

@@ -4,11 +4,11 @@ Trials are generated in batches of `batch_rows(K)` rows: 10k rows up to
 K = 8, and 80k // K rows above it, so a batch holds at most 80k gains
 (`SystemConfig` refuses K above 80k). Batch i of a stream draws from its
 own counter-based generator (`_SplitMix64`), keyed by (seed, stream, i)
-alone (`_batch_key`). A job is a plan (`batch_sizes`), a runner
-(`run_batches`: the caller's thread draws and scores the batches in order,
-in one `_workspace`, so no batch allocates an array) and a reducer
-(`reduce_batches`, in batch order), so an estimate is bit-identical across
-runs for a fixed seed and stream.
+alone (`_batch_key`). A job is one checked call (`run_batches`: the
+caller's thread cuts the trials into batches, draws and scores them in
+order, in one `_workspace`, so no batch allocates an array, and returns
+each batch's sums) and a reducer (`reduce_batches`, in batch order), so an
+estimate is bit-identical across runs for a fixed seed and stream.
 
 Every batch scores every metric from the gains the scheduler ranks
 (`channel.sample_batch`): one straight-line kernel (`_score_batch`) gives
@@ -268,12 +268,12 @@ def _workspace(config: SystemConfig, rows: int) -> np.ndarray:
     scores (behind the gains) each of its batches of up to `rows` rows, one
     after another.
 
-    Mapped from the OS, not taken from malloc: glibc raises its mmap
-    threshold when it frees a block this large, and later jobs' workspaces
-    then come from the heap and stay resident. In alternating perfbench
-    pairs (BENCH_15.json) an `np.empty` workspace read about 1 MB more
-    peak RSS on `verify-csi3` in four of five pairs, and 0.04-0.06 MB less
-    on the sweeps.
+    Mapped from the OS, not taken from malloc: in 12 alternating pairs of
+    `noma-perf` runs (peak RSS by `os.wait4`, 2-core Xeon, glibc 2.36) it
+    read 0.09-0.12 MB less than `np.empty` on one-point sweeps (imperfect
+    K = 8 at 1e5 trials, `sos` K = 2 at 1e6), mostly Monte Carlo, and
+    0.07-0.12 MB more on `verify`, 40 KB of that the `mmap` import; pinning
+    glibc's mmap threshold left the sweeps' gap as it was.
     """
     import mmap  # 0.3 ms, paid by the first job only
 
@@ -333,39 +333,38 @@ def simulate_many(config: SystemConfig, trials: int, seed: int,
 
     Returns {(scheme, metric_kind): MetricEstimate} for the two outage
     pairs and, at K >= 2, the four secrecy pairs: `_score_batch`'s order,
-    then OMA's exact secrecy. Each batch is drawn once and scored for
-    every pair, so a sweep draws one stream per axis point.
+    then OMA's exact secrecy. It is `reduce_batches` of `run_batches`: each
+    batch is drawn once and scored for every pair, so a sweep draws one
+    stream per axis point.
     """
     check_run(trials, seed, workers, stream)
-    return reduce_batches(*run_batches(config, batch_sizes(config.K, trials), seed, stream),
-                          trials)
+    return reduce_batches(run_batches(config, trials, seed, stream), trials)
 
 
-def batch_sizes(K: int, trials: int) -> list:
-    """Rows of each batch of a `trials`-row job: `batch_rows(K)`, the last partial."""
-    rows = batch_rows(K)
-    return [rows] * (trials // rows) + ([trials % rows] if trials % rows else [])
-
-
-def run_batches(config: SystemConfig, sizes, seed: int, stream: int = 0):
-    """(pairs, sums) of `stream`'s batches of `sizes` rows: `_score_batch`'s
-    pairs, in its order, and a (batches, pairs, 2) float64 array of each
-    batch's (sum, sum of squares) of each pair's values. The batches are
-    drawn and scored in order, in one workspace, on the caller's thread."""
-    pairs = _SCORED if config.K >= 2 else _SCORED[:2]
-    sums = np.empty((len(sizes), len(pairs), 2))
+def run_batches(config: SystemConfig, trials: int, seed: int, stream: int = 0) -> np.ndarray:
+    """The (batches, pairs, 2) float64 array of each batch's (sum, sum of
+    squares) of each of `_score_batch`'s pairs, in its order, over `trials`
+    trials of `stream`: batches of `batch_rows(K)` rows, the last one
+    partial, drawn and scored in order, in one workspace sized by the first,
+    on the caller's thread. Run parameters out of range (`check_run`) are
+    refused before any draw."""
+    check_run(trials, seed, 1, stream)
+    rows = batch_rows(config.K)
+    sizes = [min(rows, trials - start) for start in range(0, trials, rows)]
+    sums = np.empty((len(sizes), len(_SCORED) if config.K >= 2 else 2, 2))
     workspace = _workspace(config, sizes[0])
     for i, size in enumerate(sizes):
         _run_batch(config, seed, stream, i, size, workspace, sums[i])
-    return pairs, sums
+    return sums
 
 
-def reduce_batches(pairs, sums, trials: int) -> dict:
-    """{pair: MetricEstimate} of `trials` trials from `run_batches`' (pairs, sums),
-    added in batch order from 0. An outage gets a Wilson interval (informative
-    at a rate of 0 or 1), a throughput the normal one; OMA's exact secrecy,
-    when scored, is its surrogate's estimate."""
+def reduce_batches(sums, trials: int) -> dict:
+    """{pair: MetricEstimate} of `trials` trials from `run_batches`' sums, whose
+    pairs are the first of `_SCORED`, added in batch order from 0. An outage
+    gets a Wilson interval (informative at a rate of 0 or 1), a throughput the
+    normal one; OMA's exact secrecy, when scored, is its surrogate's estimate."""
     n, z2 = trials, _Z95 * _Z95
+    pairs = _SCORED[:sums.shape[1]]
     estimates = {}
     for (scheme, metric_kind), (total, total_sq) in zip(pairs, sum(sums).tolist()):
         if metric_kind == METRIC_OUTAGE:

@@ -463,9 +463,9 @@ class TestVerify:
         # the floor is 3 / trials: an analytic value above it still fails
         reduce_batches = montecarlo.reduce_batches
 
-        def scores_nothing(pairs, sums, trials):
+        def scores_nothing(sums, trials):
             return {pair: est._replace(value=0.0) if pair[1] != montecarlo.METRIC_OUTAGE
-                    else est for pair, est in reduce_batches(pairs, sums, trials).items()}
+                    else est for pair, est in reduce_batches(sums, trials).items()}
 
         monkeypatch.setattr(montecarlo, "reduce_batches", scores_nothing)
         ok, report = verify(parse_config(write_cfg(tmp_path, "k = 3\ntrials = 2000\n")))

@@ -373,29 +373,39 @@ class TestWorkspace:
 
 
 class TestPlanRunnerReducer:
-    """simulate_many is the plan, the runner and the reducer in turn."""
+    """simulate_many is the runner and the reducer in turn."""
 
-    def test_plan(self):
-        assert montecarlo.batch_sizes(8, 5_000) == [5_000]
-        assert montecarlo.batch_sizes(8, 2 * BATCH_SIZE) == [BATCH_SIZE] * 2
-        assert montecarlo.batch_sizes(40, 4_123) == [2_000, 2_000, 123]
+    def test_plan(self, monkeypatch):
+        # batch_rows(K)-row batches, the last one partial
+        draw = montecarlo.sample_batch
+        drawn = []
+
+        def record(config, rng, size, *rest):
+            drawn.append(size)
+            return draw(config, rng, size, *rest)
+
+        monkeypatch.setattr(montecarlo, "sample_batch", record)
+        for K, trials, sizes in ((8, 5_000, [5_000]), (8, 2 * BATCH_SIZE, [BATCH_SIZE] * 2),
+                                 (40, 4_123, [2_000, 2_000, 123])):
+            drawn.clear()
+            montecarlo.run_batches(cfg(K=K), trials, 37)
+            assert drawn == sizes
 
     @pytest.mark.parametrize("csi,K", [("imperfect", 8), ("perfect", 3), ("sos", 2),
                                        ("sos", 1), ("imperfect", 40)])
     def test_sums_keep_their_bits_and_fold_to_simulate_many(self, csi, K):
         c = cfg(K=K, csi=csi)
         trials = 3 * batch_rows(K) + 137  # a partial last batch
-        sizes = montecarlo.batch_sizes(K, trials)
-        pairs, sums = montecarlo.run_batches(c, sizes, 35, stream=4)
+        pairs = [p for p in valid_pairs(c) if p != OMA_EXACT]
+        sums = montecarlo.run_batches(c, trials, 35, stream=4)
         assert sums.shape == (4, len(pairs), 2) and sums.dtype == np.float64
-        assert list(pairs) == [p for p in valid_pairs(c) if p != OMA_EXACT]
-        again, redrawn = montecarlo.run_batches(c, sizes, 35, stream=4)
-        assert again == pairs and redrawn.tobytes() == sums.tobytes()
+        redrawn = montecarlo.run_batches(c, trials, 35, stream=4)
+        assert redrawn.tobytes() == sums.tobytes()
         totals = 0
         for batch in sums:  # a left fold from 0, in batch order
             totals = totals + batch
         many = simulate_many(c, trials, 35, stream=4)
-        assert montecarlo.reduce_batches(pairs, sums, trials) == many
+        assert montecarlo.reduce_batches(sums, trials) == many
         assert list(many) == valid_pairs(c)
         for pair, (total, _) in zip(pairs, totals):
             assert many[pair].value == total / trials
@@ -403,9 +413,26 @@ class TestPlanRunnerReducer:
     def test_each_batch_is_its_own_job(self):
         # a batch's sums depend on (seed, stream, index) and its rows alone
         c = cfg(K=4)
-        _, sums = montecarlo.run_batches(c, [BATCH_SIZE, BATCH_SIZE, 77], 36)
-        _, first_two = montecarlo.run_batches(c, [BATCH_SIZE] * 2, 36)
+        sums = montecarlo.run_batches(c, 2 * BATCH_SIZE + 77, 36)
+        first_two = montecarlo.run_batches(c, 2 * BATCH_SIZE, 36)
         assert first_two.tobytes() == sums[:2].tobytes()
+
+    @pytest.mark.parametrize("trials,seed,stream,message", [
+        (1_000, -1, 0, "seed must be a nonnegative integer"),
+        (1_000, 0, -1, "stream must be a nonnegative integer"),
+        (1, 0, 0, "trials must be an integer >= 2"),
+        (True, 0, 0, "trials must be an integer >= 2"),
+    ])
+    def test_runner_refuses_run_parameters_before_any_draw(self, monkeypatch, trials, seed,
+                                                           stream, message):
+        # the runner is a job of its own: a negative key never reaches
+        # _batch_key, and a trial count it cannot cut is not cut
+        def no_draw(*args):
+            raise AssertionError("drawn")
+
+        monkeypatch.setattr(montecarlo, "sample_batch", no_draw)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            montecarlo.run_batches(cfg(K=3), trials, seed, stream)
 
     @pytest.mark.parametrize("failing", [0, 2])  # the first batch, the last
     def test_batch_exception_reaches_caller(self, monkeypatch, failing):
