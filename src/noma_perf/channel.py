@@ -98,7 +98,11 @@ class SystemConfig(_SystemFields):
         if self.K > BATCH_ELEMENTS:
             raise ValueError(f"K must be at most {BATCH_ELEMENTS}")
         for name in ("D", "eta", "rho", "R_M", "sigma2_zeta"):
-            if not np.isfinite(getattr(self, name)):
+            try:
+                finite = np.isfinite(getattr(self, name))
+            except TypeError:  # a str, None
+                raise ValueError(f"{name} must be a number") from None
+            if not finite:
                 raise ValueError(f"{name} must be finite")
         if not self.D > 0:
             raise ValueError("D must be positive")
@@ -121,10 +125,11 @@ class SystemConfig(_SystemFields):
         # cell-edge users must keep positive estimate power
         if self.csi_mode == CSI_IMPERFECT and not self.sigma2_zeta < self.D ** (-self.eta):
             raise ValueError("sigma2_zeta must be below D^(-eta)")
-        if len(self.quad_orders) != 5 or any(
-            not isinstance(o, (int, np.integer)) or o < 1 for o in self.quad_orders
-        ):
-            raise ValueError("quad_orders must be five positive integers")
+        if not isinstance(self.quad_orders, tuple) or len(self.quad_orders) != 5 or any(
+            isinstance(o, bool) or not isinstance(o, (int, np.integer)) or o < 1
+            for o in self.quad_orders
+        ):  # a tuple, so the config hashes and equals its twins
+            raise ValueError("quad_orders must be a tuple of five positive integers")
 
     @property
     def eps_multicast(self) -> float:

@@ -175,16 +175,20 @@ def verify(settings: Settings):
 
     ok &= _check_power_split(lines, cfg)
 
-    # batches 0 and 1 of stream 0, drawn again in a fresh workspace, must
-    # give every pair's sums bit for bit; the point's own draw is the first
-    # side once it holds both
+    # batches 0 and 1 of stream 0 must give every pair's sums bit for bit drawn
+    # in turn in one workspace (the point's own draw once it holds both) and in
+    # reverse order in a fresh one, so a scorer that reads scratch left by the
+    # batch before fails here. One workspace is mapped at a time.
     R = montecarlo.batch_rows(cfg.K)
-    sides = [sums[:2]] if settings.trials >= 2 * R else []
-    while len(sides) < 2:
-        sides.append(montecarlo.run_batches(cfg, 2 * R, settings.seed))
+    forward = (sums[:2] if settings.trials >= 2 * R
+               else montecarlo.run_batches(cfg, 2 * R, settings.seed))
+    backward = np.empty_like(forward)
+    workspace = montecarlo._workspace(cfg, R)
+    for index in (1, 0):
+        montecarlo._run_batch(cfg, settings.seed, 0, index, R, workspace, backward[index])
     a1, a2 = (montecarlo.reduce_batches(side, 2 * R)[("noma", montecarlo.METRIC_OUTAGE)].value
-              for side in sides)
-    ok &= _check(lines, "determinism", sides[0].tobytes() == sides[1].tobytes(),
+              for side in (forward, backward))
+    ok &= _check(lines, "determinism", forward.tobytes() == backward.tobytes(),
                  f"value {a1:.12g} vs {a2:.12g}")
 
     return ok, "\n".join(lines)
@@ -262,7 +266,7 @@ def main(argv=None) -> int:
             if key in opts:
                 setattr(settings, key, opts[key])
         try:
-            montecarlo.check_run(settings.trials, settings.seed, settings.workers)
+            montecarlo.check_run(settings.trials, settings.seed, workers=settings.workers)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if command == "sweep":

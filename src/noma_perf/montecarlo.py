@@ -4,11 +4,11 @@ Trials are generated in batches of `batch_rows(K)` rows: 10k rows up to
 K = 8, and 80k // K rows above it, so a batch holds at most 80k gains
 (`SystemConfig` refuses K above 80k). Batch i of a stream draws from its
 own counter-based generator (`_SplitMix64`), keyed by (seed, stream, i)
-alone (`_batch_key`). A job is one checked call (`run_batches`: the
-caller's thread cuts the trials into batches, draws and scores them in
-order, in one `_workspace`, so no batch allocates an array, and returns
-each batch's sums) and a reducer (`reduce_batches`, in batch order), so an
-estimate is bit-identical across runs for a fixed seed and stream.
+alone (`_batch_key`). A job is one checked call on (trials, seed, stream)
+(`run_batches`: the caller's thread cuts the trials into batches, draws and
+scores them in order, in one `_workspace`, so no batch allocates an array,
+and returns each batch's sums) and a reducer (`reduce_batches`, in batch
+order), so an estimate is bit-identical across runs for a fixed seed and stream.
 
 Every batch scores every metric from the gains the scheduler ranks
 (`channel.sample_batch`): one straight-line kernel (`_score_batch`) gives
@@ -297,11 +297,11 @@ def _run_batch(config, seed, stream, index, size, workspace, out):
         row[1] = np.add.reduce(v)
 
 
-def check_run(trials, seed, workers, stream=0) -> None:
+def check_run(trials, seed, stream=0, *, workers=1) -> None:
     """Raise ValueError naming the first run parameter out of its range.
 
-    `workers` is checked but drives nothing: every batch runs on the
-    caller's thread, and configs and callers that set it keep working."""
+    `workers` is checked for the configs and callers that set it (`cli.main`,
+    `simulate`) but drives nothing: every batch runs on the caller's thread."""
     for name, value, low, message in (("trials", trials, 2, "an integer >= 2"),
                                       ("seed", seed, 0, "a nonnegative integer"),
                                       ("workers", workers, 1, "an integer >= 1"),
@@ -315,8 +315,8 @@ def simulate(config: SystemConfig, scheme: str, metric_kind: str, trials: int,
     """Estimate one metric by simulation, with a 95% half width.
 
     `stream` selects an independent substream under the same seed. This is
-    the (scheme, metric_kind) entry of `simulate_many`; an unknown pair, or
-    secrecy at K < 2, is refused before any draw.
+    the (scheme, metric_kind) entry of `simulate_many`; an unknown pair, secrecy
+    at K < 2 or a run parameter out of range (`check_run`) is refused before any draw.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}")
@@ -324,20 +324,19 @@ def simulate(config: SystemConfig, scheme: str, metric_kind: str, trials: int,
         raise ValueError(f"metric_kind must be one of {METRIC_KINDS}")
     if metric_kind != METRIC_OUTAGE and config.K < 2:
         raise ValueError("secrecy throughput needs K >= 2")
-    return simulate_many(config, trials, seed, workers, stream)[(scheme, metric_kind)]
+    check_run(trials, seed, stream, workers=workers)
+    return simulate_many(config, trials, seed, stream)[(scheme, metric_kind)]
 
 
-def simulate_many(config: SystemConfig, trials: int, seed: int,
-                  workers: int = 1, stream: int = 0) -> dict:
+def simulate_many(config: SystemConfig, trials: int, seed: int, stream: int = 0) -> dict:
     """Estimate every (scheme, metric_kind) pair from one sample.
 
     Returns {(scheme, metric_kind): MetricEstimate} for the two outage
     pairs and, at K >= 2, the four secrecy pairs: `_score_batch`'s order,
-    then OMA's exact secrecy. It is `reduce_batches` of `run_batches`: each
-    batch is drawn once and scored for every pair, so a sweep draws one
-    stream per axis point.
+    then OMA's exact secrecy. It is `reduce_batches` of `run_batches`, which
+    checks the run parameters: each batch is drawn once and scored for every
+    pair, so a sweep draws one stream per axis point.
     """
-    check_run(trials, seed, workers, stream)
     return reduce_batches(run_batches(config, trials, seed, stream), trials)
 
 
@@ -346,9 +345,9 @@ def run_batches(config: SystemConfig, trials: int, seed: int, stream: int = 0) -
     squares) of each of `_score_batch`'s pairs, in its order, over `trials`
     trials of `stream`: batches of `batch_rows(K)` rows, the last one
     partial, drawn and scored in order, in one workspace sized by the first,
-    on the caller's thread. Run parameters out of range (`check_run`) are
-    refused before any draw."""
-    check_run(trials, seed, 1, stream)
+    on the caller's thread. Run parameters out of range are refused before
+    any draw, by the job's one `check_run` call."""
+    check_run(trials, seed, stream)
     rows = batch_rows(config.K)
     sizes = [min(rows, trials - start) for start in range(0, trials, rows)]
     sums = np.empty((len(sizes), len(_SCORED) if config.K >= 2 else 2, 2))

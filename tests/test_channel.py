@@ -47,9 +47,13 @@ class TestSystemConfig:
         dict(quad_orders=(50, 5, 10, 100)), dict(quad_orders=(50, 5, 0, 100, 10)),
         dict(K=True), dict(D=float("inf")), dict(eta=float("inf")),
         dict(rho=float("inf")), dict(R_M=float("inf")), dict(sigma2_zeta=float("nan")),
+        dict(quad_orders=[50, 44, 17, 24, 48]), dict(quad_orders=(True, 44, 17, 24, 48)),
+        dict(D="5"), dict(eta="2"), dict(rho=None),
     ])
     def test_rejects_bad_values(self, kw):
-        with pytest.raises(ValueError):
+        # a ValueError naming the field, never numpy's TypeError
+        (field,) = kw
+        with pytest.raises(ValueError, match=f"^{field} must "):
             make_config(**kw)
 
     @pytest.mark.parametrize("kw,field", [

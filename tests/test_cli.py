@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -516,33 +517,68 @@ class TestVerify:
 
     @staticmethod
     def batches_drawn(tmp_path, monkeypatch, trials):
-        """(rows, on the caller's thread) of every batch a passing K = 400
-        verify of `trials` trials draws, in call order; a batch is 200 rows."""
-        draws = []
-        sample_batch = montecarlo.sample_batch
+        """(batch, rows, into a fresh workspace) of every batch a passing
+        K = 400 verify of `trials` trials draws, in call order; a batch is
+        200 rows. A fresh workspace is mapped zeros, and no workspace is
+        mapped while another one is alive."""
+        draws, live = [], []
+        run_batch, workspace = montecarlo._run_batch, montecarlo._workspace
 
-        def recording_sample_batch(config, rng, size, *workspace):
-            draws.append((size, threading.current_thread() is threading.main_thread()))
-            return sample_batch(config, rng, size, *workspace)
+        def recording_run_batch(config, seed, stream, index, size, workspace, out):
+            draws.append((index, size, not workspace.view(np.uint64).any()))  # bits: no NaN
+            return run_batch(config, seed, stream, index, size, workspace, out)
 
-        monkeypatch.setattr(montecarlo, "sample_batch", recording_sample_batch)
+        def one_workspace(config, rows):
+            assert not live, "a second workspace mapped while one is alive"
+            mapped = workspace(config, rows)
+            live.append(rows)
+            weakref.finalize(mapped, live.pop)
+            return mapped
+
+        monkeypatch.setattr(montecarlo, "_run_batch", recording_run_batch)
+        monkeypatch.setattr(montecarlo, "_workspace", one_workspace)
         _, report = verify(parse_config(write_cfg(tmp_path, f"k = 400\ntrials = {trials}\n")))
         assert "determinism: PASS" in report
         return draws
 
     def test_determinism_check_runs_two_batches(self, tmp_path, monkeypatch):
         # 2 * 200 trials at K = 400, not a fixed 20,000; still 20,000 at K <= 8.
-        # The point drew batches 0 and 1, so its sums are the check's first
-        # side, and only the redraw of those two batches follows
+        # The point drew batches 0 and 1 in turn in one workspace, so its sums
+        # are the check's first side; the other draws batch 1 alone in a fresh
+        # workspace, then batch 0 after it
         draws = self.batches_drawn(tmp_path, monkeypatch, 2000)
-        assert draws == [(200, True)] * 12
+        assert draws == [(0, 200, True), *((i, 200, False) for i in range(1, 10)),
+                         (1, 200, True), (0, 200, False)]
         assert 2 * montecarlo.batch_rows(8) == 20_000
 
     def test_determinism_check_draws_both_sides_below_two_batches(self, tmp_path, monkeypatch):
         # 300 trials are batches of 200 and 100 rows, so the check draws both
-        # of its sides, one after the other
+        # of its sides: batches 0 and 1 in turn, then 1 and 0 in a fresh workspace
         draws = self.batches_drawn(tmp_path, monkeypatch, 300)
-        assert draws == [(200, True), (100, True)] + [(200, True)] * 4
+        assert draws == [(0, 200, True), (1, 100, False),
+                         (0, 200, True), (1, 200, False), (1, 200, True), (0, 200, False)]
+
+    @pytest.mark.parametrize("trials", [25_137, 5_000])  # the point's sums reused, or not
+    @pytest.mark.parametrize("text", ["k = 3\n", "csi = sos\nk = 2\n"], ids=["k3", "sos-k2"])
+    def test_determinism_catches_scratch_carried_between_batches(self, tmp_path, monkeypatch,
+                                                                 text, trials):
+        # a scorer that reads scratch before it writes it: at K = 3 (and at
+        # K = 2 under sos) part of that scratch lies past the draw's blocks,
+        # so in a reused workspace it holds the previous batch's values and
+        # in a fresh one zeros. Only the exact NOMA secrecy sums, which verify
+        # reports nowhere else, carry it, so only the determinism line fails
+        score_batch = montecarlo._score_batch
+
+        def leaky_score_batch(config, gains, scratch):
+            carried = np.count_nonzero(scratch[:montecarlo._VECTORS * len(gains)])
+            scores = score_batch(config, gains, scratch)
+            scores[-1][0] += 1e-9 * carried
+            return scores
+
+        monkeypatch.setattr(montecarlo, "_score_batch", leaky_score_batch)
+        ok, report = verify(parse_config(write_cfg(tmp_path, f"{text}trials = {trials}\n")))
+        assert not ok
+        assert re.findall(r"^(\S+): FAIL", report, re.M) == ["determinism"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("trials", [25_000, 5_000])  # above 2R (the point's sums reused), below R
@@ -958,8 +994,8 @@ def test_no_run_starts_a_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     path = write_cfg(tmp_path, "k = 3\nsnr_db = 10,30\ntrials = 25137\n")
     cfg = system_config(parse_config(path))
-    assert montecarlo.simulate_many(cfg, 25_137, seed=3, workers=4) == \
-        montecarlo.simulate_many(cfg, 25_137, seed=3)
+    assert montecarlo.simulate(cfg, "noma", "secrecy_throughput", 25_137, seed=3, workers=4) == \
+        montecarlo.simulate_many(cfg, 25_137, seed=3)[("noma", "secrecy_throughput")]
     assert main(["sweep", "--config", path, "--workers", "8",
                  "--out", str(tmp_path / "out.csv")]) == 0
     assert main(["verify", "--config", path, "--workers", "3"]) == 0

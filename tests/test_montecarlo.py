@@ -1,5 +1,6 @@
 """Simulation oracle: determinism, interval quality, reference equivalence."""
 
+import inspect
 import math
 import sys
 
@@ -48,19 +49,6 @@ class TestDeterminism:
             parallel = simulate(c, SCHEME_NOMA, METRIC_SECRECY, 25_000, seed=42,
                                 workers=workers)
             assert serial == parallel
-
-    def test_worker_count_keeps_every_bit(self):
-        # every accepted workers value draws the same batches on the caller's thread
-        c = cfg(K=8)
-        trials = 3 * BATCH_SIZE + 137  # a partial last batch
-
-        def bits(workers):
-            many = simulate_many(c, trials, seed=33, workers=workers)
-            return [(e.value.hex(), e.half_width_95.hex()) for e in many.values()]
-
-        serial = bits(1)
-        for workers in (2, 3, 4):
-            assert bits(workers) == serial
 
     def test_partial_batch_handled(self):
         # trials deliberately not a multiple of the batch size
@@ -159,11 +147,9 @@ class TestStreams:
             return sample_batch(config, rng, size, *workspace)
 
         monkeypatch.setattr(montecarlo, "sample_batch", recording_sample_batch)
-        c = cfg(K=40)
-        serial = simulate_many(c, 12_345, seed=27)
+        simulate_many(cfg(K=40), 12_345, seed=27)
         assert max(elements) <= BATCH_ELEMENTS
         assert sum(elements) == 12_345 * 40
-        assert simulate_many(c, 12_345, seed=27, workers=2) == serial
 
     def test_k_above_batch_elements_refused_before_any_draw(self):
         # one row of K gains would not fit a batch, so SystemConfig refuses
@@ -185,11 +171,6 @@ class TestSharedSample:
         for scheme, metric in ALL_PAIRS:
             assert many[(scheme, metric)] == simulate(c, scheme, metric, trials,
                                                       seed=21, stream=3)
-
-    def test_worker_count_does_not_change_bits(self):
-        c = cfg(K=4)
-        serial = simulate_many(c, 3 * BATCH_SIZE + 5, seed=22)
-        assert simulate_many(c, 3 * BATCH_SIZE + 5, seed=22, workers=2) == serial
 
     def test_distance_ranked_outage_only_for_any_k(self):
         pairs = [(SCHEME_NOMA, METRIC_OUTAGE), (SCHEME_OMA, METRIC_OUTAGE)]
@@ -225,8 +206,9 @@ class TestSharedSample:
 
     @pytest.mark.parametrize("workers", [True, 1.5, 0, "2", None])
     def test_rejects_non_integer_workers(self, workers):
-        with pytest.raises(ValueError, match="workers"):
-            simulate_many(cfg(), 1000, seed=0, workers=workers)
+        # simulate takes workers for the callers that set it: checked, then ignored
+        with pytest.raises(ValueError, match="^workers must be an integer >= 1$"):
+            simulate(cfg(), SCHEME_NOMA, METRIC_OUTAGE, 1000, seed=0, workers=workers)
 
     @pytest.mark.parametrize("pair", [
         ("tdma", METRIC_OUTAGE), (SCHEME_NOMA, "throughput"), (SCHEME_OMA, "throughput"),
@@ -375,6 +357,17 @@ class TestWorkspace:
 class TestPlanRunnerReducer:
     """simulate_many is the runner and the reducer in turn."""
 
+    def test_a_job_takes_trials_seed_stream_checked_once(self, monkeypatch):
+        # a job takes no workers, and run_batches alone checks its run parameters
+        for job in (simulate_many, montecarlo.run_batches):
+            assert list(inspect.signature(job).parameters) == \
+                ["config", "trials", "seed", "stream"]
+        check, calls = montecarlo.check_run, []
+        monkeypatch.setattr(montecarlo, "check_run",
+                            lambda *args, **kw: calls.append((args, kw)) or check(*args, **kw))
+        simulate_many(cfg(K=2), 2_000, seed=5, stream=1)
+        assert calls == [((2_000, 5, 1), {})]
+
     def test_plan(self, monkeypatch):
         # batch_rows(K)-row batches, the last one partial
         draw = montecarlo.sample_batch
@@ -448,7 +441,7 @@ class TestPlanRunnerReducer:
 
         monkeypatch.setattr(montecarlo, "_run_batch", run)
         with pytest.raises(RuntimeError, match=f"batch {failing} failed"):
-            simulate_many(cfg(K=2), 3 * BATCH_SIZE, seed=31, workers=3)
+            simulate_many(cfg(K=2), 3 * BATCH_SIZE, seed=31)
         assert ran == list(range(failing + 1))
 
 
