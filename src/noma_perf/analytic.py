@@ -27,7 +27,7 @@ from math import expm1, log, sqrt
 import numpy as np
 
 from .channel import CSI_IMPERFECT, CSI_SOS, SystemConfig
-from .montecarlo import METRIC_OUTAGE, METRIC_SECRECY, METRIC_SECRECY_SURROGATE, SCHEMES
+from .montecarlo import PAIRS
 from .specfun import gauss_legendre_rule, lower_incomplete_gamma
 
 LN2 = log(2.0)
@@ -249,17 +249,15 @@ secrecy_oma_sos_k2 = secrecy_oma_sos
 
 def closed_forms(config: SystemConfig) -> dict:
     """{(scheme, metric_kind): value} for the pairs montecarlo.simulate_many
-    scores at `config`, each form run once per scheme through its public
-    name: outage NOMA, outage OMA, then at K >= 2 secrecy NOMA and OMA.
-    Both secrecy metrics read the surrogate's form (README, Caveats)."""
+    scores at `config`, in `PAIRS` order, each form run once per scheme
+    through its public name: outage NOMA, outage OMA, then at K >= 2 secrecy
+    NOMA and OMA. Both secrecy metrics read the surrogate's form (README, Caveats)."""
     # perfect CSI decides on true gains, as sos does, and ranks the users
     # like imperfect CSI, at sigma2 = 0
-    outage = ((outage_noma_imperfect, outage_oma_imperfect) if config.csi_mode == CSI_IMPERFECT
-              else (outage_noma_sos, outage_oma_sos))
-    secrecy = ((secrecy_noma_sos, secrecy_oma_sos) if config.csi_mode == CSI_SOS
-               else (secrecy_noma_imperfect, secrecy_oma_imperfect))
-    rows = {(scheme, METRIC_OUTAGE): form(config) for scheme, form in zip(SCHEMES, outage)}
+    forms = ((outage_noma_imperfect, outage_oma_imperfect) if config.csi_mode == CSI_IMPERFECT
+             else (outage_noma_sos, outage_oma_sos))
     if config.K >= 2:
-        for scheme, form in zip(SCHEMES, secrecy):
-            rows[scheme, METRIC_SECRECY_SURROGATE] = rows[scheme, METRIC_SECRECY] = form(config)
-    return rows
+        forms += ((secrecy_noma_sos, secrecy_oma_sos) if config.csi_mode == CSI_SOS
+                  else (secrecy_noma_imperfect, secrecy_oma_imperfect))
+    values = [form(config) for form in forms]
+    return dict(zip(PAIRS, values + values[2:]))  # the secrecy values fill both metrics

@@ -98,9 +98,12 @@ class SystemConfig(_SystemFields):
         if self.K > BATCH_ELEMENTS:
             raise ValueError(f"K must be at most {BATCH_ELEMENTS}")
         for name in ("D", "eta", "rho", "R_M", "sigma2_zeta"):
+            value = getattr(self, name)
             try:
-                finite = np.isfinite(getattr(self, name))
-            except TypeError:  # a str, None
+                if not np.isscalar(value):  # None, a list, an array (a 0-d one does not hash)
+                    raise TypeError
+                finite = np.isfinite(value)
+            except TypeError:  # a str, or one of those
                 raise ValueError(f"{name} must be a number") from None
             if not finite:
                 raise ValueError(f"{name} must be finite")

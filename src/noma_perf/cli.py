@@ -18,10 +18,6 @@ CSV_COLUMNS = (
     "analytic_value", "mc_value", "mc_halfwidth", "trials", "seed",
 )
 
-# the metrics of a sweep, in CSV order
-_SWEEP_METRICS = (montecarlo.METRIC_OUTAGE, montecarlo.METRIC_SECRECY_SURROGATE,
-                  montecarlo.METRIC_SECRECY)
-
 
 def _fmt(x) -> str:
     return format(float(x), ".12g")
@@ -49,17 +45,15 @@ def _axis_points(settings: Settings, axis: str):
 def _point(settings: Settings, cfg, metrics, stream: int):
     """({(scheme, metric): (analytic value, MetricEstimate)}, sums) at one point.
 
-    Rows run metric by metric, NOMA before OMA, and every estimate is scored
-    from one Monte Carlo stream, whose per-batch sums (`montecarlo.run_batches`)
-    are returned too. A row of `metrics` the stream does not score (secrecy
-    at K < 2) is left out.
+    The point's rows of `metrics` (no secrecy at K < 2) come in
+    `montecarlo.PAIRS` order, every estimate scored from one Monte Carlo
+    stream, whose per-batch sums (`montecarlo.run_batches`) are returned too.
     """
     sums = montecarlo.run_batches(cfg, settings.trials, settings.seed, stream)
     estimates = montecarlo.reduce_batches(sums, settings.trials)
     values = analytic.closed_forms(cfg)
-    return {(scheme, metric): (values[(scheme, metric)], estimates[(scheme, metric)])
-            for metric in metrics for scheme in montecarlo.SCHEMES
-            if (scheme, metric) in estimates}, sums
+    return {pair: (values[pair], est) for pair, est in estimates.items()
+            if pair[1] in metrics}, sums
 
 
 def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
@@ -77,12 +71,10 @@ def run_sweep(settings: Settings, axis: str, out_path: str) -> int:
     with fh:
         rows = []
         for stream, (axis_name, token, cfg) in enumerate(points):
-            point, _ = _point(settings, cfg, _SWEEP_METRICS, stream)
-            for metric in _SWEEP_METRICS:
-                for scheme in montecarlo.SCHEMES:
-                    if (scheme, metric) not in point:
-                        print(f"note: skipping {scheme}/{metric} at {axis_name}={token}: "
-                              "secrecy needs K >= 2", file=sys.stderr)
+            point, _ = _point(settings, cfg, montecarlo.METRIC_KINDS, stream)
+            for scheme, metric in montecarlo.PAIRS[len(point):]:
+                print(f"note: skipping {scheme}/{metric} at {axis_name}={token}: "
+                      "secrecy needs K >= 2", file=sys.stderr)
             rows += [(axis_name, token, scheme, cfg.csi_mode, metric,
                       _fmt(value), _fmt(est.value), _fmt(est.half_width_95),
                       str(settings.trials), str(settings.seed))

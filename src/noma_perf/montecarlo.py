@@ -46,10 +46,10 @@ METRIC_SECRECY = "secrecy_throughput"
 METRIC_SECRECY_SURROGATE = "secrecy_throughput_surrogate"
 METRIC_KINDS = (METRIC_OUTAGE, METRIC_SECRECY, METRIC_SECRECY_SURROGATE)
 
-# the pairs `_score_batch` scores, in a sweep's row order; the first two at K = 1
-_SCORED = ((SCHEME_NOMA, METRIC_OUTAGE), (SCHEME_OMA, METRIC_OUTAGE),
-           (SCHEME_NOMA, METRIC_SECRECY_SURROGATE), (SCHEME_OMA, METRIC_SECRECY_SURROGATE),
-           (SCHEME_NOMA, METRIC_SECRECY))
+# a point's (scheme, metric) rows in CSV order; the first two at K = 1.
+# `_score_batch` scores all but the last: OMA's exact secrecy is its surrogate
+PAIRS = tuple((scheme, metric) for metric in (METRIC_OUTAGE, METRIC_SECRECY_SURROGATE,
+                                              METRIC_SECRECY) for scheme in SCHEMES)
 
 BATCH_SIZE = 10_000  # rows of a batch up to K = 8; BATCH_ELEMENTS gains above it
 
@@ -208,9 +208,9 @@ def _score_batch(config: SystemConfig, gains: np.ndarray, scratch: np.ndarray) -
 
     `gains` are the ranked gains of `sample_batch`: estimates in any order,
     or true gains nearest-first under statistical CSI. Returns one array
-    per pair of `_SCORED`, in its order: bool flags for the two outage
-    pairs and, at K >= 2, float scores for the NOMA and OMA surrogates and
-    the NOMA exact secrecy; OMA's exact secrecy is its surrogate. The
+    per pair of `PAIRS` but the last, in its order: bool flags for the two
+    outage pairs and, at K >= 2, float scores for the NOMA and OMA surrogates
+    and the NOMA exact secrecy; OMA's exact secrecy is its surrogate. The
     scheduler's roles (`schedule`), the NOMA outage mask and rho times the
     target and the eavesdropper are computed once for all pairs. Every
     array is a view of the flat `scratch` of `_VECTORS` row vectors.
@@ -285,7 +285,7 @@ def _run_batch(config, seed, stream, index, size, workspace, out):
     """Draw and score batch `index` in `workspace` (`_workspace`), whose last
     2 `_CHUNK` floats are the generator's scratch, and write each scored
     pair's (sum, sum of squares) of per-trial values into its row of `out`,
-    a (pairs, 2) float array in `_SCORED` order."""
+    a (pairs, 2) float array in `PAIRS` order."""
     rng = _SplitMix64(_batch_key(seed, stream, index), workspace[-2 * _CHUNK:])
     gains = sample_batch(config, rng, size, workspace)[2]
     for row, v in zip(out, _score_batch(config, gains, workspace[config.K * size:])):
@@ -331,9 +331,9 @@ def simulate(config: SystemConfig, scheme: str, metric_kind: str, trials: int,
 def simulate_many(config: SystemConfig, trials: int, seed: int, stream: int = 0) -> dict:
     """Estimate every (scheme, metric_kind) pair from one sample.
 
-    Returns {(scheme, metric_kind): MetricEstimate} for the two outage
-    pairs and, at K >= 2, the four secrecy pairs: `_score_batch`'s order,
-    then OMA's exact secrecy. It is `reduce_batches` of `run_batches`, which
+    Returns {(scheme, metric_kind): MetricEstimate} for the pairs of
+    `PAIRS`, in its order: the two outage pairs and, at K >= 2, the four
+    secrecy pairs. It is `reduce_batches` of `run_batches`, which
     checks the run parameters: each batch is drawn once and scored for every
     pair, so a sweep draws one stream per axis point.
     """
@@ -350,7 +350,7 @@ def run_batches(config: SystemConfig, trials: int, seed: int, stream: int = 0) -
     check_run(trials, seed, stream)
     rows = batch_rows(config.K)
     sizes = [min(rows, trials - start) for start in range(0, trials, rows)]
-    sums = np.empty((len(sizes), len(_SCORED) if config.K >= 2 else 2, 2))
+    sums = np.empty((len(sizes), len(PAIRS) - 1 if config.K >= 2 else 2, 2))
     workspace = _workspace(config, sizes[0])
     for i, size in enumerate(sizes):
         _run_batch(config, seed, stream, i, size, workspace, sums[i])
@@ -359,13 +359,12 @@ def run_batches(config: SystemConfig, trials: int, seed: int, stream: int = 0) -
 
 def reduce_batches(sums, trials: int) -> dict:
     """{pair: MetricEstimate} of `trials` trials from `run_batches`' sums, whose
-    pairs are the first of `_SCORED`, added in batch order from 0. An outage
+    pairs are the first of `PAIRS`, added in batch order from 0. An outage
     gets a Wilson interval (informative at a rate of 0 or 1), a throughput the
     normal one; OMA's exact secrecy, when scored, is its surrogate's estimate."""
     n, z2 = trials, _Z95 * _Z95
-    pairs = _SCORED[:sums.shape[1]]
     estimates = {}
-    for (scheme, metric_kind), (total, total_sq) in zip(pairs, sum(sums).tolist()):
+    for (scheme, metric_kind), (total, total_sq) in zip(PAIRS, sum(sums).tolist()):
         if metric_kind == METRIC_OUTAGE:
             p = total / n
             hw = _Z95 * np.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / (1.0 + z2 / n)
@@ -373,6 +372,6 @@ def reduce_batches(sums, trials: int) -> dict:
             var = max(0.0, (total_sq - total * total / n) / (n - 1))
             hw = _Z95 * np.sqrt(var / n)
         estimates[(scheme, metric_kind)] = MetricEstimate(float(total / n), float(hw), n)
-    if len(pairs) > 2:  # no power split under OMA, so its exact secrecy is its surrogate
-        estimates[(SCHEME_OMA, METRIC_SECRECY)] = estimates[(SCHEME_OMA, METRIC_SECRECY_SURROGATE)]
+    if len(estimates) > 2:  # no power split under OMA, so its exact secrecy is its surrogate
+        estimates[PAIRS[-1]] = estimates[PAIRS[-3]]
     return estimates

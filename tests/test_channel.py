@@ -49,12 +49,19 @@ class TestSystemConfig:
         dict(rho=float("inf")), dict(R_M=float("inf")), dict(sigma2_zeta=float("nan")),
         dict(quad_orders=[50, 44, 17, 24, 48]), dict(quad_orders=(True, 44, 17, 24, 48)),
         dict(D="5"), dict(eta="2"), dict(rho=None),
+        dict(D=np.array(5.0)), dict(eta=np.array(2.0)), dict(rho=np.array(1000.0)),
+        dict(R_M=np.array(0.5)), dict(sigma2_zeta=np.array(0.01)), dict(D=np.array([5.0])),
     ])
     def test_rejects_bad_values(self, kw):
         # a ValueError naming the field, never numpy's TypeError
         (field,) = kw
         with pytest.raises(ValueError, match=f"^{field} must "):
             make_config(**kw)
+
+    def test_numpy_scalars_hash_like_their_float_twins(self):
+        twin = make_config()
+        cfg = SystemConfig(np.int64(8), *map(np.float64, twin[1:6]))
+        assert cfg == twin and hash(cfg) == hash(twin)
 
     @pytest.mark.parametrize("kw,field", [
         (dict(R_M=512.0), "R_M"),

@@ -305,7 +305,7 @@ def valid_pairs(c):
 
 def score(c, gains):
     """{pair: array} of _score_batch on a (rows, K) batch in a scratch of its own."""
-    return dict(zip(montecarlo._SCORED,
+    return dict(zip(montecarlo.PAIRS,
                     _score_batch(c, gains, np.empty(montecarlo._VECTORS * len(gains)))))
 
 
