@@ -26,6 +26,7 @@ batch of a job is drawn into, so a draw allocates nothing.
 """
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -93,19 +94,15 @@ class SystemConfig(_SystemFields):
     replace = _SystemFields._replace  # a copy with the given fields changed, checked
 
     def _check(self):
-        if isinstance(self.K, bool) or not isinstance(self.K, (int, np.integer)) or self.K < 1:
+        if not _integer(self.K, 1):
             raise ValueError("K must be a positive integer")
         if self.K > BATCH_ELEMENTS:
             raise ValueError(f"K must be at most {BATCH_ELEMENTS}")
         for name in ("D", "eta", "rho", "R_M", "sigma2_zeta"):
-            value = getattr(self, name)
-            try:
-                if not np.isscalar(value):  # None, a list, an array (a 0-d one does not hash)
-                    raise TypeError
-                finite = np.isfinite(value)
-            except TypeError:  # a str, or one of those
-                raise ValueError(f"{name} must be a number") from None
-            if not finite:
+            value = getattr(self, name)  # a real number: not a bool, a complex or an array
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number")
+            if not _finite_power(value, 1.0):  # an int too large for a float is not finite
                 raise ValueError(f"{name} must be finite")
         if not self.D > 0:
             raise ValueError("D must be positive")
@@ -128,10 +125,8 @@ class SystemConfig(_SystemFields):
         # cell-edge users must keep positive estimate power
         if self.csi_mode == CSI_IMPERFECT and not self.sigma2_zeta < self.D ** (-self.eta):
             raise ValueError("sigma2_zeta must be below D^(-eta)")
-        if not isinstance(self.quad_orders, tuple) or len(self.quad_orders) != 5 or any(
-            isinstance(o, bool) or not isinstance(o, (int, np.integer)) or o < 1
-            for o in self.quad_orders
-        ):  # a tuple, so the config hashes and equals its twins
+        if not isinstance(self.quad_orders, tuple) or len(self.quad_orders) != 5 or not all(
+                _integer(o, 1) for o in self.quad_orders):  # a tuple, so the config hashes
             raise ValueError("quad_orders must be a tuple of five positive integers")
 
     @property
@@ -143,6 +138,11 @@ class SystemConfig(_SystemFields):
     def eps_multicast_oma(self) -> float:
         """Threshold under OMA, where the multicast slot is halved."""
         return 2.0 ** (2.0 * self.R_M) - 1.0
+
+
+def _integer(value, low) -> bool:
+    """Whether `value` is an integer, not a bool, of at least `low`."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 def _finite_power(base, exponent) -> bool:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import BATCH_ELEMENTS, CSI_SOS, SAMPLE_BLOCKS, SystemConfig, sample_batch
+from .channel import BATCH_ELEMENTS, CSI_SOS, SAMPLE_BLOCKS, SystemConfig, _integer, sample_batch
 from .noma_core import _unicast_share
 
 SCHEME_NOMA = "noma"
@@ -306,7 +306,7 @@ def check_run(trials, seed, stream=0, *, workers=1) -> None:
                                       ("seed", seed, 0, "a nonnegative integer"),
                                       ("workers", workers, 1, "an integer >= 1"),
                                       ("stream", stream, 0, "a nonnegative integer")):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        if not _integer(value, low):
             raise ValueError(f"{name} must be {message}")
 
 

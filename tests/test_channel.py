@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from noma_perf.analytic import _survival_est
+from noma_perf.analytic import _survival_est, closed_forms
 from noma_perf.channel import (
     CSI_IMPERFECT,
     CSI_PERFECT,
@@ -51,12 +51,21 @@ class TestSystemConfig:
         dict(D="5"), dict(eta="2"), dict(rho=None),
         dict(D=np.array(5.0)), dict(eta=np.array(2.0)), dict(rho=np.array(1000.0)),
         dict(R_M=np.array(0.5)), dict(sigma2_zeta=np.array(0.01)), dict(D=np.array([5.0])),
+        dict(eta=1j), dict(D=np.complex128(5)), dict(D=True), dict(rho=np.True_),
+        dict(R_M=False), dict(D=10**400),
     ])
     def test_rejects_bad_values(self, kw):
         # a ValueError naming the field, never numpy's TypeError
         (field,) = kw
         with pytest.raises(ValueError, match=f"^{field} must "):
             make_config(**kw)
+
+    def test_an_int_is_read_as_its_float(self):
+        # one beyond int64 builds, and one beyond the float range is not finite
+        with pytest.raises(ValueError, match="^D must be finite$"):
+            make_config(D=10**400)
+        big = make_config(D=10**20, sigma2_zeta=0.0)
+        assert all(np.isfinite(v) for v in closed_forms(big).values())
 
     def test_numpy_scalars_hash_like_their_float_twins(self):
         twin = make_config()

@@ -964,7 +964,8 @@ def test_runs_leave_slow_imports_unloaded(tmp_path):
     # numpy.polynomial, concurrent.futures and the logging it imports,
     # argparse with the gettext and locale it loads, dataclasses with copy,
     # csv, and numpy.random with the secrets and OpenSSL (_hashlib) it loads
-    # each cost milliseconds of every start-up, and nothing needs them; checked
+    # each cost milliseconds of every start-up, and nothing needs them; nor
+    # scipy or mpmath, which only the tests use; checked
     # in a fresh interpreter, since pytest itself imports logging. The
     # sweep's 20 001 trials are three batches; its --workers 2 loads nothing.
     # main, not the import, freezes the heap it starts with, so shutdown's
@@ -980,7 +981,8 @@ def test_runs_leave_slow_imports_unloaded(tmp_path):
         f"               '--out', {str(tmp_path / 'out.csv')!r}])]\n"
         "print(codes, [m for m in ('numpy.polynomial', 'concurrent.futures', 'logging',\n"
         "                          'argparse', 'gettext', 'locale', 'dataclasses', 'copy',\n"
-        "                          'csv', 'numpy.random', 'secrets', '_hashlib')\n"
+        "                          'csv', 'numpy.random', 'secrets', '_hashlib', 'scipy',\n"
+        "                          'mpmath')\n"
         "              if m in sys.modules])\n"
         "print(frozen_by_import, gc.get_freeze_count() >= tracked > 10_000)\n"
     )

@@ -204,7 +204,7 @@ class TestSharedSample:
             simulate(cfg(K=K, csi=csi), *pair, 3 * BATCH_SIZE, seed=25, workers=workers)
         assert draws == []
 
-    @pytest.mark.parametrize("workers", [True, 1.5, 0, "2", None])
+    @pytest.mark.parametrize("workers", [True, 1.5, 0, "2", None, np.True_])
     def test_rejects_non_integer_workers(self, workers):
         # simulate takes workers for the callers that set it: checked, then ignored
         with pytest.raises(ValueError, match="^workers must be an integer >= 1$"):
@@ -415,6 +415,9 @@ class TestPlanRunnerReducer:
         (1_000, 0, -1, "stream must be a nonnegative integer"),
         (1, 0, 0, "trials must be an integer >= 2"),
         (True, 0, 0, "trials must be an integer >= 2"),
+        (np.True_, 0, 0, "trials must be an integer >= 2"),
+        (1_000, np.True_, 0, "seed must be a nonnegative integer"),
+        (1_000, 0, np.True_, "stream must be a nonnegative integer"),
     ])
     def test_runner_refuses_run_parameters_before_any_draw(self, monkeypatch, trials, seed,
                                                            stream, message):
