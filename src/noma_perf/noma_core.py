@@ -3,14 +3,16 @@
 The transmitter superimposes a multicast stream (decoded by everyone) and a
 unicast stream for the strongest user. The power split gives the multicast
 stream exactly enough power that the weakest scheduled gain still decodes
-rate R_M, and hands the remainder to unicast. Both functions work
-elementwise on arrays of gains (the Monte Carlo kernel and `verify` pass
-whole batches) and return plain floats and a bool for a scalar gain.
+rate R_M, and hands the remainder to unicast. Both work elementwise on an
+array of gains (`verify` passes one; Monte Carlo calls only `_unicast_share`)
+and return plain floats and a bool for a scalar gain.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+
+from .channel import SystemConfig
 
 
 class PowerSplit(NamedTuple):
@@ -32,14 +34,10 @@ def power_split(alpha_weakest, rho: float, R_M: float) -> PowerSplit:
     """Split total power so the weakest gain decodes R_M, rest to unicast.
 
     If even full power cannot support R_M (alpha_weakest < eps/rho) the slot
-    is in multicast outage and everything goes to multicast.
-    """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    if not R_M > 0:
-        raise ValueError("R_M must be positive")
+    is in multicast outage and everything goes to multicast. `SystemConfig`
+    owns the rules on rho and R_M: a value it refuses raises its ValueError."""
+    eps = SystemConfig(rho=rho, R_M=R_M).eps_multicast
     alpha = _gains(alpha_weakest, "alpha_weakest")
-    eps = 2.0 ** R_M - 1.0
     theta_U = _unicast_share(alpha, eps, rho, np.empty_like(alpha))
     theta_M = 1.0 - theta_U
     outage = alpha < eps / rho
@@ -67,6 +65,7 @@ def _unicast_share(alpha, eps: float, rho: float, out):
 
 def multicast_rate(alpha, split: PowerSplit, rho: float):
     """Multicast rate seen by a gain alpha, with unicast power as interference."""
+    SystemConfig(rho=rho)  # its rules and messages on rho, as in power_split
     alpha = _gains(alpha, "alpha")
     rate = np.log2(1.0 + split.theta_M * alpha / (split.theta_U * alpha + 1.0 / rho))
     return float(rate) if rate.ndim == 0 else rate

@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import _finite_power, _integer
+
 EULER_GAMMA = 0.5772156649015328606
 
 _MAX_ITER = 300
@@ -51,10 +53,10 @@ class QuadratureRule(NamedTuple):
 
 
 def _check_rule_args(order, upper_limit):
-    if not isinstance(order, (int, np.integer)) or order < 1:
+    if not _integer(order, 1):
         raise ValueError("quadrature order must be a positive integer")
-    if not upper_limit > 0:
-        raise ValueError("quadrature upper_limit must be positive")
+    if not (upper_limit > 0 and _finite_power(upper_limit, 1.0)):
+        raise ValueError("quadrature upper_limit must be positive and finite")
 
 
 def chebyshev_rule(order: int, upper_limit: float) -> QuadratureRule:
@@ -131,15 +133,15 @@ def _leggauss(n):
     return np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def gauss_legendre_rule(order: int, upper_limit: float) -> QuadratureRule:
     """Build the Gauss-Legendre rule of a given order on [0, upper_limit].
 
     Exact for polynomials of degree below 2N. Building takes about 0.14 ms
     at N = 17, 0.25 ms at N = 50, 2 ms at N = 400 and 50 ms at N = 3200 on
     a 2-core Xeon, while the evaluators ask for the same few rules at every
-    call, so rules are memoised per (order, upper_limit). Every caller
-    shares one rule, so its arrays are read-only.
+    call, so rules are memoised per typed (order, upper_limit), where True is
+    not 1. Every caller shares one rule, so its arrays are read-only.
     """
     _check_rule_args(order, upper_limit)
     t, w = _leggauss(int(order))

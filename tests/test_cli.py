@@ -262,13 +262,21 @@ class TestSweep:
         assert {r[1] for r in body} == {"1e1", "30"}
         assert all(r[0] == "snr_db" for r in body)
 
-    def test_output_is_byte_stable_across_runs_and_workers(self, tmp_path):
-        path = write_cfg(tmp_path, self.SOS_CFG)
+    @pytest.mark.parametrize("text,axis", [
+        (SOS_CFG, "k"),
+        # two full batches a point (K = 3 at 20,000 trials), three with a
+        # partial last one (25,000 and 25,137), batches below 10k rows
+        # (K = 40), and the perfect-CSI sigma2 axis
+        ("k = 3\nsnr_db = 10,30\ntrials = 20000\n", "snr"),
+        ("csi = sos\nk_values = 2,3,8\ntrials = 25000\n", "k"),
+        ("k_values = 2,3,8,40\ntrials = 25137\n", "k"),
+        ("csi = perfect\ntrials = 25137\n", "sigma2"),
+    ], ids=["sos-k", "snr", "sos-k-25000", "k-25137", "perfect-sigma2"])
+    def test_output_is_byte_stable_across_runs_and_workers(self, tmp_path, text, axis):
+        path = write_cfg(tmp_path, text)
         outs = [str(tmp_path / f"run{i}.csv") for i in range(3)]
-        main(["sweep", "--config", path, "--axis", "k", "--out", outs[0]])
-        main(["sweep", "--config", path, "--axis", "k", "--out", outs[1]])
-        main(["sweep", "--config", path, "--axis", "k", "--out", outs[2],
-              "--workers", "3"])
+        for out, extra in zip(outs, ([], [], ["--workers", "3"])):
+            assert main(["sweep", "--config", path, "--axis", axis, "--out", out, *extra]) == 0
         blobs = [Path(p).read_bytes() for p in outs]
         assert blobs[0] == blobs[1] == blobs[2]
 
@@ -607,11 +615,14 @@ class TestVerify:
         assert re.findall(r"^(\S+): FAIL", report, re.M) == ["determinism"]
         assert re.search(r"^determinism: FAIL \(value \S+ vs \S+\)$", report, re.M)
 
-    @pytest.mark.parametrize("trials", [5_000, 15_000, 25_137])
-    def test_report_does_not_depend_on_workers(self, tmp_path, capsys, trials):
+    @pytest.mark.parametrize("text", ["trials = 5000\n", "trials = 15000\n", "trials = 25137\n",
+                                      "k = 3\nsnr_db = 10,30\ntrials = 25137\n"],
+                             ids=["5000", "15000", "25137", "k3-25137"])
+    def test_report_does_not_depend_on_workers(self, tmp_path, capsys, text):
         # below one batch, between one and two, and above two with a partial
-        # last one (K = 8): at 25,137 a multi-worker point's sums are reused
-        path = write_cfg(tmp_path, f"trials = {trials}\n")
+        # last one (K = 8, then K = 3): at 25,137 a multi-worker point's sums
+        # are reused
+        path = write_cfg(tmp_path, text)
         runs = []
         for workers in ("1", "2", "3"):
             runs.append((main(["verify", "--config", path, "--workers", workers]),

@@ -24,6 +24,13 @@ def gain_grid(rho, R_M):
                      np.nextafter(z, 1.0), 2.0 * z, 1.0, 1e3])
 
 
+def value_error(f, *args, **kwargs):
+    """The message of the ValueError that f(*args, **kwargs) raises."""
+    with pytest.raises(ValueError) as info:
+        f(*args, **kwargs)
+    return str(info.value)
+
+
 def assert_bitwise_equal(array, scalars):
     expected = np.array(scalars, dtype=float)
     assert array.shape == expected.shape
@@ -136,10 +143,26 @@ class TestPowerSplit:
             power_split(-1.0, 100.0, 1.0)
         with pytest.raises(ValueError):
             power_split(np.array([1.0, -1.0]), 100.0, 1.0)
-        with pytest.raises(ValueError):
-            power_split(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            power_split(1.0, 100.0, 0.0)
+        # an infinite rho or R_M gave a NaN split, and 2^1100 an OverflowError
+        for rho, R_M in ((0.0, 1.0), (np.inf, 0.5), (100.0, 0.0), (10.0, np.inf), (10.0, 1100.0)):
+            with pytest.raises(ValueError):
+                power_split(0.0, rho, R_M)
+        # rho = 0 divided by zero, and -1, NaN and inf gave a rate
+        for rho in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                multicast_rate(1.0, PowerSplit(1.0, 0.0, False), rho)
+
+    @pytest.mark.parametrize("field,value", [
+        *(("rho", v) for v in (0.0, -1.0, np.nan, np.inf, True, np.array(10.0), "10")),
+        *(("R_M", v) for v in (np.nan, np.inf, 512.0, 1100.0, True, np.array(0.5)))])
+    def test_refuses_rho_and_rate_as_system_config_does(self, field, value):
+        # SystemConfig owns the rules on rho and R_M: both functions raise
+        # its message, and its range (R_M below 512) is theirs
+        fields = {"rho": 10.0, "R_M": 0.5, field: value}
+        message = value_error(SystemConfig, **fields)
+        assert value_error(power_split, 1.0, fields["rho"], fields["R_M"]) == message
+        if field == "rho":  # multicast_rate takes no R_M
+            assert value_error(multicast_rate, 1.0, PowerSplit(1.0, 0.0, False), value) == message
 
     @pytest.mark.parametrize("alpha", [np.nan, np.array([1.0, np.nan, 0.0])])
     def test_rejects_nan_gain(self, alpha):

@@ -125,12 +125,10 @@ class TestChebyshevRule:
         assert abs(approx - ref) <= 1e-3 * (abs(ref) + 1.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            chebyshev_rule(0, 1.0)
-        with pytest.raises(ValueError):
-            chebyshev_rule(10, 0.0)
-        with pytest.raises(ValueError):
-            chebyshev_rule(10, -2.0)
+        # a bool is not an order, and an infinite limit gave infinite nodes
+        for order, upper in ((0, 1.0), (True, 1.0), (10, 0.0), (10, -2.0), (10, math.inf)):
+            with pytest.raises(ValueError):
+                chebyshev_rule(order, upper)
 
 
 class TestGaussLegendreRule:
@@ -163,7 +161,10 @@ class TestGaussLegendreRule:
                 arr[0] = 0.0
 
     def test_validation(self):
-        for order, upper in ((0, 1.0), (2.5, 1.0), (10, 0.0), (10, -2.0)):
+        # the memo holds the order-1 rule, which must not answer for True (== 1)
+        gauss_legendre_rule(1, 1.0)
+        for order, upper in ((0, 1.0), (2.5, 1.0), (True, 1.0), (10, 0.0), (10, -2.0),
+                             (10, math.inf)):
             with pytest.raises(ValueError):
                 gauss_legendre_rule(order, upper)
 
